@@ -10,11 +10,9 @@ from qagg.aggregate import (
     SimplexWeights,
     SolveReport,
     certify_kkt,
-    cp_criterion,
     cp_values,
     excess_bound_gap,
     exponential_weights,
-    project_to_simplex,
     q_gradient,
     q_objective,
     q_objective_penalized,
@@ -27,7 +25,6 @@ from qagg.smoother import (
     GroundTruth,
     OrderedCheckReport,
     check_ordered,
-    exact_risk,
     member_risks,
     oracle_index,
     pair_distance,
@@ -38,7 +35,6 @@ from qagg.spectral import (
     apply_member,
     apply_weights,
     build_tikhonov_family,
-    degrees_of_freedom,
     member_matrix,
     recover_coefficients,
 )
@@ -58,17 +54,13 @@ __all__ = [
     "build_tikhonov_family",
     "certify_kkt",
     "check_ordered",
-    "cp_criterion",
     "cp_values",
-    "degrees_of_freedom",
-    "exact_risk",
     "excess_bound_gap",
     "exponential_weights",
     "member_matrix",
     "member_risks",
     "oracle_index",
     "pair_distance",
-    "project_to_simplex",
     "q_gradient",
     "q_objective",
     "q_objective_penalized",

@@ -15,9 +15,13 @@ certified by the first-order condition at the simplex vertices:
 min_k grad H(theta) . (e_k - theta) >= 0 at a global optimum, and a
 negative value bounds the suboptimality gap of any feasible point.
 
-For members sharing one eigenbasis the whole program is assembled in
-spectral coordinates, so a solve costs O((n + M) r) per pivot instead
-of anything involving dense n x n matrices.
+Every member of a family is diagonal in the family's eigenbasis U, so all
+per-response quantities (fits, c_j = ||A_j y - y||^2, the criteria and
+the QP data) depend on y only through z = U^T y and ||P_perp y||^2 per
+family.  One pass computes them, and every public function accepts that
+pass in place of y.  For a single family the program is assembled in
+spectral coordinates, so a solve costs O((n + M) r) per pivot instead of
+anything involving dense n x n matrices.
 """
 
 from __future__ import annotations
@@ -27,17 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qagg.smoother import families_of
-from qagg.spectral import SpectralFamily, _frozen_array, apply_weights
+from qagg.smoother import FamilyUnion
+from qagg.spectral import _frozen_array
 
 __all__ = [
     "SimplexWeights",
     "SolveReport",
-    "project_to_simplex",
     "member_fits",
-    "aggregate_fit",
     "make_weights",
-    "cp_criterion",
     "cp_values",
     "q_objective",
     "q_objective_penalized",
@@ -104,122 +105,105 @@ class SolveReport:
     converged: bool
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u * idx > css][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
+@dataclass(frozen=True)
+class _Response:
+    """The quantities of one response y that every method reads, computed once."""
+
+    candidates: FamilyUnion
+    y: np.ndarray
+    z: tuple[np.ndarray, ...]  # U^T y per family
+    perp: tuple[float, ...]  # ||P_perp y||^2 per family
+    resid_sq: np.ndarray  # c_j = ||A_j y - y||^2, globally indexed
+
+    def member_fit(self, j: int) -> np.ndarray:
+        """Fit A_j y of the member with global index j."""
+        k, local = self.candidates.locate(j)
+        fam = self.candidates.families[k]
+        return fam.basis @ (fam.alphas[local] * self.z[k])
+
+    def fit(self, theta: np.ndarray) -> np.ndarray:
+        """Aggregated fit sum_j theta_j A_j y."""
+        cands = self.candidates
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (cands.member_count,):
+            raise ValueError(f"expected {cands.member_count} weights, got shape {theta.shape}")
+        fit = None
+        for fam, z, lo, hi in zip(cands.families, self.z, cands.offsets, cands.offsets[1:]):
+            part = fam.basis @ ((fam.alphas.T @ theta[lo:hi]) * z)
+            fit = part if fit is None else fit + part
+        return fit
+
+
+def _response(family_or_union, y) -> _Response:
+    """The per-response pass of y; a pass given as y must belong to these candidates."""
+    cands = FamilyUnion.of(family_or_union)
+    if isinstance(y, _Response):
+        theirs = y.candidates.families
+        if len(theirs) != cands.q or any(a is not b for a, b in zip(theirs, cands.families)):
+            raise ValueError("the per-response pass was computed for different candidates")
+        return y
+    y = np.asarray(y, dtype=float)
+    yy = y @ y
+    z = tuple(fam.spectral_coords(y) for fam in cands.families)
+    perp = tuple(max(float(yy - zf @ zf), 0.0) for zf in z)
+    resid_sq = np.concatenate(
+        [(fam.alphas - 1.0) ** 2 @ zf**2 + pf for fam, zf, pf in zip(cands.families, z, perp)]
+    )
+    return _Response(candidates=cands, y=y, z=z, perp=perp, resid_sq=resid_sq)
+
+
+def _check_sigma(sigma: float) -> None:
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
 
 
 def member_fits(family_or_union, y: np.ndarray) -> np.ndarray:
     """Stacked member fits A_j y as an (M, n) matrix, globally indexed."""
-    blocks = []
-    for fam in families_of(family_or_union):
-        z = fam.spectral_coords(y)
-        blocks.append((fam.alphas * z) @ fam.basis.T)
-    return np.vstack(blocks)
-
-
-def aggregate_fit(family_or_union, theta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Aggregated fit sum_j theta_j A_j y across one family or a union."""
-    fams = families_of(family_or_union)
-    theta = np.asarray(theta, dtype=float)
-    total = sum(f.member_count for f in fams)
-    if theta.shape != (total,):
-        raise ValueError(f"expected {total} weights, got shape {theta.shape}")
-    if len(fams) == 1:
-        return apply_weights(fams[0], theta, y)
-    fit = np.zeros(fams[0].n)
-    lo = 0
-    for fam in fams:
-        hi = lo + fam.member_count
-        fit += apply_weights(fam, theta[lo:hi], y)
-        lo = hi
-    return fit
+    resp = _response(family_or_union, y)
+    return np.vstack(
+        [(fam.alphas * z) @ fam.basis.T for fam, z in zip(resp.candidates.families, resp.z)]
+    )
 
 
 def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWeights:
     """Bundle a weight vector with the fit it induces on response y."""
-    return SimplexWeights(
-        theta=theta, fitted=aggregate_fit(family_or_union, theta, y), response=y
-    )
-
-
-def df_vector(family_or_union) -> np.ndarray:
-    """Degrees of freedom trace(A_j) of every member, globally indexed."""
-    return np.concatenate([f.alphas.sum(axis=1) for f in families_of(family_or_union)])
+    resp = _response(family_or_union, y)
+    return SimplexWeights(theta=theta, fitted=resp.fit(theta), response=resp.y)
 
 
 @dataclass(frozen=True)
 class _QpData:
-    """Spectral assembly of the aggregation QP.
+    """Assembly of the aggregation QP.
 
     H(theta) = 1/2 ||phi^T theta - target||^2 + lin . theta + offset with
-    lin = 2 sigma^2 df + c / 2 and c_j = ||A_j y - y||^2.  For a single
-    shared-basis family phi holds spectral coordinates (target = U^T y,
-    offset = ||P_perp y||^2 / 2); for a union phi holds the member fits
-    in R^n (target = y, offset = 0).
+    lin = 2 sigma^2 df + c / 2.  For a single shared-basis family phi holds
+    spectral coordinates (target = U^T y, offset = ||P_perp y||^2 / 2); for
+    a union phi holds the member fits in R^n (target = y, offset = 0).
     """
 
     phi: np.ndarray
     target: np.ndarray
     offset: float
-    df: np.ndarray
-    resid_sq: np.ndarray  # c_j = ||A_j y - y||^2
     lin: np.ndarray
-    sigma: float
-    n: int
 
 
-def _qp_data(family_or_union, y: np.ndarray, sigma: float) -> _QpData:
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    fams = families_of(family_or_union)
-    y = np.asarray(y, dtype=float)
-    df = np.concatenate([f.alphas.sum(axis=1) for f in fams])
-    if len(fams) == 1:
-        fam = fams[0]
-        z = fam.spectral_coords(y)
-        perp = max(float(y @ y - z @ z), 0.0)
-        phi = fam.alphas * z
-        target = z
-        offset = 0.5 * perp
-        resid_sq = (fam.alphas - 1.0) ** 2 @ z**2 + perp
+def _qp_data(resp: _Response, sigma: float) -> _QpData:
+    _check_sigma(sigma)
+    cands = resp.candidates
+    if cands.q == 1:
+        z = resp.z[0]
+        phi, target, offset = cands.families[0].alphas * z, z, 0.5 * resp.perp[0]
     else:
-        phi = member_fits(family_or_union, y)
-        target = y
-        offset = 0.0
-        diff = phi - y
-        resid_sq = np.einsum("ij,ij->i", diff, diff)
-    lin = 2.0 * sigma**2 * df + 0.5 * resid_sq
-    return _QpData(
-        phi=phi,
-        target=target,
-        offset=offset,
-        df=df,
-        resid_sq=resid_sq,
-        lin=lin,
-        sigma=float(sigma),
-        n=fams[0].n,
-    )
+        phi, target, offset = member_fits(cands, resp), resp.y, 0.0
+    lin = 2.0 * sigma**2 * cands.df + 0.5 * resp.resid_sq
+    return _QpData(phi=phi, target=target, offset=offset, lin=lin)
 
 
 def cp_values(family_or_union, y: np.ndarray, sigma: float) -> np.ndarray:
     """Unbiased-risk criterion ||A_j y - y||^2 + 2 sigma^2 trace(A_j) per member."""
-    qp = _qp_data(family_or_union, y, sigma)
-    return qp.resid_sq + 2.0 * sigma**2 * qp.df
-
-
-def cp_criterion(family: SpectralFamily, j: int, y: np.ndarray, sigma: float) -> float:
-    """Criterion value of a single member."""
-    values = cp_values(family, y, sigma)
-    if not 0 <= int(j) < values.size:
-        raise IndexError(f"member index {j} out of range")
-    return float(values[int(j)])
+    _check_sigma(sigma)
+    resp = _response(family_or_union, y)
+    return resp.resid_sq + 2.0 * sigma**2 * resp.candidates.df
 
 
 def _check_theta(theta, count: int) -> np.ndarray:
@@ -237,7 +221,7 @@ def q_objective(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     The formula extends smoothly off the simplex, which is what the
     finite-difference gradient checks differentiate.
     """
-    qp = _qp_data(family_or_union, y, sigma)
+    qp = _qp_data(_response(family_or_union, y), sigma)
     theta = _check_theta(theta, qp.lin.size)
     r = qp.phi.T @ theta - qp.target
     return float(0.5 * r @ r + qp.lin @ theta + qp.offset)
@@ -252,14 +236,13 @@ def q_objective_penalized(
     shortcut used by :func:`q_objective`; the two must agree on the
     simplex.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    fits = member_fits(family_or_union, y)
+    _check_sigma(sigma)
+    resp = _response(family_or_union, y)
+    fits = member_fits(resp.candidates, resp)
     theta = _check_theta(theta, fits.shape[0])
-    y = np.asarray(y, dtype=float)
     fit = fits.T @ theta
-    df = df_vector(family_or_union)
-    cp_at_theta = float((fit - y) @ (fit - y)) + 2.0 * sigma**2 * float(df @ theta)
+    df = resp.candidates.df
+    cp_at_theta = float((fit - resp.y) @ (fit - resp.y)) + 2.0 * sigma**2 * float(df @ theta)
     gaps = fits - fit
     penalty = 0.5 * float(theta @ np.einsum("ij,ij->i", gaps, gaps))
     return cp_at_theta + penalty
@@ -267,7 +250,7 @@ def q_objective_penalized(
 
 def q_gradient(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     """Analytic gradient of the convex objective form."""
-    qp = _qp_data(family_or_union, y, sigma)
+    qp = _qp_data(_response(family_or_union, y), sigma)
     theta = _check_theta(theta, qp.lin.size)
     return qp.phi @ (qp.phi.T @ theta - qp.target) + qp.lin
 
@@ -411,13 +394,14 @@ def solve_q_aggregation(
     non-convergence within the pivot budget the best iterate is
     returned with ``converged=False``.
     """
-    qp = _qp_data(family_or_union, y, sigma)
+    resp = _response(family_or_union, y)
+    qp = _qp_data(resp, sigma)
     max_pivots = min(3 * qp.lin.size + 100, max_iters)
     theta, fval, res, pivots, converged = _solve_simplex_qp(
         qp.phi, qp.target, qp.lin, kkt_tol, max_pivots
     )
     return SolveReport(
-        weights=make_weights(family_or_union, theta, y),
+        weights=make_weights(resp.candidates, theta, resp),
         objective=float(fval + qp.offset),
         kkt_residual=res,
         iterations=pivots,
@@ -437,18 +421,10 @@ def select_gcv(family_or_union, y: np.ndarray, tol: float | None = None) -> int:
     comes within tol of n are excluded with a warning because the
     denominator degenerates.
     """
-    fams = families_of(family_or_union)
-    n = fams[0].n
+    resp = _response(family_or_union, y)
+    n, df = resp.candidates.n, resp.candidates.df
     if tol is None:
         tol = 1e-8 * n
-    df = df_vector(family_or_union)
-    y = np.asarray(y, dtype=float)
-    blocks = []
-    for fam in fams:
-        z = fam.spectral_coords(y)
-        perp = max(float(y @ y - z @ z), 0.0)
-        blocks.append((fam.alphas - 1.0) ** 2 @ z**2 + perp)
-    resid_sq = np.concatenate(blocks)
     degenerate = df >= n - tol
     for j in np.flatnonzero(degenerate):
         warnings.warn(
@@ -460,7 +436,7 @@ def select_gcv(family_or_union, y: np.ndarray, tol: float | None = None) -> int:
     if degenerate.all():
         raise ValueError("every member has trace within tol of n; GCV is undefined")
     scores = np.full(df.size, np.inf)
-    scores[~degenerate] = resid_sq[~degenerate] / (n - df[~degenerate]) ** 2
+    scores[~degenerate] = resp.resid_sq[~degenerate] / (n - df[~degenerate]) ** 2
     return int(np.argmin(scores))
 
 
@@ -476,9 +452,10 @@ def exponential_weights(
         temperature = 4.0 * sigma**2
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature!r}")
-    cp = cp_values(family_or_union, y, sigma)
+    resp = _response(family_or_union, y)
+    cp = cp_values(resp.candidates, resp, sigma)
     w = np.exp(-(cp - cp.min()) / temperature)
-    return make_weights(family_or_union, w / w.sum(), y)
+    return make_weights(resp.candidates, w / w.sum(), resp)
 
 
 def excess_bound_gap(
@@ -493,13 +470,13 @@ def excess_bound_gap(
     theta.  Returns max_k (excess_k - bound_k); at a certified optimum
     this is at most -kkt_residual up to rounding.
     """
-    fits = member_fits(family_or_union, y)
+    resp = _response(family_or_union, y)
+    fits = member_fits(resp.candidates, resp)
     theta = _check_theta(theta, fits.shape[0])
     mu = np.asarray(mu, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eps = y - mu
+    eps = resp.y - mu
     fit = fits.T @ theta
-    df = df_vector(family_or_union)
+    df = resp.candidates.df
     loss_theta = float((fit - mu) @ (fit - mu))
     diffs = fits - mu
     losses = np.einsum("ij,ij->i", diffs, diffs)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qagg.aggregate import (
+    _response,
     excess_bound_gap,
     exponential_weights,
     select_cp,
@@ -30,7 +31,7 @@ from qagg.aggregate import (
     solve_q_aggregation,
 )
 from qagg.smoother import FamilyUnion, GroundTruth, member_risks, oracle_index
-from qagg.spectral import DesignProblem, SpectralFamily, apply_member, build_tikhonov_family
+from qagg.spectral import DesignProblem, SpectralFamily, _tikhonov_family, _whitened_svd
 
 __all__ = [
     "ConfigError",
@@ -366,7 +367,7 @@ class ExperimentConfig:
 class Instance:
     """Realized candidate set and ground truth for one experiment."""
 
-    candidates: SpectralFamily | FamilyUnion
+    candidates: FamilyUnion
     truth: GroundTruth
     oracle_member: int
     oracle_risk: float
@@ -377,7 +378,7 @@ class Instance:
 
     @property
     def family_total(self) -> int:
-        return self.candidates.q if isinstance(self.candidates, FamilyUnion) else 1
+        return self.candidates.q
 
 
 def _design_rng(seed: int) -> np.random.Generator:
@@ -394,14 +395,12 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
     families = []
     for idx, spec in enumerate(config.families):
         K = spec.penalty.build(p)
-        if spec.grid.absolute:
-            scale = 1.0
-        else:
-            w, Q = np.linalg.eigh(0.5 * (K + K.T))
-            s = np.linalg.svd(X @ ((Q / np.sqrt(w)) @ Q.T), compute_uv=False)
-            scale = float(np.mean(s**2))
+        # one eigh + SVD per family: its untruncated singular values set the
+        # grid scale, and the same factorization builds the family
+        whitened = _whitened_svd(X, 0.5 * (K + K.T))
+        scale = float(np.mean(whitened[2] ** 2))
         problem = DesignProblem(X=X, K=K, lambdas=spec.grid.build(scale))
-        families.append(build_tikhonov_family(problem, family_id=f"family-{idx}"))
+        families.append(_tikhonov_family(whitened, problem.lambdas, f"family-{idx}"))
     return families
 
 
@@ -467,7 +466,7 @@ def _calibrate_mean(candidates, mu_unit: np.ndarray, sigma: float, target: float
 def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = None) -> Instance:
     """Materialize the candidate families and ground truth of a config."""
     families = _build_families(config)
-    candidates = families[0] if len(families) == 1 else FamilyUnion(families=tuple(families))
+    candidates = FamilyUnion(families=tuple(families))
     sigma = config.scenario.sigma
     if mu_override is not None:
         mu = np.asarray(mu_override, dtype=float)
@@ -483,13 +482,6 @@ def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = No
     return Instance(candidates=candidates, truth=truth, oracle_member=j_star, oracle_risk=r_star)
 
 
-def _member_fit(candidates, j: int, y: np.ndarray) -> np.ndarray:
-    if isinstance(candidates, FamilyUnion):
-        fam, local = candidates.locate(j)
-        return apply_member(fam, local, y)
-    return apply_member(candidates, j, y)
-
-
 def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: int) -> dict:
     """Run replicates [lo, hi) and return per-draw arrays (fixed order)."""
     count = hi - lo
@@ -502,34 +494,30 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
     q_converged = np.ones(count, dtype=bool)
     lemma_gap = np.full(count, -np.inf)
 
+    def loss(fit):
+        return float((fit - mu) @ (fit - mu))
+
     for pos, idx in enumerate(range(lo, hi)):
         rng = _replicate_rng(config.seed, idx)
         y = mu + sigma * rng.standard_normal(mu.size)
-        fit_star = _member_fit(candidates, instance.oracle_member, y)
-        oracle_losses[pos] = float((fit_star - mu) @ (fit_star - mu))
+        resp = _response(candidates, y)  # shared by every method of this draw
+        oracle_losses[pos] = loss(resp.member_fit(instance.oracle_member))
         for name in config.methods:
             if name == "oracle":
                 losses[name][pos] = oracle_losses[pos]
             elif name == "cp_select":
-                j = select_cp(candidates, y, sigma)
-                fit = _member_fit(candidates, j, y)
-                losses[name][pos] = float((fit - mu) @ (fit - mu))
+                losses[name][pos] = loss(resp.member_fit(select_cp(candidates, resp, sigma)))
             elif name == "gcv":
-                j = select_gcv(candidates, y)
-                fit = _member_fit(candidates, j, y)
-                losses[name][pos] = float((fit - mu) @ (fit - mu))
+                losses[name][pos] = loss(resp.member_fit(select_gcv(candidates, resp)))
             elif name == "exp_weights":
-                w = exponential_weights(candidates, y, sigma)
-                fit = w.fitted
-                losses[name][pos] = float((fit - mu) @ (fit - mu))
+                losses[name][pos] = loss(exponential_weights(candidates, resp, sigma).fitted)
             else:  # q_agg
-                report = solve_q_aggregation(candidates, y, sigma)
-                fit = report.weights.fitted
-                losses[name][pos] = float((fit - mu) @ (fit - mu))
+                report = solve_q_aggregation(candidates, resp, sigma)
+                losses[name][pos] = loss(report.weights.fitted)
                 q_excess[pos] = losses[name][pos] - oracle_losses[pos]
                 q_converged[pos] = report.converged
                 if config.lemma_check:
-                    gap = excess_bound_gap(candidates, report.weights.theta, y, sigma, mu)
+                    gap = excess_bound_gap(candidates, report.weights.theta, resp, sigma, mu)
                     slack = max(0.0, -report.kkt_residual) + 1e-9 * (
                         1.0 + abs(report.objective)
                     )
@@ -646,12 +634,12 @@ def run_experiment(
     q_converged = np.concatenate([c["q_converged"] for c in chunks])
     lemma_gap = np.concatenate([c["lemma_gap"] for c in chunks])
 
+    # every draw is scored, non-converged solves with the best iterate they
+    # return; solver_failures counts those draws separately
     stats: dict[str, MethodStats] = {}
     for name in config.methods:
         vals = losses[name]
-        if name == "q_agg":
-            vals = vals[q_converged]
-        mean = float(vals.mean()) if vals.size else float("nan")
+        mean = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
         stats[name] = MethodStats(
             method=name,
@@ -663,20 +651,15 @@ def run_experiment(
 
     excess_quantiles: dict[str, float] = {}
     if "q_agg" in config.methods:
-        vals = q_excess[q_converged]
-        if vals.size:
-            qs = np.quantile(vals, EXCESS_QUANTILES)
-            excess_quantiles = {
-                f"q{int(100 * q)}": float(v) for q, v in zip(EXCESS_QUANTILES, qs)
-            }
+        qs = np.quantile(q_excess, EXCESS_QUANTILES)
+        excess_quantiles = {f"q{int(100 * q)}": float(v) for q, v in zip(EXCESS_QUANTILES, qs)}
     solver_failures = int((~q_converged).sum()) if "q_agg" in config.methods else 0
 
     lemma_violations = None
     lemma_worst = None
     if config.lemma_check:
-        gaps = lemma_gap[q_converged]
-        lemma_violations = int((gaps > 0.0).sum())
-        lemma_worst = float(gaps.max()) if gaps.size else None
+        lemma_violations = int((lemma_gap > 0.0).sum())
+        lemma_worst = float(lemma_gap.max())
 
     return RegretReport(
         label=config.label,

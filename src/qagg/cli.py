@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import qagg
-from qagg.aggregate import cp_values, solve_q_aggregation
+from qagg.aggregate import _response, cp_values, solve_q_aggregation
 from qagg.bench import (
     ConfigError,
     ExperimentConfig,
@@ -81,22 +81,25 @@ def _utcnow() -> str:
 
 
 def _read_rows(path: Path, field: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """Load a CSV (optional '# shape ...' comment header) or .npy array."""
+    """Load a CSV (optional '# shape ...' comment header) or .npy array of finite numbers."""
     if not path.exists():
         raise InputError(f"{field}: file not found: {path}")
-    if path.suffix == ".npy":
-        return np.load(path), None
     declared = None
     try:
-        with open(path) as fh:
-            first = fh.readline().strip()
-        if first.startswith("#"):
-            tokens = first.lstrip("#").replace(",", " ").split()
-            if tokens and all(t.lstrip("-").isdigit() for t in tokens):
-                declared = tuple(int(t) for t in tokens)
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except (OSError, ValueError) as exc:
+        if path.suffix == ".npy":
+            data = np.asarray(np.load(path), dtype=float)
+        else:
+            with open(path) as fh:
+                first = fh.readline().strip()
+            if first.startswith("#"):
+                tokens = first.lstrip("#").replace(",", " ").split()
+                if tokens and all(t.lstrip("-").isdigit() for t in tokens):
+                    declared = tuple(int(t) for t in tokens)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError, EOFError) as exc:
         raise InputError(f"{field}: could not parse {path}: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"{field}: {path} contains a non-finite value (nan or inf)")
     return data, declared
 
 
@@ -200,9 +203,10 @@ def cmd_aggregate(args) -> int:
         raise InputError(f"--penalty/--lambdas: {exc}") from exc
     family = build_tikhonov_family(problem)
 
-    report = solve_q_aggregation(family, y, args.sigma)
-    df = family.alphas.sum(axis=1)
-    cp = cp_values(family, y, args.sigma)
+    resp = _response(family, y)
+    report = solve_q_aggregation(family, resp, args.sigma)
+    df = resp.candidates.df
+    cp = cp_values(family, resp, args.sigma)
     coefficients = recover_coefficients(family, report.weights)
 
     out = Path(args.output)

@@ -13,7 +13,9 @@ comparability in the positive-semidefinite order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,9 +26,6 @@ __all__ = [
     "FamilyUnion",
     "OrderedCheckReport",
     "check_ordered",
-    "families_of",
-    "member_count",
-    "exact_risk",
     "member_risks",
     "pair_distance",
     "oracle_index",
@@ -56,13 +55,17 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class FamilyUnion:
-    """Candidate set formed by several ordered families on one response space.
+    """Candidate set: one or more ordered families on one response space.
 
-    Each member family keeps its own eigenbasis; members are indexed
-    globally by concatenating the families in order.
+    Each family keeps its own eigenbasis; members are indexed globally by
+    concatenating the families in order, and a single family is the union
+    of one.  ``df`` holds trace(A_j) of every member and ``offsets`` the
+    global index of each family's first member followed by the total.
     """
 
     families: tuple[SpectralFamily, ...]
+    df: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         families = tuple(self.families)
@@ -75,6 +78,21 @@ class FamilyUnion:
         if any(f.n != n for f in families):
             raise ValueError("all families in a union must share the response dimension")
         object.__setattr__(self, "families", families)
+        df = np.concatenate([f.alphas.sum(axis=1) for f in families])
+        object.__setattr__(self, "df", _frozen_array(df))
+        offsets = tuple(accumulate((f.member_count for f in families), initial=0))
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def of(cls, candidates) -> "FamilyUnion":
+        """The candidate set of a SpectralFamily or of a FamilyUnion (returned as is)."""
+        if isinstance(candidates, SpectralFamily):
+            return cls(families=(candidates,))
+        if not isinstance(candidates, cls):
+            raise TypeError(
+                f"expected SpectralFamily or FamilyUnion, got {type(candidates).__name__}"
+            )
+        return candidates
 
     @property
     def q(self) -> int:
@@ -86,31 +104,22 @@ class FamilyUnion:
 
     @property
     def member_count(self) -> int:
-        return sum(f.member_count for f in self.families)
+        return self.offsets[-1]
 
-    def locate(self, j: int) -> tuple[SpectralFamily, int]:
-        """Map a global member index to (family, local index)."""
+    @property
+    def lambdas(self) -> np.ndarray | None:
+        """Tuning parameter of every member, globally indexed; None if a family has none."""
+        if any(f.lambdas is None for f in self.families):
+            return None
+        return np.concatenate([f.lambdas for f in self.families])
+
+    def locate(self, j: int) -> tuple[int, int]:
+        """Map a global member index to (family index, local index)."""
         j = int(j)
-        if j < 0:
-            raise IndexError(f"member index {j} out of range")
-        for fam in self.families:
-            if j < fam.member_count:
-                return fam, j
-            j -= fam.member_count
-        raise IndexError("member index out of range for union")
-
-
-def families_of(obj) -> tuple[SpectralFamily, ...]:
-    """Normalize a SpectralFamily or FamilyUnion to a tuple of families."""
-    if isinstance(obj, SpectralFamily):
-        return (obj,)
-    if isinstance(obj, FamilyUnion):
-        return obj.families
-    raise TypeError(f"expected SpectralFamily or FamilyUnion, got {type(obj).__name__}")
-
-
-def member_count(obj) -> int:
-    return sum(f.member_count for f in families_of(obj))
+        if not 0 <= j < self.member_count:
+            raise IndexError(f"member index {j} out of range for {self.member_count} members")
+        k = bisect.bisect_right(self.offsets, j) - 1
+        return k, j - self.offsets[k]
 
 
 @dataclass(frozen=True)
@@ -207,18 +216,10 @@ def _risks_one_family(family: SpectralFamily, truth: GroundTruth) -> np.ndarray:
     return variance + bias
 
 
-def exact_risk(family: SpectralFamily, j: int, truth: GroundTruth) -> float:
-    """Exact prediction risk E ||A_j y - mu||^2 of one member."""
-    risks = _risks_one_family(family, truth)
-    if not 0 <= int(j) < family.member_count:
-        raise IndexError(f"member index {j} out of range")
-    return float(risks[int(j)])
-
-
 def member_risks(family_or_union, truth: GroundTruth) -> np.ndarray:
-    """Exact risks of every member, globally indexed."""
+    """Exact risks E ||A_j y - mu||^2 of every member, globally indexed."""
     return np.concatenate(
-        [_risks_one_family(f, truth) for f in families_of(family_or_union)]
+        [_risks_one_family(f, truth) for f in FamilyUnion.of(family_or_union).families]
     )
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "apply_weights",
     "member_matrix",
     "recover_coefficients",
-    "degrees_of_freedom",
 ]
 
 # Singular values below RANK_TOL * mu_max are treated as zero.  Dropped
@@ -61,11 +60,15 @@ class DesignProblem:
         lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         if X.ndim != 2:
             raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("design matrix entries must be finite")
         p = X.shape[1]
         if K.shape != (p, p):
             raise ValueError(
                 f"penalty matrix must be {p}x{p} to match the design, got {K.shape}"
             )
+        if not np.all(np.isfinite(K)):
+            raise ValueError("penalty matrix entries must be finite")
         scale = max(1.0, float(np.abs(K).max()))
         asym = float(np.abs(K - K.T).max())
         if asym > 1e-8 * scale:
@@ -173,24 +176,21 @@ class SpectralFamily:
         return self.basis.T @ y
 
 
-def build_tikhonov_family(
-    problem: DesignProblem, family_id: str = "tikhonov"
-) -> SpectralFamily:
-    """Diagonalize the whole tuning grid of a design problem at once.
-
-    With B = X K^{-1/2} = U diag(mu) V^T, member j acts as
-    U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, which agrees with the
-    dense fit map X (X^T X + lambda_j K)^{-1} X^T.
-    """
-    w, Q = np.linalg.eigh(problem.K)
+def _whitened_svd(X: np.ndarray, K: np.ndarray):
+    """K^{-1/2} and the untruncated thin SVD U, s, V^T of B = X K^{-1/2}."""
+    w, Q = np.linalg.eigh(K)
     k_inv_sqrt = (Q / np.sqrt(w)) @ Q.T
-    B = problem.X @ k_inv_sqrt
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    U, s, Vt = np.linalg.svd(X @ k_inv_sqrt, full_matrices=False)
+    return k_inv_sqrt, U, s, Vt
+
+
+def _tikhonov_family(whitened, lambdas: np.ndarray, family_id: str) -> SpectralFamily:
+    """The family of a tuning grid, from the output of :func:`_whitened_svd`."""
+    k_inv_sqrt, U, s, Vt = whitened
     if s.size:
         keep = s > RANK_TOL * s[0]
         U, s, Vt = U[:, keep], s[keep], Vt[keep]
     mu2 = s**2
-    lambdas = problem.lambdas
     # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly.
     alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
     return SpectralFamily(
@@ -201,6 +201,18 @@ def build_tikhonov_family(
         family_id=family_id,
         lambdas=lambdas,
     )
+
+
+def build_tikhonov_family(
+    problem: DesignProblem, family_id: str = "tikhonov"
+) -> SpectralFamily:
+    """Diagonalize the whole tuning grid of a design problem at once.
+
+    With B = X K^{-1/2} = U diag(mu) V^T, member j acts as
+    U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, which agrees with the
+    dense fit map X (X^T X + lambda_j K)^{-1} X^T.
+    """
+    return _tikhonov_family(_whitened_svd(problem.X, problem.K), problem.lambdas, family_id)
 
 
 def _check_index(family: SpectralFamily, j: int) -> int:
@@ -260,9 +272,3 @@ def recover_coefficients(family: SpectralFamily, weights: "SimplexWeights") -> n
     # coefficient curve of member j on coordinate i: mu_i / (mu_i^2 + lambda_j)
     curves = family.sing_vals[None, :] / (mu2[None, :] + family.lambdas[:, None])
     return family.right_factor.T @ ((curves.T @ theta) * z)
-
-
-def degrees_of_freedom(family: SpectralFamily, j: int) -> float:
-    """Effective dimension of member j's fit, trace(A_j) = sum_i alpha_ji."""
-    j = _check_index(family, j)
-    return float(family.alphas[j].sum())

@@ -16,7 +16,7 @@ from conftest import dense_smoother, random_problem, random_spd
 
 from qagg.aggregate import (
     certify_kkt,
-    cp_criterion,
+    cp_values,
     q_gradient,
     q_objective,
     q_objective_penalized,
@@ -34,12 +34,11 @@ from qagg.bench import (
     run_experiment,
 )
 from qagg.cli import main
-from qagg.smoother import GroundTruth, check_ordered, member_risks, pair_distance
+from qagg.smoother import FamilyUnion, GroundTruth, check_ordered, member_risks, pair_distance
 from qagg.spectral import (
     DesignProblem,
     apply_member,
     build_tikhonov_family,
-    degrees_of_freedom,
     member_matrix,
 )
 
@@ -123,11 +122,17 @@ def test_ac1_exactness_stack():
         sigma = float(rng.uniform(0.3, 2.0))
         truth = GroundTruth(mu=rng.standard_normal(n), sigma=sigma)
         dense = [dense_smoother(problem.X, problem.K, lam) for lam in problem.lambdas]
+        df = FamilyUnion.of(family).df
+        cp = cp_values(family, y, sigma)
+        risks = member_risks(family, truth)
         for j in range(M):
             worst = max(worst, float(np.abs(apply_member(family, j, y) - dense[j] @ y).max()))
-            worst = max(worst, abs(degrees_of_freedom(family, j) - np.trace(dense[j])))
+            worst = max(worst, abs(df[j] - np.trace(dense[j])))
             cp_dense = np.sum((dense[j] @ y - y) ** 2) + 2 * sigma**2 * np.trace(dense[j])
-            worst = max(worst, abs(cp_criterion(family, j, y, sigma) - cp_dense))
+            worst = max(worst, abs(cp[j] - cp_dense))
+            bias = dense[j] @ truth.mu - truth.mu
+            risk_dense = sigma**2 * np.sum(dense[j] ** 2) + bias @ bias
+            worst = max(worst, abs(risks[j] - risk_dense))
         j, k = int(rng.integers(M)), int(rng.integers(M))
         diff = dense[j] - dense[k]
         d_dense = np.sqrt(sigma**2 * np.sum(diff**2) + np.sum((diff @ truth.mu) ** 2))
@@ -211,7 +216,7 @@ def test_ac5_solver_correctness():
             recheck = certify_kkt(family, report.weights.theta, y, sigma)
             assert recheck >= -1e-7 * (1.0 + abs(report.objective))
             fits = np.stack([apply_member(family, j, y) for j in range(M)])
-            df = np.array([degrees_of_freedom(family, j) for j in range(M)])
+            df = FamilyUnion.of(family).df
             resid = np.einsum("ij,ij->i", fits - y, fits - y)
             if M == 2:
                 t = np.arange(0.0, 1.0 + step / 2, step)

@@ -9,13 +9,12 @@ from conftest import dense_smoother, random_problem
 
 from qagg.aggregate import (
     SimplexWeights,
+    _response,
     certify_kkt,
-    cp_criterion,
     cp_values,
     excess_bound_gap,
     exponential_weights,
     member_fits,
-    project_to_simplex,
     q_gradient,
     q_objective,
     q_objective_penalized,
@@ -29,25 +28,8 @@ from qagg.spectral import (
     SpectralFamily,
     apply_member,
     build_tikhonov_family,
-    degrees_of_freedom,
+    member_matrix,
 )
-
-
-def project_on_simplex_bisection(v):
-    """Independent projection oracle via bisection on the threshold."""
-    v = np.asarray(v, dtype=float)
-
-    def mass(tau):
-        return np.maximum(v - tau, 0.0).sum()
-
-    lo, hi = v.min() - 1.0, v.max()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mass(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(v - 0.5 * (lo + hi), 0.0)
 
 
 def random_interior_theta(rng, M):
@@ -55,20 +37,59 @@ def random_interior_theta(rng, M):
     return theta / theta.sum()
 
 
-class TestProjectToSimplex:
-    def test_matches_bisection_oracle(self, rng):
-        for _ in range(50):
-            M = int(rng.integers(1, 30))
-            v = rng.standard_normal(M) * float(rng.uniform(0.1, 20))
-            got = project_to_simplex(v)
-            expected = project_on_simplex_bisection(v)
-            assert np.abs(got - expected).max() < 1e-9
-            assert got.min() >= 0.0
-            assert abs(got.sum() - 1.0) < 1e-12
+class TestResponsePass:
+    def test_every_method_gives_the_same_result_from_the_pass(self, rng):
+        f1 = build_tikhonov_family(random_problem(rng, 7, 3, 3), family_id="a")
+        f2 = build_tikhonov_family(random_problem(rng, 7, 4, 2), family_id="b")
+        for cands in (f1, FamilyUnion(families=(f1, f2))):
+            y = rng.standard_normal(7)
+            resp = _response(cands, y)
+            theta = random_interior_theta(rng, FamilyUnion.of(cands).member_count)
+            for fn, args in (
+                (cp_values, (1.1,)),
+                (select_cp, (1.1,)),
+                (select_gcv, ()),
+                (member_fits, ()),
+            ):
+                np.testing.assert_array_equal(fn(cands, resp, *args), fn(cands, y, *args))
+            for fn in (q_objective, q_objective_penalized, q_gradient, certify_kkt):
+                np.testing.assert_array_equal(fn(cands, theta, resp, 1.1), fn(cands, theta, y, 1.1))
+            a, b = solve_q_aggregation(cands, resp, 1.1), solve_q_aggregation(cands, y, 1.1)
+            np.testing.assert_array_equal(a.weights.theta, b.weights.theta)
+            np.testing.assert_array_equal(a.weights.fitted, b.weights.fitted)
+            np.testing.assert_array_equal(
+                exponential_weights(cands, resp, 1.1).fitted,
+                exponential_weights(cands, y, 1.1).fitted,
+            )
 
-    def test_interior_point_is_fixed(self):
-        theta = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(project_to_simplex(theta), theta, atol=1e-15)
+    def test_pass_of_other_candidates_rejected(self, rng):
+        f1 = build_tikhonov_family(random_problem(rng, 6, 3, 2), family_id="a")
+        f2 = build_tikhonov_family(random_problem(rng, 6, 3, 2), family_id="b")
+        union = FamilyUnion(families=(f1, f2))
+        y = rng.standard_normal(6)
+        for made_for, used_with in ((f1, f2), (union, f1), (f1, union)):
+            resp = _response(made_for, y)
+            with pytest.raises(ValueError, match="different candidates"):
+                cp_values(used_with, resp, 1.0)
+        # a pass of one family serves the union of that family alone
+        assert cp_values(FamilyUnion(families=(f1,)), _response(f1, y), 1.0).shape == (2,)
+
+    def test_union_quantities_match_dense(self, rng):
+        f1 = build_tikhonov_family(random_problem(rng, 8, 3, 3), family_id="a")
+        f2 = build_tikhonov_family(random_problem(rng, 8, 5, 2), family_id="b")
+        union = FamilyUnion(families=(f1, f2))
+        dense = [member_matrix(f, j) for f in (f1, f2) for j in range(f.member_count)]
+        y = rng.standard_normal(8)
+        resp = _response(union, y)
+        cp = cp_values(union, resp, 0.7)
+        for j, A in enumerate(dense):
+            assert np.abs(resp.member_fit(j) - A @ y).max() < 1e-10
+            assert abs(union.df[j] - np.trace(A)) < 1e-10
+            expected = np.sum((A @ y - y) ** 2) + 2 * 0.7**2 * np.trace(A)
+            assert abs(cp[j] - expected) < 1e-10
+        theta = random_interior_theta(rng, 5)
+        expected = sum(t * A for t, A in zip(theta, dense)) @ y
+        assert np.abs(resp.fit(theta) - expected).max() < 1e-10
 
 
 class TestSimplexWeights:
@@ -86,7 +107,7 @@ class TestCpCriterion:
     def test_zero_smoother_gives_response_norm(self, rng):
         family = SpectralFamily(basis=np.eye(3)[:, :2], sing_vals=[1, 1], alphas=[[0.0, 0.0]])
         y = rng.standard_normal(3)
-        assert abs(cp_criterion(family, 0, y, 1.0) - y @ y) < 1e-12
+        assert abs(cp_values(family, y, 1.0)[0] - y @ y) < 1e-12
 
     def test_saturated_fit_costs_twice_variance_times_n(self, rng):
         n = 5
@@ -94,17 +115,18 @@ class TestCpCriterion:
         family = build_tikhonov_family(problem)
         y = rng.standard_normal(n)
         sigma = 0.6
-        assert abs(cp_criterion(family, 0, y, sigma) - 2 * sigma**2 * n) < 1e-12
+        assert abs(cp_values(family, y, sigma)[0] - 2 * sigma**2 * n) < 1e-12
 
     def test_matches_dense(self, rng):
         problem = random_problem(rng, n=6, p=4, M=3)
         family = build_tikhonov_family(problem)
         y = rng.standard_normal(6)
         sigma = 0.9
+        values = cp_values(family, y, sigma)
         for j, lam in enumerate(problem.lambdas):
             A = dense_smoother(problem.X, problem.K, lam)
             expected = np.sum((A @ y - y) ** 2) + 2 * sigma**2 * np.trace(A)
-            assert abs(cp_criterion(family, j, y, sigma) - expected) < 1e-10
+            assert abs(values[j] - expected) < 1e-10
 
     def test_sigma_must_be_positive(self, small_family):
         _, family = small_family
@@ -118,17 +140,18 @@ class TestQObjective:
         family = build_tikhonov_family(problem)
         y = rng.standard_normal(6)
         assert abs(
-            q_objective(family, np.array([1.0]), y, 1.0) - cp_criterion(family, 0, y, 1.0)
+            q_objective(family, np.array([1.0]), y, 1.0) - cp_values(family, y, 1.0)[0]
         ) < 1e-12
 
     def test_vertices_equal_cp(self, rng, small_family):
         _, family = small_family
         y = rng.standard_normal(5)
+        cp = cp_values(family, y, 0.8)
         for k in range(3):
             theta = np.zeros(3)
             theta[k] = 1.0
             for form in (q_objective, q_objective_penalized):
-                assert abs(form(family, theta, y, 0.8) - cp_criterion(family, k, y, 0.8)) < 1e-10
+                assert abs(form(family, theta, y, 0.8) - cp[k]) < 1e-10
 
     def test_convex_and_penalized_forms_agree(self, rng):
         for _ in range(25):
@@ -214,7 +237,7 @@ class TestSolver:
             assert report.converged
             # independent oracle: evaluate the objective from member fits
             fits = np.stack([apply_member(family, j, y) for j in range(3)])
-            df = np.array([degrees_of_freedom(family, j) for j in range(3)])
+            df = FamilyUnion.of(family).df
             resid = np.einsum("ij,ij->i", fits - y, fits - y)
             step = 1e-3
             t1 = np.arange(0.0, 1.0 + step / 2, step)

@@ -1,10 +1,12 @@
 """Monte Carlo harness: configs, determinism, consistency, sweeps."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qagg.bench
 from qagg.bench import (
     ConfigError,
     ExperimentConfig,
@@ -120,7 +122,7 @@ class TestInstance:
             )
         )
         instance = build_instance(cfg)
-        fam = instance.candidates
+        (fam,) = instance.candidates.families
         coords = fam.basis.T @ instance.truth.mu
         assert abs(coords[2] - 4.0) < 1e-10
         assert np.abs(np.delete(coords, 2)).max() < 1e-10
@@ -183,6 +185,31 @@ class TestRunExperiment:
         cfg = small_config(replicates=60, lemma_check=True)
         report = run_experiment(cfg)
         assert report.lemma_violations == 0
+
+    def test_non_converged_draws_are_scored_and_counted(self, monkeypatch):
+        cfg = small_config(replicates=30)
+        calls = []
+        solve = qagg.bench.solve_q_aggregation
+
+        def flaky_solve(*args, **kwargs):
+            # every third solve reports a failed certificate; its best
+            # iterate is still what the caller gets
+            report = solve(*args, **kwargs)
+            calls.append(report.weights.fitted)
+            return replace(report, converged=len(calls) % 3 != 0)
+
+        monkeypatch.setattr(qagg.bench, "solve_q_aggregation", flaky_solve)
+        report = run_experiment(cfg)
+        assert len(calls) == 30
+        assert report.solver_failures == 10
+        mu = build_instance(cfg).truth.mu
+        losses = np.array([float((fit - mu) @ (fit - mu)) for fit in calls])
+        assert report.stats["q_agg"].mean_risk == float(losses.mean())
+        monkeypatch.undo()
+        clean = run_experiment(cfg)
+        assert clean.solver_failures == 0
+        assert clean.stats["q_agg"].mean_risk == report.stats["q_agg"].mean_risk
+        assert clean.excess_quantiles == report.excess_quantiles
 
     def test_methods_subset_respected(self):
         cfg = small_config(methods=("cp_select", "gcv"), replicates=20)

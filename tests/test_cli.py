@@ -152,6 +152,40 @@ class TestAggregateCommand:
         assert code == 2
         assert "--response" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["--design", "--response"])
+    def test_non_finite_input_exit_2(self, tmp_path, toy_inputs, capsys, field):
+        X, y, design, response = toy_inputs
+        if field == "--design":
+            X = X.copy()
+            X[1, 2] = np.inf
+            design = tmp_path / "X_inf.csv"
+            np.savetxt(design, X, delimiter=",")
+        else:
+            y = y.copy()
+            y[3] = np.nan
+            response = tmp_path / "y_nan.npy"
+            np.save(response, y)
+        code = main(
+            ["aggregate", "--design", str(design), "--response", str(response),
+             "--lambdas", "1.0", "--sigma", "1.0", "--output", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert field in err and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_corrupt_npy_exit_2(self, tmp_path, toy_inputs, capsys):
+        X, _, _, response = toy_inputs
+        design = tmp_path / "X.npy"
+        np.save(design, X)
+        design.write_bytes(design.read_bytes()[:-7])  # truncated data block
+        code = main(
+            ["aggregate", "--design", str(design), "--response", str(response),
+             "--lambdas", "1.0", "--sigma", "1.0", "--output", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "--design" in capsys.readouterr().err
+
     def test_indefinite_penalty_exit_2(self, tmp_path, toy_inputs, capsys):
         _, _, design, response = toy_inputs
         penalty = tmp_path / "K.csv"

@@ -9,7 +9,6 @@ from qagg.smoother import (
     FamilyUnion,
     GroundTruth,
     check_ordered,
-    exact_risk,
     member_risks,
     oracle_index,
     pair_distance,
@@ -43,8 +42,9 @@ class TestFamilyUnion:
         union = FamilyUnion(families=(f1, f2))
         assert union.q == 2
         assert union.member_count == 5
-        fam, local = union.locate(3)
-        assert fam is f2 and local == 1
+        k, local = union.locate(3)
+        assert union.families[k] is f2 and local == 1
+        assert union.offsets == (0, 2, 5)
         with pytest.raises(IndexError):
             union.locate(5)
 
@@ -98,7 +98,7 @@ class TestExactRisk:
     def test_zero_smoother_zero_mean(self):
         family = SpectralFamily(basis=np.eye(3)[:, :2], sing_vals=[1, 1], alphas=[[0.0, 0.0]])
         truth = GroundTruth(mu=np.zeros(3), sigma=1.0)
-        assert exact_risk(family, 0, truth) == 0.0
+        assert member_risks(family, truth)[0] == 0.0
 
     def test_identity_smoother_pure_variance(self, rng):
         n = 4
@@ -106,7 +106,7 @@ class TestExactRisk:
         family = build_tikhonov_family(problem)
         mu = family.basis @ rng.standard_normal(n)
         truth = GroundTruth(mu=mu, sigma=0.5)
-        assert abs(exact_risk(family, 0, truth) - n * 0.25) < 1e-10
+        assert abs(member_risks(family, truth)[0] - n * 0.25) < 1e-10
 
     def test_matches_monte_carlo(self, rng):
         problem = random_problem(rng, n=6, p=4, M=3)
@@ -118,7 +118,7 @@ class TestExactRisk:
         losses = np.sum(((truth.mu + eps) @ A.T - truth.mu) ** 2, axis=1)
         mc_mean = losses.mean()
         mc_se = losses.std(ddof=1) / np.sqrt(draws)
-        assert abs(exact_risk(family, 1, truth) - mc_mean) < 3 * mc_se
+        assert abs(member_risks(family, truth)[1] - mc_mean) < 3 * mc_se
 
     def test_ideal_shrinkage_beats_every_member(self, rng):
         # the best coordinatewise shrinker m_i^2 / (m_i^2 + sigma^2) lower-bounds
@@ -142,8 +142,8 @@ class TestExactRisk:
         mu_in = family.basis @ rng.standard_normal(2)
         q, _ = np.linalg.qr(np.column_stack([family.basis, rng.standard_normal(6)]))
         mu_out = 2.0 * q[:, -1]  # orthogonal to span(U)
-        risk_in = exact_risk(family, 0, GroundTruth(mu=mu_in, sigma=1.0))
-        risk_both = exact_risk(family, 0, GroundTruth(mu=mu_in + mu_out, sigma=1.0))
+        risk_in = member_risks(family, GroundTruth(mu=mu_in, sigma=1.0))[0]
+        risk_both = member_risks(family, GroundTruth(mu=mu_in + mu_out, sigma=1.0))[0]
         assert abs(risk_both - risk_in - mu_out @ mu_out) < 1e-10
 
 
@@ -198,7 +198,7 @@ class TestOracleIndex:
         truth = GroundTruth(mu=rng.standard_normal(6), sigma=1.0)
         j_star, r_star = oracle_index(family, truth)
         assert j_star == 0
-        assert r_star == exact_risk(family, 0, truth)
+        assert r_star == member_risks(family, truth)[0]
 
     def test_matches_exhaustive_scan_and_monte_carlo(self, rng):
         problem = random_problem(rng, n=10, p=6, M=6)
@@ -206,7 +206,7 @@ class TestOracleIndex:
         coef = np.arange(1, family.rank + 1) ** -1.0
         truth = GroundTruth(mu=2.0 * family.basis @ coef, sigma=1.0)
         j_star, r_star = oracle_index(family, truth)
-        risks = np.array([exact_risk(family, j, truth) for j in range(6)])
+        risks = member_risks(family, truth)
         assert j_star == int(np.argmin(risks))
         assert r_star == risks.min()
         # Monte Carlo cross-check of the winning member's risk

@@ -6,13 +6,13 @@ import pytest
 from conftest import dense_smoother, random_problem
 
 from qagg.aggregate import make_weights
+from qagg.smoother import FamilyUnion
 from qagg.spectral import (
     DesignProblem,
     SpectralFamily,
     apply_member,
     apply_weights,
     build_tikhonov_family,
-    degrees_of_freedom,
     member_matrix,
     recover_coefficients,
 )
@@ -174,17 +174,22 @@ class TestRecoverCoefficients:
             recover_coefficients(family, weights)
 
 
+def degrees_of_freedom(family):
+    """trace(A_j) of every member, as the candidate set caches it."""
+    return FamilyUnion.of(family).df
+
+
 class TestDegreesOfFreedom:
     def test_ols_on_full_rank_design_has_df_p(self, rng):
         X = rng.standard_normal((7, 4))
         problem = DesignProblem(X=X, K=np.eye(4), lambdas=[0.0])
         family = build_tikhonov_family(problem)
-        assert abs(degrees_of_freedom(family, 0) - 4.0) < 1e-10
+        assert abs(degrees_of_freedom(family)[0] - 4.0) < 1e-10
 
     def test_half_eigenvalues_sum_to_one(self):
         problem = DesignProblem(X=np.eye(2), K=np.eye(2), lambdas=[1.0])
         family = build_tikhonov_family(problem)
-        assert abs(degrees_of_freedom(family, 0) - 1.0) < 1e-14
+        assert abs(degrees_of_freedom(family)[0] - 1.0) < 1e-14
 
     def test_matches_dense_trace(self, rng):
         X = rng.standard_normal((5, 3))
@@ -192,7 +197,7 @@ class TestDegreesOfFreedom:
         problem = DesignProblem(X=X, K=K, lambdas=[2.0])
         family = build_tikhonov_family(problem)
         dense = dense_smoother(X, K, 2.0)
-        assert abs(degrees_of_freedom(family, 0) - np.trace(dense)) < 1e-10
+        assert abs(degrees_of_freedom(family)[0] - np.trace(dense)) < 1e-10
 
 
 class TestSpectralDenseEquivalence:
@@ -209,4 +214,4 @@ class TestSpectralDenseEquivalence:
             j = int(rng.integers(M))
             dense = dense_smoother(problem.X, problem.K, problem.lambdas[j])
             assert np.abs(apply_member(family, j, y) - dense @ y).max() < 1e-8
-            assert abs(degrees_of_freedom(family, j) - np.trace(dense)) < 1e-8
+            assert abs(degrees_of_freedom(family)[j] - np.trace(dense)) < 1e-8
