@@ -19,9 +19,12 @@ Every member of a family is diagonal in the family's eigenbasis U, so all
 per-response quantities (fits, c_j = ||A_j y - y||^2, the criteria and
 the QP data) depend on y only through z = U^T y and ||P_perp y||^2 per
 family.  One pass computes them, and every public function accepts that
-pass in place of y.  For a single family the program is assembled in
-spectral coordinates, so a solve costs O((n + M) r) per pivot instead of
-anything involving dense n x n matrices.
+pass in place of y.  The pass also takes a block of responses (the
+columns of an n x B matrix); per-member arrays then carry a leading block
+axis, and each criterion is written once along the trailing member axis.
+For a single family the program is assembled in spectral coordinates, so
+a solve costs O((n + M) r) per pivot instead of anything involving dense
+n x n matrices.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ __all__ = [
 
 DEFAULT_KKT_TOL = 1e-7
 
-# Relative Tikhonov term added to active-set face systems; keeps the
-# face solve unique when near-duplicate members make it singular.
+# Relative Tikhonov term added to an active-set face system when its exact
+# KKT system is singular or yields a non-finite point.
 FACE_RIDGE = 1e-10
 
 
@@ -96,24 +99,45 @@ class SimplexWeights:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output: weights, objective value and optimality certificate."""
+    """Solver output: weights, objective value and optimality certificate.
+
+    ``support`` lists the members with positive weight and
+    ``ridge_fallbacks`` counts the face solves that fell back to the
+    FACE_RIDGE-regularized system.
+    """
 
     weights: SimplexWeights
     objective: float
     kkt_residual: float
     iterations: int
     converged: bool
+    support: tuple[int, ...]
+    ridge_fallbacks: int
 
 
 @dataclass(frozen=True)
 class _Response:
-    """The quantities of one response y that every method reads, computed once."""
+    """The quantities of a response y that every method reads, computed once.
+
+    y is one response (n,) or a block of responses, one per column (n, B).
+    Per-member arrays put the member axis last: resid_sq is (M,) or (B, M).
+    """
 
     candidates: FamilyUnion
     y: np.ndarray
-    z: tuple[np.ndarray, ...]  # U^T y per family
-    perp: tuple[float, ...]  # ||P_perp y||^2 per family
+    z: tuple[np.ndarray, ...]  # U^T y per family, (r,) or (r, B)
+    perp: tuple  # ||P_perp y||^2 per family, a float or (B,)
     resid_sq: np.ndarray  # c_j = ||A_j y - y||^2, globally indexed
+
+    def column(self, b: int) -> "_Response":
+        """The pass of response b of a block, with contiguous arrays of its own."""
+        return _Response(
+            candidates=self.candidates,
+            y=np.ascontiguousarray(self.y[:, b]),
+            z=tuple(np.ascontiguousarray(z[:, b]) for z in self.z),
+            perp=tuple(float(p[b]) for p in self.perp),
+            resid_sq=self.resid_sq[b],
+        )
 
     def member_fit(self, j: int) -> np.ndarray:
         """Fit A_j y of the member with global index j."""
@@ -122,34 +146,51 @@ class _Response:
         return fam.basis @ (fam.alphas[local] * self.z[k])
 
     def fit(self, theta: np.ndarray) -> np.ndarray:
-        """Aggregated fit sum_j theta_j A_j y."""
+        """Aggregated fit sum_j theta_j A_j y; for a block, theta is (B, M) and fits are columns."""
         cands = self.candidates
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (cands.member_count,):
+        if theta.shape != self.resid_sq.shape:
             raise ValueError(f"expected {cands.member_count} weights, got shape {theta.shape}")
         fit = None
         for fam, z, lo, hi in zip(cands.families, self.z, cands.offsets, cands.offsets[1:]):
-            part = fam.basis @ ((fam.alphas.T @ theta[lo:hi]) * z)
+            part = fam.basis @ ((fam.alphas.T @ theta[..., lo:hi].T) * z)
             fit = part if fit is None else fit + part
         return fit
 
 
-def _response(family_or_union, y) -> _Response:
-    """The per-response pass of y; a pass given as y must belong to these candidates."""
+def _sq_norms(v: np.ndarray):
+    """Squared norm of a vector, or of every column of a matrix."""
+    return v @ v if v.ndim == 1 else np.einsum("ib,ib->b", v, v)
+
+
+def _response(family_or_union, y, *, block: bool = False) -> _Response:
+    """The pass of y; a pass given as y must belong to these candidates.
+
+    Only with ``block`` may y be an (n, B) block of responses.
+    """
     cands = FamilyUnion.of(family_or_union)
     if isinstance(y, _Response):
         theirs = y.candidates.families
         if len(theirs) != cands.q or any(a is not b for a, b in zip(theirs, cands.families)):
             raise ValueError("the per-response pass was computed for different candidates")
-        return y
-    y = np.asarray(y, dtype=float)
-    yy = y @ y
-    z = tuple(fam.spectral_coords(y) for fam in cands.families)
-    perp = tuple(max(float(yy - zf @ zf), 0.0) for zf in z)
-    resid_sq = np.concatenate(
-        [(fam.alphas - 1.0) ** 2 @ zf**2 + pf for fam, zf, pf in zip(cands.families, z, perp)]
-    )
-    return _Response(candidates=cands, y=y, z=z, perp=perp, resid_sq=resid_sq)
+        resp = y
+    else:
+        y = np.asarray(y, dtype=float)
+        yy = _sq_norms(y)
+        z = tuple(fam.spectral_coords(y) for fam in cands.families)
+        perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
+        # (M_f,) per family for one response, (B, M_f) for a block
+        resid_sq = np.concatenate(
+            [
+                ((fam.alphas - 1.0) ** 2 @ zf**2 + pf).T
+                for fam, zf, pf in zip(cands.families, z, perp)
+            ],
+            axis=-1,
+        )
+        resp = _Response(candidates=cands, y=y, z=z, perp=perp, resid_sq=resid_sq)
+    if resp.y.ndim != 1 and not block:
+        raise ValueError(f"expected one response of length {cands.n}, got shape {resp.y.shape}")
+    return resp
 
 
 def _check_sigma(sigma: float) -> None:
@@ -199,11 +240,14 @@ def _qp_data(resp: _Response, sigma: float) -> _QpData:
     return _QpData(phi=phi, target=target, offset=offset, lin=lin)
 
 
+def _cp(resp: _Response, sigma: float) -> np.ndarray:
+    _check_sigma(sigma)
+    return resp.resid_sq + 2.0 * sigma**2 * resp.candidates.df
+
+
 def cp_values(family_or_union, y: np.ndarray, sigma: float) -> np.ndarray:
     """Unbiased-risk criterion ||A_j y - y||^2 + 2 sigma^2 trace(A_j) per member."""
-    _check_sigma(sigma)
-    resp = _response(family_or_union, y)
-    return resp.resid_sq + 2.0 * sigma**2 * resp.candidates.df
+    return _cp(_response(family_or_union, y), sigma)
 
 
 def _check_theta(theta, count: int) -> np.ndarray:
@@ -266,31 +310,18 @@ def certify_kkt(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     return float(g.min() - g @ theta)
 
 
-def _solve_face(phi, pt, lin, support, ridge):
-    """Minimize the objective on one face (support fixed, weights summing to one)."""
+def _face_minimizer(phi, pt, lin, support, ridge):
+    """Minimize the objective on one face (support fixed, weights summing to one).
+
+    Solves the exact KKT system of the face.  Only when that system is
+    singular or its solution is not finite is the system solved again
+    with ``ridge`` added to the face Gram diagonal.  Returns the face
+    weights and whether that fallback ran.
+    """
     S = np.asarray(support)
     k = len(S)
-    KKT = np.empty((k + 1, k + 1))
-    Q = phi[S] @ phi[S].T
-    Q[np.diag_indices(k)] += ridge
-    KKT[:k, :k] = Q
-    KKT[:k, k] = 1.0
-    KKT[k, :k] = 1.0
-    KKT[k, k] = 0.0
-    rhs = np.empty(k + 1)
-    rhs[:k] = pt[S] - lin[S]
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-    return sol[:k]
-
-
-def _polish_face(phi, pt, lin, support):
-    """Exact (unregularized) re-solve of the terminal face; None if infeasible."""
-    S = np.asarray(support)
-    k = len(S)
+    if k == 1:  # a vertex: the only point of its face
+        return np.ones(1), False
     KKT = np.zeros((k + 1, k + 1))
     KKT[:k, :k] = phi[S] @ phi[S].T
     KKT[:k, k] = 1.0
@@ -298,20 +329,26 @@ def _polish_face(phi, pt, lin, support):
     rhs = np.empty(k + 1)
     rhs[:k] = pt[S] - lin[S]
     rhs[k] = 1.0
-    sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-    cand = sol[:k]
-    if cand.min() < -1e-12 or cand.sum() <= 0:
-        return None
-    cand = np.clip(cand, 0.0, None)
-    return cand / cand.sum()
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+        if np.isfinite(sol).all():
+            return sol[:k], False
+    except np.linalg.LinAlgError:
+        pass
+    KKT[np.diag_indices(k)] += ridge
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+    except np.linalg.LinAlgError:
+        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+    return sol[:k], True
 
 
 def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
     """Active-set solve of min 1/2 ||phi^T th - target||^2 + lin . th over the simplex.
 
     Pivots one member at a time starting from the best vertex, solving
-    each face through its KKT system and pruning coordinates that are
-    driven negative.  Finite and exact up to the face-system ridge; the
+    each face exactly through its KKT system and pruning coordinates that
+    are driven negative; one face solve per pivot and per prune step.  The
     returned certificate is evaluated on the unmodified objective.
     """
     M = phi.shape[0]
@@ -321,7 +358,14 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
     support = [int(np.argmin(0.5 * sqn - pt + lin))]
     theta_s = np.ones(1)
     pivots = 0
+    fallbacks = 0
     converged = False
+
+    def solve_face(support):
+        nonlocal fallbacks
+        th, fell_back = _face_minimizer(phi, pt, lin, support, ridge)
+        fallbacks += fell_back
+        return th
 
     def evaluate(support, theta_s):
         S = np.asarray(support)
@@ -333,7 +377,7 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
 
     for _ in range(max_pivots):
         pivots += 1
-        th_new = _solve_face(phi, pt, lin, support, ridge)
+        th_new = solve_face(support)
         prune_guard = 0
         while th_new.min() < -1e-12 and len(support) > 1 and prune_guard <= 2 * M + 10:
             prune_guard += 1
@@ -351,7 +395,7 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
             support = [s for s, k_ in zip(support, keep) if k_]
             theta_s = theta_s[keep]
             theta_s = theta_s / theta_s.sum()
-            th_new = _solve_face(phi, pt, lin, support, ridge)
+            th_new = solve_face(support)
         theta_s = np.clip(th_new, 0.0, None)
         mass = theta_s.sum()
         if mass > 0:
@@ -368,16 +412,9 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
         support.append(jadd)
         theta_s = np.append(theta_s, 0.0)
 
-    polished = _polish_face(phi, pt, lin, support)
-    if polished is not None:
-        g, fval_p, res_p = evaluate(support, polished)
-        if res_p > res:
-            theta_s, fval, res = polished, fval_p, res_p
-            converged = res >= -kkt_tol * (1.0 + abs(fval))
-
     theta = np.zeros(M)
     theta[np.asarray(support)] = theta_s
-    return theta, fval, res, pivots, converged
+    return theta, fval, res, pivots, converged, fallbacks
 
 
 def solve_q_aggregation(
@@ -397,15 +434,18 @@ def solve_q_aggregation(
     resp = _response(family_or_union, y)
     qp = _qp_data(resp, sigma)
     max_pivots = min(3 * qp.lin.size + 100, max_iters)
-    theta, fval, res, pivots, converged = _solve_simplex_qp(
+    theta, fval, res, pivots, converged, fallbacks = _solve_simplex_qp(
         qp.phi, qp.target, qp.lin, kkt_tol, max_pivots
     )
+    weights = make_weights(resp.candidates, theta, resp)
     return SolveReport(
-        weights=make_weights(resp.candidates, theta, resp),
+        weights=weights,
         objective=float(fval + qp.offset),
         kkt_residual=res,
         iterations=pivots,
         converged=converged,
+        support=tuple(int(j) for j in np.flatnonzero(weights.theta > 0)),
+        ridge_fallbacks=fallbacks,
     )
 
 
@@ -414,14 +454,8 @@ def select_cp(family_or_union, y: np.ndarray, sigma: float) -> int:
     return int(np.argmin(cp_values(family_or_union, y, sigma)))
 
 
-def select_gcv(family_or_union, y: np.ndarray, tol: float | None = None) -> int:
-    """Generalized cross-validation selection.
-
-    Minimizes ||A_j y - y||^2 / (n - trace A_j)^2; members whose trace
-    comes within tol of n are excluded with a warning because the
-    denominator degenerates.
-    """
-    resp = _response(family_or_union, y)
+def _gcv_scores(resp: _Response, tol: float | None = None) -> np.ndarray:
+    """GCV score of every member, inf where the denominator degenerates."""
     n, df = resp.candidates.n, resp.candidates.df
     if tol is None:
         tol = 1e-8 * n
@@ -431,13 +465,34 @@ def select_gcv(family_or_union, y: np.ndarray, tol: float | None = None) -> int:
             f"excluding member {j} from GCV selection: trace {df[j]:.6g} "
             f"leaves a degenerate denominator (n = {n})",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if degenerate.all():
         raise ValueError("every member has trace within tol of n; GCV is undefined")
-    scores = np.full(df.size, np.inf)
-    scores[~degenerate] = resp.resid_sq[~degenerate] / (n - df[~degenerate]) ** 2
-    return int(np.argmin(scores))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = resp.resid_sq / (n - df) ** 2
+    scores[..., degenerate] = np.inf
+    return scores
+
+
+def select_gcv(family_or_union, y: np.ndarray, tol: float | None = None) -> int:
+    """Generalized cross-validation selection.
+
+    Minimizes ||A_j y - y||^2 / (n - trace A_j)^2; members whose trace
+    comes within tol of n are excluded with a warning because the
+    denominator degenerates.
+    """
+    return int(np.argmin(_gcv_scores(_response(family_or_union, y), tol)))
+
+
+def _softmax(cp: np.ndarray, sigma: float, temperature: float | None = None) -> np.ndarray:
+    """Weights proportional to exp(-cp / temperature) along the member axis."""
+    if temperature is None:
+        temperature = 4.0 * sigma**2
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    w = np.exp(-(cp - cp.min(axis=-1, keepdims=True)) / temperature)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def exponential_weights(
@@ -448,14 +503,9 @@ def exponential_weights(
     The default temperature is 4 sigma^2.  Guarded against overflow by
     subtracting the best criterion value before exponentiating.
     """
-    if temperature is None:
-        temperature = 4.0 * sigma**2
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
     resp = _response(family_or_union, y)
-    cp = cp_values(resp.candidates, resp, sigma)
-    w = np.exp(-(cp - cp.min()) / temperature)
-    return make_weights(resp.candidates, w / w.sum(), resp)
+    theta = _softmax(_cp(resp, sigma), sigma, temperature)
+    return make_weights(resp.candidates, theta, resp)
 
 
 def excess_bound_gap(

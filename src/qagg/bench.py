@@ -9,9 +9,16 @@ index), runs every configured method, and records the realized loss
 member.  Regrets are reported against the analytic oracle risk R*, not
 a simulated one.
 
+Replicates run in blocks of REPLICATE_BLOCK responses.  One pass per
+block gives the spectral coordinates of every draw; the selection
+baselines, the exponential weights and the member losses are evaluated
+for the whole block in those coordinates, and only the aggregation
+solve runs per draw.
+
 All randomness flows from the config seed: the design matrix uses the
-(seed, 0) stream and replicate i the (seed, 1, i) stream, so serial and
-parallel executions agree bit for bit.
+(seed, 0) stream and replicate i the (seed, 1, i) stream.  Blocks start
+at multiples of REPLICATE_BLOCK and are never split between worker
+processes, so serial and parallel executions agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,15 +30,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qagg.aggregate import (
+    _cp,
+    _gcv_scores,
     _response,
+    _softmax,
     excess_bound_gap,
-    exponential_weights,
-    select_cp,
-    select_gcv,
     solve_q_aggregation,
 )
 from qagg.smoother import FamilyUnion, GroundTruth, member_risks, oracle_index
-from qagg.spectral import DesignProblem, SpectralFamily, _tikhonov_family, _whitened_svd
+from qagg.spectral import (
+    SpectralFamily,
+    _factor_penalty,
+    _tikhonov_family,
+    _tuning_grid,
+    _whitened_svd,
+)
 
 __all__ = [
     "ConfigError",
@@ -61,6 +74,13 @@ EXCESS_QUANTILES = (0.5, 0.9, 0.99)
 
 # z-value for the >= 95% confidence half-widths in the reports
 CI_Z = 1.96
+
+# Replicates per block of the Monte Carlo engine.  A column's arithmetic
+# depends on the width of its block, so blocks are fixed, aligned to global
+# replicate indices and handed to worker processes whole.  Wider blocks ran
+# no faster (the per-draw solve dominates) but held (q r + M) B doubles of
+# block arrays through every solve, which raised peak memory on unions.
+REPLICATE_BLOCK = 8
 
 
 class ConfigError(ValueError):
@@ -394,13 +414,13 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
     X = _design_rng(config.seed).standard_normal((n, p))
     families = []
     for idx, spec in enumerate(config.families):
-        K = spec.penalty.build(p)
         # one eigh + SVD per family: its untruncated singular values set the
         # grid scale, and the same factorization builds the family
-        whitened = _whitened_svd(X, 0.5 * (K + K.T))
+        _, eig = _factor_penalty(spec.penalty.build(p))
+        whitened = _whitened_svd(X, eig)
         scale = float(np.mean(whitened[2] ** 2))
-        problem = DesignProblem(X=X, K=K, lambdas=spec.grid.build(scale))
-        families.append(_tikhonov_family(whitened, problem.lambdas, f"family-{idx}"))
+        lambdas = _tuning_grid(spec.grid.build(scale))
+        families.append(_tikhonov_family(whitened, lambdas, f"family-{idx}"))
     return families
 
 
@@ -482,49 +502,93 @@ def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = No
     return Instance(candidates=candidates, truth=truth, oracle_member=j_star, oracle_risk=r_star)
 
 
+def _member_losses(resp, members: np.ndarray, mean_coords) -> np.ndarray:
+    """||A_j y_b - mu||^2 of member j = members[b] on every column b of a block pass.
+
+    Evaluated in spectral coordinates as ||alpha_j * z_f - m_f||^2 + ||P_f_perp mu||^2,
+    with (m_f, ||P_f_perp mu||^2) = mean_coords[f] for the family f of member j.
+    """
+    cands = resp.candidates
+    fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
+    out = np.empty(members.size)
+    for k, (fam, z, (m, mu_perp)) in enumerate(zip(cands.families, resp.z, mean_coords)):
+        cols = np.flatnonzero(fam_of == k)
+        if cols.size:
+            d = fam.alphas[members[cols] - cands.offsets[k]] * z[:, cols].T - m
+            out[cols] = np.einsum("ij,ij->i", d, d) + mu_perp
+    return out
+
+
+def _block_losses(instance: Instance, resp, methods, mean_coords) -> dict[str, np.ndarray]:
+    """Loss on every column of a block pass of each method other than q_agg."""
+    mu, sigma = instance.truth.mu, instance.truth.sigma
+    cp = _cp(resp, sigma)
+    out = {}
+    for name in methods:
+        if name == "oracle":
+            oracle = np.full(cp.shape[0], instance.oracle_member)
+            out[name] = _member_losses(resp, oracle, mean_coords)
+        elif name == "cp_select":
+            out[name] = _member_losses(resp, cp.argmin(axis=-1), mean_coords)
+        elif name == "gcv":
+            out[name] = _member_losses(resp, _gcv_scores(resp).argmin(axis=-1), mean_coords)
+        elif name == "exp_weights":
+            fits = resp.fit(_softmax(cp, sigma))
+            out[name] = ((fits - mu[:, None]) ** 2).sum(axis=0)
+    return out
+
+
 def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: int) -> dict:
-    """Run replicates [lo, hi) and return per-draw arrays (fixed order)."""
+    """Run replicates [lo, hi) block by block and return per-draw arrays (fixed order).
+
+    lo must be a multiple of REPLICATE_BLOCK and hi one too, or the
+    replicate count, so that every block is the one a serial run forms.
+    """
     count = hi - lo
     mu = instance.truth.mu
     sigma = instance.truth.sigma
     candidates = instance.candidates
     losses = {name: np.empty(count) for name in config.methods}
-    oracle_losses = np.empty(count)
     q_excess = np.full(count, np.nan)
     q_converged = np.ones(count, dtype=bool)
     lemma_gap = np.full(count, -np.inf)
+    mean_coords = []
+    for fam in candidates.families:
+        m = fam.spectral_coords(mu)
+        mu_perp = mu - fam.basis @ m
+        mean_coords.append((m, float(mu_perp @ mu_perp)))
 
     def loss(fit):
         return float((fit - mu) @ (fit - mu))
 
-    for pos, idx in enumerate(range(lo, hi)):
-        rng = _replicate_rng(config.seed, idx)
-        y = mu + sigma * rng.standard_normal(mu.size)
-        resp = _response(candidates, y)  # shared by every method of this draw
-        oracle_losses[pos] = loss(resp.member_fit(instance.oracle_member))
-        for name in config.methods:
-            if name == "oracle":
-                losses[name][pos] = oracle_losses[pos]
-            elif name == "cp_select":
-                losses[name][pos] = loss(resp.member_fit(select_cp(candidates, resp, sigma)))
-            elif name == "gcv":
-                losses[name][pos] = loss(resp.member_fit(select_gcv(candidates, resp)))
-            elif name == "exp_weights":
-                losses[name][pos] = loss(exponential_weights(candidates, resp, sigma).fitted)
-            else:  # q_agg
-                report = solve_q_aggregation(candidates, resp, sigma)
-                losses[name][pos] = loss(report.weights.fitted)
-                q_excess[pos] = losses[name][pos] - oracle_losses[pos]
-                q_converged[pos] = report.converged
-                if config.lemma_check:
-                    gap = excess_bound_gap(candidates, report.weights.theta, resp, sigma, mu)
-                    slack = max(0.0, -report.kkt_residual) + 1e-9 * (
-                        1.0 + abs(report.objective)
-                    )
-                    lemma_gap[pos] = gap - slack
+    for start in range(lo, hi, REPLICATE_BLOCK):
+        stop = min(start + REPLICATE_BLOCK, hi)
+        draws = np.stack(
+            [_replicate_rng(config.seed, idx).standard_normal(mu.size) for idx in range(start, stop)]
+        )
+        draws *= sigma
+        draws += mu  # row b is the draw y = mu + sigma * eps of replicate start + b
+        resp = _response(candidates, draws.T, block=True)
+        block = slice(start - lo, stop - lo)
+        for name, values in _block_losses(instance, resp, config.methods, mean_coords).items():
+            losses[name][block] = values
+        if "q_agg" not in config.methods:
+            continue
+        # one certified solve per draw, on that draw's column of the pass
+        for b, pos in enumerate(range(block.start, block.stop)):
+            draw = resp.column(b)
+            report = solve_q_aggregation(candidates, draw, sigma)
+            losses["q_agg"][pos] = loss(report.weights.fitted)
+            # both fits in R^n, so a draw that picks the oracle vertex has an
+            # excess of exactly zero
+            q_excess[pos] = losses["q_agg"][pos] - loss(draw.member_fit(instance.oracle_member))
+            q_converged[pos] = report.converged
+            if config.lemma_check:
+                gap = excess_bound_gap(candidates, report.weights.theta, draw, sigma, mu)
+                slack = max(0.0, -report.kkt_residual) + 1e-9 * (1.0 + abs(report.objective))
+                lemma_gap[pos] = gap - slack
     return {
         "losses": losses,
-        "oracle_losses": oracle_losses,
         "q_excess": q_excess,
         "q_converged": q_converged,
         "lemma_gap": lemma_gap,
@@ -607,16 +671,19 @@ def run_experiment(
     """Run all replicates of a config and aggregate into a report.
 
     Replicates are independent; with threads > 1 they are distributed
-    over worker processes in contiguous chunks.  The per-replicate
-    generators depend only on (seed, replicate index), so the result is
-    identical for any thread count.
+    over worker processes in contiguous chunks of whole blocks.  The
+    per-replicate generators depend only on (seed, replicate index) and
+    the blocks only on the replicate count, so the result is identical
+    for any thread count.
     """
     t0 = time.perf_counter()
     instance = build_instance(config, mu_override=mu_override)
     R = config.replicates
-    if threads > 1 and R >= 2:
-        workers = min(threads, R)
-        bounds = np.linspace(0, R, workers + 1, dtype=int)
+    blocks = -(-R // REPLICATE_BLOCK)
+    if threads > 1 and blocks >= 2:
+        workers = min(threads, blocks)
+        edges = np.linspace(0, blocks, workers + 1, dtype=int) * REPLICATE_BLOCK
+        bounds = np.minimum(edges, R)
         tasks = [
             (instance, config, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])

@@ -6,7 +6,8 @@ Subcommands
     validate   check the ordered-smoother axioms on a file of matrices
 
 Exit codes: 0 success, 1 validation failure, 2 malformed input or
-config, 3 solver non-convergence (partial output is still written).
+config (or inputs a factorization or solve fails on), 3 solver
+non-convergence (partial output is still written).
 """
 
 from __future__ import annotations
@@ -220,6 +221,8 @@ def cmd_aggregate(args) -> int:
         "kkt_residual": report.kkt_residual,
         "iterations": report.iterations,
         "converged": report.converged,
+        "support": list(report.support),
+        "ridge_fallbacks": report.ridge_fallbacks,
         "df": df.tolist(),
         "cp": cp.tolist(),
         "coefficients": coefficients.tolist(),
@@ -365,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_agg.add_argument("--sigma", type=float, required=True, help="noise standard deviation")
     p_agg.add_argument("--output", required=True, help="output directory")
-    p_agg.set_defaults(func=cmd_aggregate)
+    p_agg.set_defaults(func=cmd_aggregate, inputs="--design, --response, --penalty")
 
     p_bench = sub.add_parser("bench", help="run Monte Carlo experiments from a config")
     p_bench.add_argument("--config", required=True, help="experiment config (JSON)")
@@ -377,14 +380,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--threads", type=int, default=1, help="max worker processes for replicates"
     )
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, inputs="--config")
 
     p_val = sub.add_parser("validate", help="check ordered-smoother axioms on matrices")
     p_val.add_argument(
         "--matrices", required=True, help="stacked square matrices (CSV or 3-d .npy)"
     )
     p_val.add_argument("--tol", type=float, default=1e-8, help="axiom tolerance")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, inputs="--matrices")
     return parser
 
 
@@ -395,6 +398,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(
+            f"error: {args.inputs}: a linear-algebra step failed on these inputs ({exc})",
+            file=sys.stderr,
+        )
         return 2
 
 

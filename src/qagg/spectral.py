@@ -11,7 +11,7 @@ instead of M dense linear solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,6 +41,44 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _factor_penalty(K: np.ndarray):
+    """Symmetrized penalty (K + K^T)/2 and its eigenpairs (w, Q).
+
+    Grossly asymmetric or non-positive-definite penalties are rejected.
+    The one eigendecomposition serves both the check and the whitening.
+    """
+    scale = max(1.0, float(np.abs(K).max()))
+    asym = float(np.abs(K - K.T).max())
+    if asym > 1e-8 * scale:
+        raise ValueError(
+            f"penalty matrix is not symmetric (max |K - K^T| = {asym:.3e})"
+        )
+    K = 0.5 * (K + K.T)
+    w, Q = np.linalg.eigh(K)
+    if w[0] <= 0.0:
+        raise ValueError(
+            "penalty matrix is not positive definite "
+            f"(smallest eigenvalue {float(w[0]):.6e})"
+        )
+    w.setflags(write=False)
+    Q.setflags(write=False)
+    return K, (w, Q)
+
+
+def _tuning_grid(lambdas) -> np.ndarray:
+    """The grid sorted ascending; rejects empty, negative, non-finite or repeated values."""
+    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise ValueError("lambda grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(lambdas)) or np.any(lambdas < 0):
+        raise ValueError("lambda grid entries must be finite and >= 0")
+    lambdas = np.sort(lambdas)
+    if np.any(np.diff(lambdas) == 0):
+        dup = lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]]
+        raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
+    return _frozen_array(lambdas)
+
+
 @dataclass(frozen=True)
 class DesignProblem:
     """Design matrix, positive-definite penalty and tuning grid.
@@ -48,16 +86,18 @@ class DesignProblem:
     The penalty is symmetrized as (K + K^T)/2 on construction; grossly
     asymmetric or non-positive-definite penalties are rejected.  The
     grid is sorted ascending and must not contain duplicates.
+    ``penalty_eigh`` keeps the eigenpairs (w, Q) of the symmetrized
+    penalty, so building a family does not factorize it again.
     """
 
     X: np.ndarray
     K: np.ndarray
     lambdas: np.ndarray
+    penalty_eigh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
-        lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         if X.ndim != 2:
             raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
@@ -69,30 +109,11 @@ class DesignProblem:
             )
         if not np.all(np.isfinite(K)):
             raise ValueError("penalty matrix entries must be finite")
-        scale = max(1.0, float(np.abs(K).max()))
-        asym = float(np.abs(K - K.T).max())
-        if asym > 1e-8 * scale:
-            raise ValueError(
-                f"penalty matrix is not symmetric (max |K - K^T| = {asym:.3e})"
-            )
-        K = 0.5 * (K + K.T)
-        w_min = float(np.linalg.eigvalsh(K)[0])
-        if w_min <= 0.0:
-            raise ValueError(
-                "penalty matrix is not positive definite "
-                f"(smallest eigenvalue {w_min:.6e})"
-            )
-        if lambdas.ndim != 1 or lambdas.size == 0:
-            raise ValueError("lambda grid must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(lambdas)) or np.any(lambdas < 0):
-            raise ValueError("lambda grid entries must be finite and >= 0")
-        lambdas = np.sort(lambdas)
-        if np.any(np.diff(lambdas) == 0):
-            dup = lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]]
-            raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
+        K, eig = _factor_penalty(K)
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "K", _frozen_array(K))
-        object.__setattr__(self, "lambdas", _frozen_array(lambdas))
+        object.__setattr__(self, "lambdas", _tuning_grid(self.lambdas))
+        object.__setattr__(self, "penalty_eigh", eig)
 
     @property
     def n(self) -> int:
@@ -169,16 +190,19 @@ class SpectralFamily:
         return self.alphas.shape[0]
 
     def spectral_coords(self, y: np.ndarray) -> np.ndarray:
-        """Coordinates of y in the shared basis, U^T y."""
+        """Coordinates of y in the shared basis, U^T y; y may hold one response per column."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
+        if y.ndim not in (1, 2) or y.shape[0] != self.n:
             raise ValueError(f"expected response of length {self.n}, got {y.shape}")
         return self.basis.T @ y
 
 
-def _whitened_svd(X: np.ndarray, K: np.ndarray):
-    """K^{-1/2} and the untruncated thin SVD U, s, V^T of B = X K^{-1/2}."""
-    w, Q = np.linalg.eigh(K)
+def _whitened_svd(X: np.ndarray, penalty_eigh):
+    """K^{-1/2} and the untruncated thin SVD U, s, V^T of B = X K^{-1/2}.
+
+    ``penalty_eigh`` holds the eigenpairs (w, Q) of the symmetrized K.
+    """
+    w, Q = penalty_eigh
     k_inv_sqrt = (Q / np.sqrt(w)) @ Q.T
     U, s, Vt = np.linalg.svd(X @ k_inv_sqrt, full_matrices=False)
     return k_inv_sqrt, U, s, Vt
@@ -212,7 +236,8 @@ def build_tikhonov_family(
     U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, which agrees with the
     dense fit map X (X^T X + lambda_j K)^{-1} X^T.
     """
-    return _tikhonov_family(_whitened_svd(problem.X, problem.K), problem.lambdas, family_id)
+    whitened = _whitened_svd(problem.X, problem.penalty_eigh)
+    return _tikhonov_family(whitened, problem.lambdas, family_id)
 
 
 def _check_index(family: SpectralFamily, j: int) -> int:

@@ -8,8 +8,10 @@ import pytest
 from conftest import dense_smoother, random_problem
 
 from qagg.aggregate import (
+    FACE_RIDGE,
     SimplexWeights,
     _response,
+    _face_minimizer,
     certify_kkt,
     cp_values,
     excess_bound_gap,
@@ -282,6 +284,138 @@ class TestSolver:
         _, family = small_family
         with pytest.raises(ValueError, match="sigma"):
             solve_q_aggregation(family, np.zeros(5), -1.0)
+
+    def test_report_lists_support_and_no_fallbacks_on_a_separated_grid(self, rng):
+        for _ in range(10):
+            family = build_tikhonov_family(random_problem(rng, n=12, p=6, M=10))
+            report = solve_q_aggregation(family, rng.standard_normal(12) * 2.0, 0.5)
+            assert report.converged
+            assert report.support == tuple(np.flatnonzero(report.weights.theta > 0))
+            assert report.ridge_fallbacks == 0
+
+    def test_singular_face_falls_back_to_the_ridge_system(self, rng):
+        # a face holding two copies of one member has a singular KKT system;
+        # small integers keep every product and sum of the system exact
+        phi = rng.integers(-3, 4, size=(3, 4)).astype(float)
+        phi[2] = phi[0]
+        pt = phi @ rng.integers(-3, 4, size=4).astype(float)
+        lin = np.array([0.5, 0.25, 0.5])
+        ridge = FACE_RIDGE * float(np.einsum("ij,ij->i", phi, phi).max())
+        theta, fell_back = _face_minimizer(phi, pt, lin, [0, 1, 2], ridge)
+        assert fell_back
+        assert np.all(np.isfinite(theta)) and abs(theta.sum() - 1.0) < 1e-8
+        theta, fell_back = _face_minimizer(phi, pt, lin, [0, 1], ridge)
+        assert not fell_back
+
+    def test_fallback_solves_still_certify(self, rng, monkeypatch):
+        # Active-set pivots never build a singular face from these inputs, so
+        # every exact face solve is made to fail; each face of two or more
+        # members then goes through the ridge system.
+        family = build_tikhonov_family(random_problem(rng, n=12, p=6, M=10))
+        mu = 2.0 * family.basis @ (np.arange(1, family.rank + 1) ** -1.0)
+        solve = np.linalg.solve
+        calls = []
+
+        def exact_systems_fail(a, b):
+            calls.append(a.shape[0])
+            if len(calls) % 2:  # the first solve of each face is the exact one
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        fallbacks = 0
+        for _ in range(10):
+            y = mu + rng.standard_normal(12)
+            exact = solve_q_aggregation(family, y, 1.0)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", exact_systems_fail)
+                report = solve_q_aggregation(family, y, 1.0)
+            assert exact.ridge_fallbacks == 0
+            assert report.ridge_fallbacks == len(calls) // 2
+            assert report.converged
+            recheck = certify_kkt(family, report.weights.theta, y, 1.0)
+            assert recheck >= -1e-7 * (1.0 + abs(report.objective))
+            assert abs(report.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective))
+            fallbacks += report.ridge_fallbacks
+        assert fallbacks > 0
+
+
+def synthetic_family(rng, n, r, M, family_id):
+    """Tikhonov-shaped members on a random orthonormal basis, not built from a design."""
+    basis = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    mu2 = np.sort(rng.uniform(0.1, 10.0, r))[::-1]
+    lambdas = np.geomspace(0.05, 20.0, M)
+    alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
+    return SpectralFamily(basis=basis, sing_vals=np.sqrt(mu2), alphas=alphas, family_id=family_id)
+
+
+class TestMetamorphic:
+    """Relations between solves on transformed inputs; they guard the face solve."""
+
+    def candidate_sets(self, rng):
+        a = synthetic_family(rng, 14, 6, 9, "a")
+        b = synthetic_family(rng, 14, 5, 7, "b")
+        return a, FamilyUnion(families=(a, b))
+
+    def draws(self, rng, cands, count=8):
+        cands = FamilyUnion.of(cands)
+        fam = cands.families[0]
+        mu = 3.0 * fam.basis @ (np.arange(1, fam.rank + 1) ** -1.0)
+        return [mu + rng.standard_normal(cands.n) for _ in range(count)]
+
+    def test_scaling_response_and_noise(self, rng):
+        for cands in self.candidate_sets(rng):
+            for y in self.draws(rng, cands):
+                base = solve_q_aggregation(cands, y, 1.0)
+                for c in (0.7, 3.0):
+                    scaled = solve_q_aggregation(cands, c * y, c * 1.0)
+                    assert scaled.converged
+                    assert np.abs(scaled.weights.theta - base.weights.theta).max() <= 1e-8
+                    assert abs(scaled.objective - c**2 * base.objective) <= 1e-10 * (
+                        c**2 * abs(base.objective)
+                    )
+
+    def test_permuting_members_permutes_weights(self, rng):
+        family, union = self.candidate_sets(rng)
+        perm = rng.permutation(family.member_count)
+        shuffled = SpectralFamily(
+            basis=family.basis, sing_vals=family.sing_vals, alphas=family.alphas[perm]
+        )
+        # reversing the families of a union permutes the global member order
+        a, b = union.families
+        reversed_union = FamilyUnion(families=(b, a))
+        union_perm = np.r_[np.arange(a.member_count, union.member_count), np.arange(a.member_count)]
+        for cands, moved, order in ((family, shuffled, perm), (union, reversed_union, union_perm)):
+            for y in self.draws(rng, cands):
+                base = solve_q_aggregation(cands, y, 1.0)
+                other = solve_q_aggregation(moved, y, 1.0)
+                assert other.converged
+                assert np.abs(other.weights.theta - base.weights.theta[order]).max() <= 1e-8
+                assert abs(other.objective - base.objective) <= 1e-10 * abs(base.objective)
+
+    def test_pooling_a_copy_keeps_the_optimum(self, rng):
+        family, union = self.candidate_sets(rng)
+
+        def copy(fam):
+            return SpectralFamily(
+                basis=fam.basis, sing_vals=fam.sing_vals, alphas=fam.alphas,
+                family_id=fam.family_id + "-copy",
+            )
+
+        doubled_family = FamilyUnion(families=(family, copy(family)))
+        doubled_union = FamilyUnion(families=union.families + tuple(map(copy, union.families)))
+        for cands, pooled in ((family, doubled_family), (union, doubled_union)):
+            for y in self.draws(rng, cands):
+                base = solve_q_aggregation(cands, y, 1.0)
+                both = solve_q_aggregation(pooled, y, 1.0)
+                assert both.converged
+                assert abs(both.objective - base.objective) <= 1e-10 * abs(base.objective)
+                # the copies come after the originals; folding their weights
+                # back gives an optimum of the original candidates
+                M = FamilyUnion.of(cands).member_count
+                folded = both.weights.theta[:M] + both.weights.theta[M:]
+                folded_objective = q_objective(cands, folded, y, 1.0)
+                assert abs(folded_objective - base.objective) <= 1e-10 * abs(base.objective)
 
 
 class TestCertifyKkt:

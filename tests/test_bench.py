@@ -7,13 +7,27 @@ import numpy as np
 import pytest
 
 import qagg.bench
+from qagg.aggregate import (
+    _cp,
+    _gcv_scores,
+    _response,
+    _softmax,
+    exponential_weights,
+    select_cp,
+    select_gcv,
+    solve_q_aggregation,
+)
 from qagg.bench import (
+    REPLICATE_BLOCK,
     ConfigError,
     ExperimentConfig,
     FamilySpec,
     GridSpec,
     MeanSpec,
+    PenaltySpec,
     ScenarioSpec,
+    _replicate_chunk,
+    _replicate_rng,
     build_instance,
     regret_vs_M_sweep,
     regret_vs_q_sweep,
@@ -168,12 +182,64 @@ class TestRunExperiment:
         assert a.stats["q_agg"].mean_risk != b.stats["q_agg"].mean_risk
 
     def test_parallel_matches_serial_bitwise(self):
-        cfg = small_config(replicates=30)
-        serial = run_experiment(cfg, threads=1).to_dict()
-        parallel = run_experiment(cfg, threads=2).to_dict()
-        serial.pop("runtime_seconds")
-        parallel.pop("runtime_seconds")
-        assert serial == parallel
+        # the second config spans several blocks and a partial tail, on a union
+        union = (
+            FamilySpec(p=10, grid=GridSpec(count=6)),
+            FamilySpec(p=10, penalty=PenaltySpec("diag-power", 2.0), grid=GridSpec(count=5)),
+        )
+        for cfg in (
+            small_config(replicates=30),
+            small_config(replicates=2 * REPLICATE_BLOCK + 5, families=union),
+        ):
+            serial = run_experiment(cfg, threads=1).to_dict()
+            parallel = run_experiment(cfg, threads=2).to_dict()
+            serial.pop("runtime_seconds")
+            parallel.pop("runtime_seconds")
+            assert serial == parallel
+
+    def test_block_engine_matches_per_response_functions(self):
+        single = (FamilySpec(p=10, grid=GridSpec(count=12)),)
+        union = tuple(
+            FamilySpec(p=10, penalty=PenaltySpec("diag-power", g), grid=GridSpec(count=5))
+            for g in (0.0, 1.5, 3.0)
+        )
+        for families in (single, union):
+            cfg = small_config(families=families, replicates=REPLICATE_BLOCK + 7)
+            instance = build_instance(cfg)
+            cands, mu, sigma = instance.candidates, instance.truth.mu, instance.truth.sigma
+            engine = _replicate_chunk(instance, cfg, 0, cfg.replicates)["losses"]
+            Y = np.column_stack([
+                mu + sigma * _replicate_rng(cfg.seed, i).standard_normal(mu.size)
+                for i in range(cfg.replicates)
+            ])
+            block = _response(cands, Y[:, :REPLICATE_BLOCK], block=True)
+            cp_choice = _cp(block, sigma).argmin(axis=-1)
+            gcv_choice = _gcv_scores(block).argmin(axis=-1)
+            ew_theta = _softmax(_cp(block, sigma), sigma)
+            for i, y in enumerate(Y.T):
+                resp = _response(cands, y)
+                fits = {
+                    "oracle": resp.member_fit(instance.oracle_member),
+                    "cp_select": resp.member_fit(select_cp(cands, y, sigma)),
+                    "gcv": resp.member_fit(select_gcv(cands, y)),
+                    "exp_weights": exponential_weights(cands, y, sigma).fitted,
+                    "q_agg": solve_q_aggregation(cands, y, sigma).weights.fitted,
+                }
+                for name, fit in fits.items():
+                    expected = float((fit - mu) @ (fit - mu))
+                    assert abs(engine[name][i] - expected) <= 1e-10 * expected, (name, i)
+                if i < REPLICATE_BLOCK:
+                    assert cp_choice[i] == select_cp(cands, y, sigma)
+                    assert gcv_choice[i] == select_gcv(cands, y)
+                    np.testing.assert_allclose(
+                        ew_theta[i], exponential_weights(cands, y, sigma).theta, rtol=1e-10
+                    )
+                    column = solve_q_aggregation(cands, block.column(i), sigma)
+                    alone = solve_q_aggregation(cands, y, sigma)
+                    assert column.support == alone.support
+                    np.testing.assert_allclose(
+                        column.weights.theta, alone.weights.theta, rtol=1e-10, atol=1e-12
+                    )
 
     def test_oracle_estimate_consistent_with_exact_risk(self):
         cfg = small_config(replicates=400, methods=("oracle",))

@@ -198,6 +198,36 @@ class TestAggregateCommand:
         assert code == 2
         assert "positive definite" in capsys.readouterr().err
 
+    def test_linalg_failure_exit_2(self, tmp_path, toy_inputs, capsys, monkeypatch):
+        _, _, design, response = toy_inputs
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        code = main(
+            ["aggregate", "--design", str(design), "--response", str(response),
+             "--lambdas", "1.0", "--sigma", "1.0", "--output", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --design, --response, --penalty")
+        assert "SVD did not converge" in err
+        assert "Traceback" not in err
+
+    def test_solver_observability_fields(self, tmp_path, toy_inputs):
+        _, _, design, response = toy_inputs
+        out = tmp_path / "out"
+        code = main(
+            ["aggregate", "--design", str(design), "--response", str(response),
+             "--lambdas", "geom:0.01:100:12", "--sigma", "0.3", "--output", str(out)]
+        )
+        assert code == 0
+        payload = json.loads((out / "aggregate.json").read_text())
+        theta = np.array(payload["theta"])
+        assert payload["support"] == np.flatnonzero(theta > 0).tolist()
+        assert payload["ridge_fallbacks"] == 0
+
 
 class TestValidateCommand:
     def test_identity_and_zero_pass(self, tmp_path):
