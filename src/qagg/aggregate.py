@@ -431,6 +431,10 @@ def solve_q_aggregation(
     non-convergence within the pivot budget the best iterate is
     returned with ``converged=False``.
     """
+    if not kkt_tol >= 0:
+        raise ValueError(f"kkt_tol must be nonnegative, got {kkt_tol!r}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     resp = _response(family_or_union, y)
     qp = _qp_data(resp, sigma)
     max_pivots = min(3 * qp.lin.size + 100, max_iters)

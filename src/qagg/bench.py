@@ -23,9 +23,12 @@ processes, so serial and parallel executions agree bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,20 +90,95 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending key."""
 
 
-def _require(mapping: dict, key: str, kind, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing key '{where}.{key}'")
-    value = mapping[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key '{where}.{key}' has invalid value {value!r}") from exc
+# Configs and reports are read and written field by field from their
+# dataclasses.  A field's JSON key is its name, or the key path in its "key"
+# metadata, which nests flat fields under one shared object (the "sweep" block
+# of a config).
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _known_keys(mapping: dict, allowed: tuple, where: str):
-    unknown = set(mapping) - set(allowed)
+def _key(f: dataclasses.Field) -> tuple[str, ...]:
+    return f.metadata.get("key", (f.name,))
+
+
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, dict]:
+    """Resolved field types of a dataclass and its key tree (key -> field or subtree)."""
+    tree: dict = {}
+    for f in dataclasses.fields(cls):
+        *outer, last = _key(f)
+        node = tree
+        for name in outer:
+            node = node.setdefault(name, {})
+        node[last] = f
+    return typing.get_type_hints(cls), tree
+
+
+def _gather(tree: dict, data, where: str, hints: dict, out: dict) -> None:
+    if not isinstance(data, dict):
+        name = f"key '{where}'" if where else "config root"
+        raise ConfigError(f"{name} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(tree))
     if unknown:
-        raise ConfigError(f"unknown key '{where}.{sorted(unknown)[0]}'")
+        raise ConfigError(f"unknown key '{_at(where, unknown[0])}'")
+    for key, node in tree.items():
+        if key not in data:
+            continue
+        if isinstance(node, dict):
+            _gather(node, data[key], _at(where, key), hints, out)
+        else:
+            out[node.name] = _load(hints[node.name], data[key], _at(where, key))
+
+
+def _load(tp, data, where: str):
+    """Value of type tp read from parsed JSON; errors name the key at fault."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        inner = next(a for a in args if a is not type(None))
+        return None if data is None else _load(inner, data, where)
+    if dataclasses.is_dataclass(tp):
+        hints, tree = _schema(tp)
+        fields = dataclasses.fields(tp)
+        if isinstance(data, str) and hints[fields[0].name] is str:
+            data = {fields[0].name: data}  # "identity" stands for {"kind": "identity"}
+        kwargs: dict = {}
+        _gather(tree, data, where, hints, kwargs)
+        for f in fields:
+            if f.name not in kwargs and f.default is dataclasses.MISSING:
+                raise ConfigError(f"missing key '{_at(where, '.'.join(_key(f)))}'")
+        return tp(**kwargs)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(data, (list, tuple)):
+            raise ConfigError(f"key '{where}' must be a list, got {data!r}")
+        return tuple(_load(args[0], v, f"{where}[{i}]") for i, v in enumerate(data))
+    if tp is float and isinstance(data, int) and not isinstance(data, bool):
+        data = float(data)
+    if not isinstance(data, tp) or isinstance(data, bool) is not (tp is bool):
+        raise ConfigError(f"key '{where}' must be {_TYPE_NAMES[tp]}, got {data!r}")
+    return data
+
+
+def _dump(obj):
+    """JSON-ready form of a value; dataclasses become objects keyed as _load reads them."""
+    if dataclasses.is_dataclass(obj):
+        out: dict = {}
+        for f in dataclasses.fields(obj):
+            *outer, last = _key(f)
+            node = out
+            for name in outer:
+                node = node.setdefault(name, {})
+            node[last] = _dump(getattr(obj, f.name))
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [_dump(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _dump(v) for k, v in obj.items()}
+    return obj
 
 
 @dataclass(frozen=True)
@@ -133,35 +211,6 @@ class MeanSpec:
                 "key 'scenario.mean.target_risk' needs a spectral mean shape"
             )
 
-    @classmethod
-    def from_dict(cls, data, where="scenario.mean") -> "MeanSpec":
-        if isinstance(data, str):
-            data = {"shape": data}
-        _known_keys(data, ("shape", "rate", "coordinate", "scale", "target_risk", "values"), where)
-        values = data.get("values")
-        return cls(
-            shape=str(data.get("shape", "zero")),
-            rate=float(data.get("rate", 1.0)),
-            coordinate=int(data.get("coordinate", 0)),
-            scale=float(data.get("scale", 1.0)),
-            target_risk=None if data.get("target_risk") is None else float(data["target_risk"]),
-            values=None if values is None else tuple(float(v) for v in values),
-        )
-
-    def to_dict(self) -> dict:
-        out = {"shape": self.shape}
-        if self.shape == "spectral-decay":
-            out["rate"] = self.rate
-        if self.shape == "single-spike":
-            out["coordinate"] = self.coordinate
-        if self.shape == "explicit":
-            out["values"] = list(self.values)
-        if self.target_risk is not None:
-            out["target_risk"] = self.target_risk
-        elif self.shape not in ("zero", "explicit"):
-            out["scale"] = self.scale
-        return out
-
 
 @dataclass(frozen=True)
 class PenaltySpec:
@@ -180,18 +229,6 @@ class PenaltySpec:
         if self.kind == "identity" or self.exponent == 0.0:
             return np.eye(p)
         return np.diag(np.arange(1.0, p + 1.0) ** self.exponent)
-
-    @classmethod
-    def from_dict(cls, data, where="penalty") -> "PenaltySpec":
-        if isinstance(data, str):
-            return cls(kind=data)
-        _known_keys(data, ("kind", "exponent"), where)
-        return cls(kind=str(data.get("kind", "identity")), exponent=float(data.get("exponent", 0.0)))
-
-    def to_dict(self):
-        if self.kind == "identity":
-            return "identity"
-        return {"kind": self.kind, "exponent": self.exponent}
 
 
 @dataclass(frozen=True)
@@ -223,19 +260,6 @@ class GridSpec:
         factor = 1.0 if self.absolute else scale
         return factor * np.geomspace(self.min, self.max, self.count)
 
-    @classmethod
-    def from_dict(cls, data, where="grid") -> "GridSpec":
-        _known_keys(data, ("min", "max", "count", "absolute"), where)
-        return cls(
-            min=float(data.get("min", 1e-3)),
-            max=float(data.get("max", 1e3)),
-            count=_require(data, "count", int, where),
-            absolute=bool(data.get("absolute", False)),
-        )
-
-    def to_dict(self):
-        return {"min": self.min, "max": self.max, "count": self.count, "absolute": self.absolute}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -248,18 +272,6 @@ class FamilySpec:
     def __post_init__(self):
         if self.p < 1:
             raise ConfigError(f"key 'families[].p' must be >= 1, got {self.p}")
-
-    @classmethod
-    def from_dict(cls, data, where="families[]") -> "FamilySpec":
-        _known_keys(data, ("p", "penalty", "grid"), where)
-        return cls(
-            p=_require(data, "p", int, where),
-            penalty=PenaltySpec.from_dict(data.get("penalty", "identity"), f"{where}.penalty"),
-            grid=GridSpec.from_dict(data.get("grid", {"count": 20}), f"{where}.grid"),
-        )
-
-    def to_dict(self):
-        return {"p": self.p, "penalty": self.penalty.to_dict(), "grid": self.grid.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -276,18 +288,6 @@ class ScenarioSpec:
         if not self.sigma > 0:
             raise ConfigError(f"key 'scenario.sigma' must be positive, got {self.sigma}")
 
-    @classmethod
-    def from_dict(cls, data, where="scenario") -> "ScenarioSpec":
-        _known_keys(data, ("n", "sigma", "mean"), where)
-        return cls(
-            n=_require(data, "n", int, where),
-            sigma=float(data.get("sigma", 1.0)),
-            mean=MeanSpec.from_dict(data.get("mean", {"shape": "zero"})),
-        )
-
-    def to_dict(self):
-        return {"n": self.n, "sigma": self.sigma, "mean": self.mean.to_dict()}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -300,9 +300,9 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHODS
     lemma_check: bool = False
     label: str = "experiment"
-    sweep_m: tuple[int, ...] | None = None
-    sweep_q: tuple[int, ...] | None = None
-    members_per_family: int = 16
+    sweep_m: tuple[int, ...] | None = field(default=None, metadata={"key": ("sweep", "M")})
+    sweep_q: tuple[int, ...] | None = field(default=None, metadata={"key": ("sweep", "q")})
+    members_per_family: int = field(default=16, metadata={"key": ("sweep", "members_per_family")})
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -324,63 +324,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        _known_keys(
-            data,
-            (
-                "scenario",
-                "families",
-                "replicates",
-                "seed",
-                "methods",
-                "lemma_check",
-                "label",
-                "sweep",
-            ),
-            "config",
-        )
-        if "scenario" not in data:
-            raise ConfigError("missing key 'config.scenario'")
-        fams = data.get("families")
-        if not isinstance(fams, (list, tuple)) or not fams:
-            raise ConfigError("key 'config.families' must be a nonempty list")
-        sweep = data.get("sweep", {}) or {}
-        _known_keys(sweep, ("M", "q", "members_per_family"), "config.sweep")
-        return cls(
-            scenario=ScenarioSpec.from_dict(data["scenario"]),
-            families=tuple(
-                FamilySpec.from_dict(f, f"families[{i}]") for i, f in enumerate(fams)
-            ),
-            replicates=_require(data, "replicates", int, "config"),
-            seed=_require(data, "seed", int, "config"),
-            methods=tuple(data.get("methods", METHODS)),
-            lemma_check=bool(data.get("lemma_check", False)),
-            label=str(data.get("label", "experiment")),
-            sweep_m=tuple(int(v) for v in sweep["M"]) if "M" in sweep else None,
-            sweep_q=tuple(int(v) for v in sweep["q"]) if "q" in sweep else None,
-            members_per_family=int(sweep.get("members_per_family", 16)),
-        )
+        return _load(cls, data, "")
 
     def to_dict(self) -> dict:
-        out = {
-            "label": self.label,
-            "scenario": self.scenario.to_dict(),
-            "families": [f.to_dict() for f in self.families],
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "lemma_check": self.lemma_check,
-        }
-        sweep = {}
-        if self.sweep_m is not None:
-            sweep["M"] = list(self.sweep_m)
-        if self.sweep_q is not None:
-            sweep["q"] = list(self.sweep_q)
-        if sweep:
-            sweep["members_per_family"] = self.members_per_family
-            out["sweep"] = sweep
-        return out
+        return _dump(self)
 
 
 @dataclass(frozen=True)
@@ -391,14 +338,6 @@ class Instance:
     truth: GroundTruth
     oracle_member: int
     oracle_risk: float
-
-    @property
-    def member_total(self) -> int:
-        return self.candidates.member_count
-
-    @property
-    def family_total(self) -> int:
-        return self.candidates.q
 
 
 def _design_rng(seed: int) -> np.random.Generator:
@@ -605,15 +544,6 @@ class MethodStats:
     regret: float
     ci_half_width: float
 
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "mean_risk": self.mean_risk,
-            "std_error": self.std_error,
-            "regret": self.regret,
-            "ci_half_width": self.ci_half_width,
-        }
-
 
 @dataclass(frozen=True)
 class RegretReport:
@@ -631,7 +561,7 @@ class RegretReport:
     replicates: int
     oracle_member: int
     oracle_risk: float
-    stats: dict[str, MethodStats]
+    stats: dict[str, MethodStats] = field(metadata={"key": ("methods",)})
     excess_quantiles: dict[str, float]
     solver_failures: int
     lemma_violations: int | None
@@ -640,22 +570,7 @@ class RegretReport:
     config: ExperimentConfig
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "member_total": self.member_total,
-            "family_total": self.family_total,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "oracle_member": self.oracle_member,
-            "oracle_risk": self.oracle_risk,
-            "methods": {name: s.to_dict() for name, s in self.stats.items()},
-            "excess_quantiles": dict(self.excess_quantiles),
-            "solver_failures": self.solver_failures,
-            "lemma_violations": self.lemma_violations,
-            "lemma_worst_gap": self.lemma_worst_gap,
-            "runtime_seconds": self.runtime_seconds,
-            "config": self.config.to_dict(),
-        }
+        return _dump(self)
 
 
 def _chunk_task(args):
@@ -730,8 +645,8 @@ def run_experiment(
 
     return RegretReport(
         label=config.label,
-        member_total=instance.member_total,
-        family_total=instance.family_total,
+        member_total=instance.candidates.member_count,
+        family_total=instance.candidates.q,
         seed=config.seed,
         replicates=R,
         oracle_member=instance.oracle_member,

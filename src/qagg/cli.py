@@ -27,6 +27,7 @@ from qagg.aggregate import _response, cp_values, solve_q_aggregation
 from qagg.bench import (
     ConfigError,
     ExperimentConfig,
+    _dump,
     regret_vs_M_sweep,
     regret_vs_q_sweep,
     run_experiment,
@@ -56,15 +57,7 @@ class RunManifest:
     files: dict[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "config_path": self.config_path,
-            "output_dir": self.output_dir,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "files": dict(self.files),
-        }
+        return _dump(self)
 
 
 def _sha256(path: Path) -> str:
@@ -277,23 +270,22 @@ def _load_config(path: Path) -> dict:
 def cmd_bench(args) -> int:
     started = _utcnow()
     config_path = Path(args.config)
-    try:
+    try:  # some keys are checked only when the instances are built
         config = ExperimentConfig.from_dict(_load_config(config_path))
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        if args.sweep == "M":
+            if config.sweep_m is None:
+                raise InputError("--sweep M: the config has no 'sweep.M' values")
+            reports = regret_vs_M_sweep(config, config.sweep_m, threads=args.threads)
+        elif args.sweep == "q":
+            if config.sweep_q is None:
+                raise InputError("--sweep q: the config has no 'sweep.q' values")
+            reports = regret_vs_q_sweep(config, config.sweep_q, threads=args.threads)
+        else:
+            reports = [run_experiment(config, threads=args.threads)]
     except ConfigError as exc:
         raise InputError(f"--config: {exc}") from exc
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-
-    if args.sweep == "M":
-        if config.sweep_m is None:
-            raise InputError("--sweep M: the config has no 'sweep.M' values")
-        reports = regret_vs_M_sweep(config, config.sweep_m, threads=args.threads)
-    elif args.sweep == "q":
-        if config.sweep_q is None:
-            raise InputError("--sweep q: the config has no 'sweep.q' values")
-        reports = regret_vs_q_sweep(config, config.sweep_q, threads=args.threads)
-    else:
-        reports = [run_experiment(config, threads=args.threads)]
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

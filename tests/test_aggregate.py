@@ -285,6 +285,15 @@ class TestSolver:
         with pytest.raises(ValueError, match="sigma"):
             solve_q_aggregation(family, np.zeros(5), -1.0)
 
+    @pytest.mark.parametrize(
+        "option",
+        [{"max_iters": 0}, {"max_iters": -1}, {"kkt_tol": -1e-7}, {"kkt_tol": float("nan")}],
+    )
+    def test_solver_options_validated(self, small_family, option):
+        _, family = small_family
+        with pytest.raises(ValueError, match=next(iter(option))):
+            solve_q_aggregation(family, np.ones(5), 1.0, **option)
+
     def test_report_lists_support_and_no_fallbacks_on_a_separated_grid(self, rng):
         for _ in range(10):
             family = build_tikhonov_family(random_problem(rng, n=12, p=6, M=10))

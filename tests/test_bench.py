@@ -1,7 +1,9 @@
 """Monte Carlo harness: configs, determinism, consistency, sweeps."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,42 @@ class TestConfigParsing:
         )
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # every mean shape, with the fields its shape does not use set too
+            dict(scenario=ScenarioSpec(n=24, mean=MeanSpec(rate=2.0, coordinate=3, scale=5.0))),
+            dict(scenario=ScenarioSpec(n=24, mean=MeanSpec(
+                shape="spectral-decay", rate=1.5, coordinate=2, scale=4.0, target_risk=12.0))),
+            dict(scenario=ScenarioSpec(n=24, mean=MeanSpec(
+                shape="single-spike", rate=3.0, coordinate=1, scale=2.0))),
+            dict(scenario=ScenarioSpec(n=24, sigma=0.5, mean=MeanSpec(
+                shape="explicit", rate=0.5, scale=2.0, values=tuple(np.linspace(0.0, 1.0, 24))))),
+            # both penalty kinds, absolute and relative grids
+            dict(families=(FamilySpec(p=10, penalty=PenaltySpec(exponent=1.5)),)),
+            dict(families=(
+                FamilySpec(p=10, penalty=PenaltySpec(kind="diag-power", exponent=2.0),
+                           grid=GridSpec(min=0.1, max=10.0, count=5, absolute=True)),
+                FamilySpec(p=10, grid=GridSpec(min=1e-2, max=1e2, count=7)),
+            )),
+            # both sweeps, and a member count without any sweep
+            dict(sweep_m=(2, 4), sweep_q=(1, 2), members_per_family=4),
+            dict(members_per_family=5, methods=("q_agg", "oracle"), lemma_check=True),
+        ],
+        ids=["zero", "spectral-decay", "single-spike", "explicit", "identity", "diag-power",
+             "both-sweeps", "no-sweep"],
+    )
+    def test_round_trip_keeps_every_field(self, overrides):
+        cfg = small_config(**overrides)
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
+
+    def test_readme_schema_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"Config schema.*?```json\n(.*?)```", readme, re.DOTALL)
+        cfg = ExperimentConfig.from_dict(json.loads(block.group(1)))
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_named(self):
         data = small_config().to_dict()

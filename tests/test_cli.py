@@ -334,6 +334,41 @@ class TestBenchCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"sweep": {"M": 5}}, "sweep.M"),
+            ({"families": [5]}, "families[0]"),
+            ({"families": [{"p": 6, "grid": 5}]}, "families[0].grid"),
+            ({"scenario": {"n": 16, "mean": 5}}, "scenario.mean"),
+            ({"scenario": {"n": 16, "mean": {"shape": "explicit", "values": 3}}},
+             "scenario.mean.values"),
+            ({"lemma_check": "false"}, "lemma_check"),
+            ({"families": [{"p": 6, "grid": {"absolute": "false"}}]},
+             "families[0].grid.absolute"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
+        config = bench_config(tmp_path, **overrides)
+        code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"'{key}'" in err
+        assert "Traceback" not in err
+
+    def test_config_rejected_while_building_exits_2(self, tmp_path, capsys):
+        short_mean = {"n": 16, "mean": {"shape": "explicit", "values": [1.0]}}
+        for overrides, extra, key in (
+            ({"scenario": short_mean}, [], "scenario.mean.values"),
+            ({"sweep": {"M": [5, 2]}}, ["--sweep", "M"], "sweep.M"),
+        ):
+            config = bench_config(tmp_path, **overrides)
+            code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o"),
+                         *extra])
+            assert code == 2
+            assert f"'{key}'" in capsys.readouterr().err
+
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("{not valid json\n")
