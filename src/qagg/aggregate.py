@@ -101,9 +101,11 @@ class SimplexWeights:
 class SolveReport:
     """Solver output: weights, objective value and optimality certificate.
 
-    ``support`` lists the members with positive weight and
+    ``support`` lists the members with positive weight,
     ``ridge_fallbacks`` counts the face solves that fell back to the
-    FACE_RIDGE-regularized system.
+    FACE_RIDGE-regularized system, and ``stalled_pivots`` is 1 when the
+    solve stopped because the member it would add was already in the
+    support (a face system too ill-conditioned to make progress).
     """
 
     weights: SimplexWeights
@@ -113,6 +115,7 @@ class SolveReport:
     converged: bool
     support: tuple[int, ...]
     ridge_fallbacks: int
+    stalled_pivots: int
 
 
 @dataclass(frozen=True)
@@ -350,6 +353,8 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
     each face exactly through its KKT system and pruning coordinates that
     are driven negative; one face solve per pivot and per prune step.  The
     returned certificate is evaluated on the unmodified objective.
+    Returns (theta, objective, certificate, pivots, converged, ridge
+    fallbacks, stalled pivots).
     """
     M = phi.shape[0]
     pt = phi @ target
@@ -359,6 +364,7 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
     theta_s = np.ones(1)
     pivots = 0
     fallbacks = 0
+    stalled = 0
     converged = False
 
     def solve_face(support):
@@ -378,9 +384,9 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
     for _ in range(max_pivots):
         pivots += 1
         th_new = solve_face(support)
-        prune_guard = 0
-        while th_new.min() < -1e-12 and len(support) > 1 and prune_guard <= 2 * M + 10:
-            prune_guard += 1
+        # every prune step drops at least one member, so this ends within
+        # len(support) - 1 steps
+        while th_new.min() < -1e-12 and len(support) > 1:
             neg = th_new < 1e-15
             denom = theta_s[neg] - th_new[neg]
             # a coordinate already at zero contributes a zero-length step
@@ -408,13 +414,14 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
             break
         jadd = int(np.argmin(g))
         if jadd in support:
+            stalled += 1
             break  # face system too ill-conditioned to make progress
         support.append(jadd)
         theta_s = np.append(theta_s, 0.0)
 
     theta = np.zeros(M)
     theta[np.asarray(support)] = theta_s
-    return theta, fval, res, pivots, converged, fallbacks
+    return theta, fval, res, pivots, converged, fallbacks, stalled
 
 
 def solve_q_aggregation(
@@ -438,7 +445,7 @@ def solve_q_aggregation(
     resp = _response(family_or_union, y)
     qp = _qp_data(resp, sigma)
     max_pivots = min(3 * qp.lin.size + 100, max_iters)
-    theta, fval, res, pivots, converged, fallbacks = _solve_simplex_qp(
+    theta, fval, res, pivots, converged, fallbacks, stalled = _solve_simplex_qp(
         qp.phi, qp.target, qp.lin, kkt_tol, max_pivots
     )
     weights = make_weights(resp.candidates, theta, resp)
@@ -450,6 +457,7 @@ def solve_q_aggregation(
         converged=converged,
         support=tuple(int(j) for j in np.flatnonzero(weights.theta > 0)),
         ridge_fallbacks=fallbacks,
+        stalled_pivots=stalled,
     )
 
 

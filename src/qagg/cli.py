@@ -121,10 +121,17 @@ def _load_vector(path: Path, field: str) -> np.ndarray:
 def _load_matrix_list(path: Path, field: str) -> list[np.ndarray]:
     """A stack of k square n x n blocks: k*n CSV rows of n columns, or a 3-d .npy."""
     data, declared = _read_rows(path, field)
-    if data.ndim == 3:
-        return [np.asarray(m, dtype=float) for m in data]
-    if data.ndim != 2:
+    if data.ndim not in (2, 3):
         raise InputError(f"{field}: expected stacked square matrices, got shape {data.shape}")
+    if data.size == 0:
+        raise InputError(f"{field}: the stack in {path} is empty (shape {data.shape})")
+    if data.ndim == 3:
+        if data.shape[1] != data.shape[2]:
+            raise InputError(
+                f"{field}: expected a stack of square matrices in {path}, got blocks of "
+                f"{data.shape[1]} x {data.shape[2]}"
+            )
+        return list(data)
     n = data.shape[1]
     if declared is not None:
         if len(declared) != 3 or declared[1] != declared[2]:
@@ -216,6 +223,7 @@ def cmd_aggregate(args) -> int:
         "converged": report.converged,
         "support": list(report.support),
         "ridge_fallbacks": report.ridge_fallbacks,
+        "stalled_pivots": report.stalled_pivots,
         "df": df.tolist(),
         "cp": cp.tolist(),
         "coefficients": coefficients.tolist(),
@@ -325,6 +333,11 @@ def cmd_validate(args) -> int:
     if not args.tol > 0:
         raise InputError(f"--tol: must be positive, got {args.tol}")
     report = check_ordered(matrices, tol=args.tol)
+    if report.off_diagonal is None:
+        basis = "no shared basis could be computed"
+    else:
+        basis = f"largest off-diagonal mass in the shared basis {report.off_diagonal:.3e}"
+    print(f"decided by: {report.method} check ({basis})", file=sys.stderr)
     axioms = (
         ("axiom (i) symmetric with spectrum in [0, 1]", report.shrinkage_ok),
         ("axiom (ii) pairwise commutation", report.commute_ok),

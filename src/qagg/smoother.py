@@ -14,7 +14,7 @@ comparability in the positive-semidefinite order.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -124,13 +124,22 @@ class FamilyUnion:
 
 @dataclass(frozen=True)
 class OrderedCheckReport:
-    """Per-axiom outcome of an ordered-family check on dense matrices."""
+    """Per-axiom outcome of an ordered-family check on dense matrices.
+
+    ``method`` names the path that decided: ``"shared-basis"`` when one
+    shared eigenbasis certified every axiom, ``"pairwise"`` when the
+    pairwise check ran.  ``off_diagonal`` is the largest Frobenius mass a
+    symmetrized member keeps off the diagonal in the shared eigenbasis,
+    or None when no basis was computed.
+    """
 
     shrinkage_ok: bool  # axiom (i): symmetric with spectrum in [0, 1]
     commute_ok: bool  # axiom (ii): pairwise commutation
     comparable_ok: bool  # axiom (iii): pairwise PSD comparability
     tol: float
     failures: tuple[str, ...] = ()
+    method: str = "pairwise"
+    off_diagonal: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -145,8 +154,33 @@ def check_ordered(matrices, tol: float | None = None) -> OrderedCheckReport:
     (iii) for every pair, one of the two differences is PSD up to -tol.
 
     When tol is None it defaults to 1e-8 times the largest eigenvalue
-    scale of the (symmetrized) inputs.
+    scale of the (symmetrized) inputs, as estimated by whichever path
+    decides (the two estimates agree to rounding).
+
+    The members of an ordered family commute, so one basis diagonalizes
+    them all.  The check first tries to prove the three axioms in the
+    eigenbasis of one positive combination of the members, at the cost
+    of one eigh plus two matrix products per member.  Only when that
+    proof fails does the pairwise check run (an eigvalsh and a commutator
+    per pair); it alone reports failures.
     """
+    mats = _square_stack(matrices)
+    if tol is not None and not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    certified_tol, off_diagonal = _shared_basis_certificate(mats, tol)
+    if certified_tol is not None:
+        return OrderedCheckReport(
+            shrinkage_ok=True,
+            commute_ok=True,
+            comparable_ok=True,
+            tol=certified_tol,
+            method="shared-basis",
+            off_diagonal=off_diagonal,
+        )
+    return replace(_check_ordered_pairwise(mats, tol), off_diagonal=off_diagonal)
+
+
+def _square_stack(matrices) -> list[np.ndarray]:
     mats = [np.atleast_2d(np.asarray(A, dtype=float)) for A in matrices]
     if not mats:
         raise ValueError("need at least one matrix to check")
@@ -156,6 +190,101 @@ def check_ordered(matrices, tol: float | None = None) -> OrderedCheckReport:
             raise ValueError(
                 f"all matrices must be square of equal size, got {A.shape} vs ({n}, {n})"
             )
+    if n == 0:
+        raise ValueError("matrices must have at least one row and column, got 0 x 0")
+    return mats
+
+
+# Seed of the weights of the combination whose eigenvectors form the
+# shared basis, fixed so that every check of the same input is the same.
+_COMBINATION_SEED = 0
+
+
+def _shared_basis_certificate(mats, tol):
+    """Prove the three axioms through one shared eigenbasis, or give up.
+
+    Returns (tol, largest off-diagonal mass); tol is None when the proof
+    fails.  With S_j and N_j the symmetric and antisymmetric parts of
+    A_j and Q the eigenvectors of sum_j c_j S_j, T_j = Q^T S_j Q splits
+    into its diagonal d_j and off-diagonal mass eps_j.  Then
+    rho_j = eps_j + delta_j bounds ||W^T S_j W - diag(d_j)||_F, where W
+    is the orthogonal polar factor of Q and delta_j covers the loss of
+    orthogonality of Q and the rounding of the two products.  So:
+
+    (i)   (Weyl) every eigenvalue of S_j lies in
+          [min d_j - rho_j, max d_j + rho_j];
+    (ii)  ||[A_j, A_k]||_F <= spread_j rho_k + spread_k rho_j
+          + 2 rho_j rho_k + 2 (s_j nu_k + s_k nu_j + nu_j nu_k), where
+          spread_j = max d_j - min d_j, s_j = max |d_j| + rho_j bounds
+          ||S_j||_2 and nu_j = ||N_j||_F;
+    (iii) (Weyl) lambda_min(S_k - S_j) >= min(d_k - d_j) - rho_j - rho_k.
+    """
+    n, count = mats[0].shape[0], len(mats)
+    unit = np.finfo(float).eps / 2
+    gamma = n * unit / (1.0 - n * unit)  # relative rounding of a length-n dot product
+    c = np.random.default_rng(_COMBINATION_SEED).uniform(1.0, 2.0, size=count)
+    combo = np.zeros((n, n))
+    for cj, A in zip(c, mats):
+        combo += cj * A
+    try:
+        _, Q = np.linalg.eigh(0.5 * (combo + combo.T))
+    except np.linalg.LinAlgError:
+        return None, None
+    # eta >= ||Q^T Q - I||_2: the computed norm plus the rounding of Q^T Q
+    eta = float(np.linalg.norm(Q.T @ Q - np.eye(n))) + n * gamma
+    # delta_j / ||S_j||_F: 2 eta + eta^2 for the basis and 2 sqrt(n) gamma (1 + eta)
+    # for the two products, doubled to cover the certificate's own rounding
+    margin = 4.0 * (eta + np.sqrt(n) * gamma)
+
+    d = np.empty((count, n))
+    eps = np.empty(count)
+    delta = np.empty(count)
+    nu = np.empty(count)
+    asym = np.empty(count)
+    for j, A in enumerate(mats):
+        skew = A - A.T
+        asym[j] = np.abs(skew).max()
+        nu[j] = 0.5 * np.linalg.norm(skew)
+        S = 0.5 * (A + A.T)
+        T = Q.T @ (S @ Q)
+        d[j] = np.diagonal(T)
+        np.fill_diagonal(T, 0.0)  # the mass itself, not ||T||^2 - ||d||^2, which cancels
+        eps[j] = np.linalg.norm(T)
+        delta[j] = margin * np.linalg.norm(S)
+    off_diagonal = float(eps.max())
+    if not eta < 0.25:  # not even close to orthogonal (or not finite)
+        return None, off_diagonal
+    if tol is None:
+        tol = 1e-8 * max(1.0, float(np.abs(d).max()))
+    rho = eps + delta
+    lo, hi = d.min(axis=1), d.max(axis=1)
+    if not np.all((asym <= tol) & (lo - rho >= -tol) & (hi + rho <= 1.0 + tol)):
+        return None, off_diagonal
+    spread = hi - lo
+    s = np.maximum(hi, -lo) + rho
+    for j in range(count - 1):
+        k = slice(j + 1, None)
+        comm = (
+            spread[j] * rho[k]
+            + spread[k] * rho[j]
+            + 2.0 * rho[j] * rho[k]
+            + 2.0 * (s[j] * nu[k] + s[k] * nu[j] + nu[j] * nu[k])
+        )
+        diff = d[k] - d[j]
+        slack = rho[k] + rho[j] - tol  # min of one difference's spectrum >= -tol
+        ordered = (diff.min(axis=1) >= slack) | (-diff.max(axis=1) >= slack)
+        if not (np.all(comm <= tol) and np.all(ordered)):
+            return None, off_diagonal
+    return float(tol), off_diagonal
+
+
+def _check_ordered_pairwise(matrices, tol: float | None = None) -> OrderedCheckReport:
+    """The axioms checked pair by pair: an eigvalsh and a commutator per pair.
+
+    The fallback of :func:`check_ordered` and its reference: it decides
+    every failure and writes every failure message.
+    """
+    mats = _square_stack(matrices)
     sym = [0.5 * (A + A.T) for A in mats]
     spectra = [np.linalg.eigvalsh(S) for S in sym]
     if tol is None:

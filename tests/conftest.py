@@ -36,6 +36,37 @@ def random_problem(rng, n, p, M, identity_penalty=False, lam_range=(1e-2, 1e2)):
     return DesignProblem(X=X, K=K, lambdas=lambdas)
 
 
+STRESS_CASES = (
+    "lambda0-rank-deficient",
+    "n-below-p",
+    "single-member",
+    "zero-response",
+    "near-duplicate-lambdas",
+)
+
+
+def stress_problem(rng, case):
+    """(X, y, lambdas) of a degenerate family the solver must still certify."""
+    n, p = 12, 6
+    X = rng.standard_normal((n, p))
+    lambdas = [0.1, 1.0, 10.0, 100.0]
+    if case == "lambda0-rank-deficient":
+        X = rng.standard_normal((n, 3)) @ rng.standard_normal((3, p))
+        lambdas = [0.0, 0.5, 5.0, 50.0]
+    elif case == "n-below-p":
+        X = rng.standard_normal((5, 9))
+    elif case == "single-member":
+        lambdas = [2.0]
+    elif case == "near-duplicate-lambdas":
+        lambdas = [1.0, 1.0 + 1e-12, 1.0 + 2e-12, 1.0 + 1e-9, 3.0]
+    elif case != "zero-response":
+        raise ValueError(f"unknown stress case {case!r}")
+    y = np.zeros(X.shape[0])
+    if case != "zero-response":
+        y = X @ rng.standard_normal(X.shape[1]) + 0.5 * rng.standard_normal(X.shape[0])
+    return X, y, np.array(lambdas)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

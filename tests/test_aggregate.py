@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_smoother, random_problem
+import qagg.aggregate
+
+from conftest import STRESS_CASES, dense_smoother, random_problem, stress_problem
 
 from qagg.aggregate import (
     FACE_RIDGE,
@@ -347,6 +349,41 @@ class TestSolver:
             assert abs(report.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective))
             fallbacks += report.ridge_fallbacks
         assert fallbacks > 0
+
+
+    def test_stalled_pivot_is_counted(self, rng, monkeypatch):
+        # A face solve that never leaves the face's first vertex makes the next
+        # pivot pick a member already in the support, which stops the solve.
+        family = build_tikhonov_family(random_problem(rng, n=12, p=6, M=10))
+        mu = 2.0 * family.basis @ (np.arange(1, family.rank + 1) ** -1.0)
+        for _ in range(20):  # a response whose optimum is not a vertex
+            y = mu + rng.standard_normal(12)
+            exact = solve_q_aggregation(family, y, 1.0)
+            assert exact.converged and exact.stalled_pivots == 0
+            if len(exact.support) > 1:
+                break
+        assert len(exact.support) > 1
+        monkeypatch.setattr(
+            qagg.aggregate,
+            "_face_minimizer",
+            lambda phi, pt, lin, support, ridge: (np.eye(len(support))[0], False),
+        )
+        report = solve_q_aggregation(family, y, 1.0)
+        assert report.stalled_pivots == 1
+        assert not report.converged
+        assert report.iterations == 2 and len(report.support) == 1
+
+
+@pytest.mark.parametrize("case", STRESS_CASES)
+def test_stress_families_solve_and_certify(rng, case):
+    X, y, lambdas = stress_problem(rng, case)
+    family = build_tikhonov_family(DesignProblem(X=X, K=np.eye(X.shape[1]), lambdas=lambdas))
+    report = solve_q_aggregation(family, y, 0.5)
+    assert report.converged
+    assert report.kkt_residual >= -1e-7 * (1.0 + abs(report.objective))
+    recheck = certify_kkt(family, report.weights.theta, y, 0.5)
+    assert recheck >= -1e-7 * (1.0 + abs(report.objective))
+    assert report.ridge_fallbacks == 0 and report.stalled_pivots == 0
 
 
 def synthetic_family(rng, n, r, M, family_id):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import STRESS_CASES, stress_problem
+
 from qagg.aggregate import cp_values, solve_q_aggregation
 from qagg.cli import main
 from qagg.spectral import (
@@ -227,6 +229,24 @@ class TestAggregateCommand:
         theta = np.array(payload["theta"])
         assert payload["support"] == np.flatnonzero(theta > 0).tolist()
         assert payload["ridge_fallbacks"] == 0
+        assert payload["stalled_pivots"] == 0
+
+    @pytest.mark.parametrize("case", STRESS_CASES)
+    def test_stress_families_exit_0_and_certify(self, tmp_path, rng, case):
+        X, y, lambdas = stress_problem(rng, case)
+        np.save(tmp_path / "X.npy", X)
+        np.save(tmp_path / "y.npy", y)
+        out = tmp_path / "out"
+        code = main(
+            ["aggregate", "--design", str(tmp_path / "X.npy"), "--response",
+             str(tmp_path / "y.npy"), "--lambdas", ",".join(repr(float(v)) for v in lambdas),
+             "--sigma", "0.5", "--output", str(out)]
+        )
+        assert code == 0
+        payload = json.loads((out / "aggregate.json").read_text())
+        assert payload["converged"] is True
+        assert payload["kkt_residual"] >= -1e-7 * (1.0 + abs(payload["objective"]))
+        assert payload["stalled_pivots"] == 0
 
 
 class TestValidateCommand:
@@ -241,8 +261,9 @@ class TestValidateCommand:
         assert main(["validate", "--matrices", str(path)]) == 1
         captured = capsys.readouterr()
         assert "axiom (iii)" in captured.out + captured.err
+        assert "decided by: pairwise check" in captured.err
 
-    def test_materialized_tikhonov_family_passes(self, tmp_path, rng):
+    def test_materialized_tikhonov_family_passes(self, tmp_path, rng, capsys):
         problem = DesignProblem(
             X=rng.standard_normal((5, 3)), K=np.eye(3), lambdas=[0.1, 1.0, 10.0]
         )
@@ -251,6 +272,13 @@ class TestValidateCommand:
         path = tmp_path / "family.csv"
         np.savetxt(path, stacked, delimiter=",")
         assert main(["validate", "--matrices", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "axiom (i) symmetric with spectrum in [0, 1]: PASS",
+            "axiom (ii) pairwise commutation: PASS",
+            "axiom (iii) pairwise semidefinite ordering: PASS",
+        ]
+        assert captured.err.startswith("decided by: shared-basis check (largest off-diagonal")
 
     def test_shape_header_checked(self, tmp_path, capsys):
         path = tmp_path / "mats.csv"
@@ -264,6 +292,15 @@ class TestValidateCommand:
         np.savetxt(path, np.ones((5, 3)), delimiter=",")  # 5 rows of 3 cols
         assert main(["validate", "--matrices", str(path)]) == 2
         assert "--matrices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 0, 0), (0, 3, 3)])
+    def test_malformed_npy_stack_exit_2(self, tmp_path, capsys, shape):
+        path = tmp_path / "mats.npy"
+        np.save(path, np.zeros(shape))
+        assert main(["validate", "--matrices", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --matrices:")
+        assert "Traceback" not in err
 
     def test_parse_failure_exit_2(self, tmp_path):
         path = tmp_path / "mats.csv"

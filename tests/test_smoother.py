@@ -8,6 +8,7 @@ from conftest import dense_smoother, random_problem, random_spd
 from qagg.smoother import (
     FamilyUnion,
     GroundTruth,
+    _check_ordered_pairwise,
     check_ordered,
     member_risks,
     oracle_index,
@@ -92,6 +93,136 @@ class TestCheckOrdered:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="square"):
             check_ordered([np.eye(2), np.eye(3)])
+
+    def test_zero_size_matrices_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            check_ordered([np.zeros((0, 0)), np.zeros((0, 0))])
+
+
+def same_as_pairwise(mats, tol=None):
+    """check_ordered's report, asserted to decide exactly as the pairwise check does."""
+    report = check_ordered(mats, tol)
+    oracle = _check_ordered_pairwise(mats, tol)
+    fields = ("passed", "shrinkage_ok", "commute_ok", "comparable_ok", "failures")
+    assert [getattr(report, f) for f in fields] == [getattr(oracle, f) for f in fields]
+    if tol is None:  # the scale comes from the shared basis or from eigvalsh
+        assert report.tol == pytest.approx(oracle.tol, rel=1e-12)
+    else:
+        assert report.tol == oracle.tol == tol
+    if not report.passed:  # the certificate never decides a failure
+        assert report.method == "pairwise"
+    return report
+
+
+def rotated(rng, *diagonals):
+    """Matrices with the given spectra on one random orthonormal basis."""
+    n = len(diagonals[0])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return [(Q * np.asarray(w, dtype=float)) @ Q.T for w in diagonals]
+
+
+def tikhonov_stack(rng, n, p, lambdas, rank=None):
+    """Dense members of a Tikhonov family (member_matrix output, symmetric up to rounding)."""
+    X = rng.standard_normal((n, p))
+    if rank is not None:
+        X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+    family = build_tikhonov_family(DesignProblem(X=X, K=random_spd(rng, p), lambdas=lambdas))
+    return [member_matrix(family, j) for j in range(family.member_count)]
+
+
+class TestCheckOrderedMatchesPairwise:
+    """check_ordered decides every input as the pairwise check does."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-8, 1e-10])
+    def test_random_tikhonov_families(self, rng, tol):
+        for _ in range(12):
+            n = int(rng.integers(1, 12))
+            p = int(rng.integers(1, 9))
+            M = int(rng.integers(1, 7))
+            lambdas = np.sort(rng.uniform(0.0, 50.0, size=M))
+            lambdas[0] = 0.0  # alpha = 1 exactly on the fitted coordinates
+            rank = int(rng.integers(1, min(n, p) + 1))
+            mats = tikhonov_stack(rng, n, p, lambdas, rank=rank)
+            report = same_as_pairwise(mats, tol)
+            assert report.passed and report.method == "shared-basis"
+
+    def test_duplicated_members_single_member_and_n_1(self, rng):
+        mats = tikhonov_stack(rng, 7, 4, [0.0, 0.5, 2.0])
+        for stack in (mats + mats[1:2], mats[1:2], [np.array([[0.25]]), np.array([[1.0]])]):
+            report = same_as_pairwise(stack, 1e-8)
+            assert report.passed and report.method == "shared-basis"
+
+    def test_clustered_and_zero_spectra(self, rng):
+        # a four-fold cluster on every member, a two-fold one and a zero block
+        base = np.array([0.9, 0.9, 0.9, 0.9, 0.5, 0.5, 0.0, 0.0, 0.0])
+        mats = rotated(rng, base, base**2, base**3, np.zeros(9))
+        report = same_as_pairwise(mats, 1e-8)
+        assert report.passed and report.method == "shared-basis"
+        assert report.off_diagonal < 1e-12
+
+    def test_near_symmetric_inputs(self, rng, tmp_path):
+        mats = tikhonov_stack(rng, 9, 5, [0.1, 1.0, 10.0])
+        assert any(np.any(A != A.T) for A in mats)
+        path = tmp_path / "stack.csv"
+        np.savetxt(path, np.vstack(mats), delimiter=",", fmt="%.12g")
+        rows = np.loadtxt(path, delimiter=",")
+        loaded = [rows[i : i + 9] for i in range(0, 27, 9)]
+        for stack in (mats, loaded):
+            assert same_as_pairwise(stack, 1e-8).method == "shared-basis"
+
+    def test_commuting_but_crossing_diagonals(self, rng):
+        mats = rotated(rng, [0.9, 0.6, 0.2], [0.8, 0.5, 0.1], [0.7, 0.7, 0.0])
+        report = same_as_pairwise(mats, 1e-8)
+        assert report.commute_ok and not report.comparable_ok
+
+    def test_noncommuting(self, rng):
+        mats = rotated(rng, [0.9, 0.5, 0.1]) + rotated(rng, [0.8, 0.4, 0.1])
+        report = same_as_pairwise(mats, 1e-8)
+        assert not report.commute_ok
+        assert report.off_diagonal > 1e-3
+
+    def test_nearly_commuting(self, rng):
+        # ordered spectra, one basis turned by 1e-7 in a plane: axiom (ii) fails
+        # by about 1e-8 while (i) and (iii) hold with room to spare
+        A, B = rotated(rng, [0.9, 0.6, 0.4, 0.2], [0.8, 0.5, 0.3, 0.1])
+        c, s = np.cos(1e-7), np.sin(1e-7)
+        G = np.eye(4)
+        G[np.ix_([0, 3], [0, 3])] = [[c, -s], [s, c]]
+        report = same_as_pairwise([A, G @ B @ G.T], 1e-8)
+        assert report.shrinkage_ok and report.comparable_ok and not report.commute_ok
+
+    @pytest.mark.parametrize(
+        "n, size, flags",
+        [(6, 3e-9, (True, True)), (6, 3e-8, (False, False)), (60, 3e-9, (True, False))],
+    )
+    def test_asymmetric_within_and_beyond_tol(self, rng, n, size, flags):
+        # max |A - A^T| is 2 * size; at n = 60 an asymmetry within tol breaks commutation
+        mats = tikhonov_stack(rng, n, 4, [0.2, 2.0])
+        skew = rng.standard_normal((n, n))
+        mats[1] = mats[1] + size * (skew - skew.T) / np.abs(skew - skew.T).max()
+        report = same_as_pairwise(mats, 1e-8)
+        assert (report.shrinkage_ok, report.commute_ok) == flags
+
+    @pytest.mark.parametrize("excess", [-5e-9, 5e-9, 2e-8])
+    def test_spectrum_at_the_edges_of_the_unit_interval(self, rng, excess):
+        for top, bottom in ((1.0 + excess, 0.1), (0.7, -excess)):
+            mats = rotated(rng, [top, 0.6, 0.3], [0.5, 0.4, bottom])
+            report = same_as_pairwise(mats, 1e-8)
+            assert report.shrinkage_ok == (excess < 1e-8)
+            assert report.commute_ok and report.comparable_ok
+
+    def test_benchmark_sized_stack_is_certified(self, rng):
+        # n = 200, 50 members of rank 40: a 160-dimensional zero cluster
+        n, M, r = 200, 50, 40
+        U = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        mu2 = np.geomspace(1.0, 1e3, r)
+        mats = []
+        for lam in np.geomspace(1e-1, 1e4, M):
+            A = (U * (mu2 / (mu2 + lam))) @ U.T
+            mats.append(0.5 * (A + A.T))
+        report = check_ordered(mats, tol=1e-8)
+        assert report.passed and report.method == "shared-basis"
+        assert report.off_diagonal < 1e-12
 
 
 class TestExactRisk:
