@@ -29,6 +29,7 @@ n x n matrices.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -155,10 +156,14 @@ class _Response:
         if theta.shape != self.resid_sq.shape:
             raise ValueError(f"expected {cands.member_count} weights, got shape {theta.shape}")
         fit = None
-        for fam, z, lo, hi in zip(cands.families, self.z, cands.offsets, cands.offsets[1:]):
-            part = fam.basis @ ((fam.alphas.T @ theta[..., lo:hi].T) * z)
+        for k, (fam, lo, hi) in enumerate(zip(cands.families, cands.offsets, cands.offsets[1:])):
+            part = fam.basis @ self.spectral_fit(k, theta[..., lo:hi])
             fit = part if fit is None else fit + part
         return fit
+
+    def spectral_fit(self, k: int, theta: np.ndarray) -> np.ndarray:
+        """U_k^T of the fit of weights theta on family k's members alone; (r,) or (r, B)."""
+        return (self.candidates.families[k].alphas.T @ theta.T) * self.z[k]
 
 
 def _sq_norms(v: np.ndarray):
@@ -215,32 +220,27 @@ def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWe
     return SimplexWeights(theta=theta, fitted=resp.fit(theta), response=resp.y)
 
 
-@dataclass(frozen=True)
-class _QpData:
-    """Assembly of the aggregation QP.
+def _qp_data(resp: _Response, sigma: float):
+    """Assembly (phi, target, offset, lin) of the aggregation QP
 
-    H(theta) = 1/2 ||phi^T theta - target||^2 + lin . theta + offset with
-    lin = 2 sigma^2 df + c / 2.  For a single shared-basis family phi holds
-    spectral coordinates (target = U^T y, offset = ||P_perp y||^2 / 2); for
-    a union phi holds the member fits in R^n (target = y, offset = 0).
+        H(theta) = 1/2 ||phi^T theta - target||^2 + lin . theta + offset
+
+    with lin = 2 sigma^2 df + c / 2.  For a single shared-basis family phi
+    holds spectral coordinates (target = U^T y, offset = ||P_perp y||^2 / 2);
+    for a union phi holds the member fits in R^n (target = y, offset = 0).
+    For a block pass the other terms are per column and phi is None.
     """
-
-    phi: np.ndarray
-    target: np.ndarray
-    offset: float
-    lin: np.ndarray
-
-
-def _qp_data(resp: _Response, sigma: float) -> _QpData:
     _check_sigma(sigma)
     cands = resp.candidates
     if cands.q == 1:
-        z = resp.z[0]
-        phi, target, offset = cands.families[0].alphas * z, z, 0.5 * resp.perp[0]
+        target, offset = resp.z[0], 0.5 * resp.perp[0]
     else:
-        phi, target, offset = member_fits(cands, resp), resp.y, 0.0
+        target, offset = resp.y, 0.0
+    phi = None
+    if resp.y.ndim == 1:
+        phi = cands.families[0].alphas * target if cands.q == 1 else member_fits(cands, resp)
     lin = 2.0 * sigma**2 * cands.df + 0.5 * resp.resid_sq
-    return _QpData(phi=phi, target=target, offset=offset, lin=lin)
+    return phi, target, offset, lin
 
 
 def _cp(resp: _Response, sigma: float) -> np.ndarray:
@@ -268,10 +268,10 @@ def q_objective(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     The formula extends smoothly off the simplex, which is what the
     finite-difference gradient checks differentiate.
     """
-    qp = _qp_data(_response(family_or_union, y), sigma)
-    theta = _check_theta(theta, qp.lin.size)
-    r = qp.phi.T @ theta - qp.target
-    return float(0.5 * r @ r + qp.lin @ theta + qp.offset)
+    phi, target, offset, lin = _qp_data(_response(family_or_union, y), sigma)
+    theta = _check_theta(theta, lin.size)
+    r = phi.T @ theta - target
+    return float(0.5 * r @ r + lin @ theta + offset)
 
 
 def q_objective_penalized(
@@ -297,9 +297,9 @@ def q_objective_penalized(
 
 def q_gradient(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     """Analytic gradient of the convex objective form."""
-    qp = _qp_data(_response(family_or_union, y), sigma)
-    theta = _check_theta(theta, qp.lin.size)
-    return qp.phi @ (qp.phi.T @ theta - qp.target) + qp.lin
+    phi, target, _, lin = _qp_data(_response(family_or_union, y), sigma)
+    theta = _check_theta(theta, lin.size)
+    return phi @ (phi.T @ theta - target) + lin
 
 
 def certify_kkt(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -424,6 +424,71 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
     return theta, fval, res, pivots, converged, fallbacks, stalled
 
 
+SOLVE_STAGES = ("vertex", "segment", "active_set")
+VERTEX, SEGMENT, ACTIVE_SET = range(len(SOLVE_STAGES))
+
+
+def _block_solve(resp: _Response, sigma: float):
+    """The first two steps of the solve on every column of a block pass at once.
+
+    Column b is tested with the scalar solve's certificate, at DEFAULT_KKT_TOL,
+    at its starting vertex j0, then at the exact minimum on the segment from
+    e_j0 toward the vertex of least gradient (the scalar solve's second face).
+    Each test is one GEMM on the block in the QP's coordinates.  Returns
+    (theta (B, M), objective, kkt_residual, stage), stage indexing
+    SOLVE_STAGES; a column at ACTIVE_SET needs solve_q_aggregation.
+    """
+    cands = resp.candidates
+    _, target, offset, lin = _qp_data(resp, sigma)
+    B, M = lin.shape
+    rows = np.arange(B)
+    # fit(theta) = phi^T theta and grad(resid) = phi resid, column by column
+    if cands.q == 1:
+        fit = functools.partial(resp.spectral_fit, 0)
+
+        def grad(resid):
+            return cands.families[0].alphas @ (target * resid)
+    else:
+        fit = resp.fit
+
+        def grad(resid):
+            return np.vstack(
+                [f.alphas @ (z * (f.basis.T @ resid)) for f, z in zip(cands.families, resp.z)]
+            )
+
+    def certify(theta, resid):
+        g = grad(resid).T + lin
+        fval = 0.5 * _sq_norms(resid) + np.einsum("bj,bj->b", lin, theta)
+        res = g.min(axis=1) - np.einsum("bj,bj->b", g, theta)
+        return g, fval, res, res >= -DEFAULT_KKT_TOL * (1.0 + np.abs(fval))
+
+    # vertex values 1/2 ||phi_j||^2 - phi_j . target + lin_j, as the scalar solve starts
+    start = lin + np.hstack(
+        [((0.5 * f.alphas**2 - f.alphas) @ z**2).T for f, z in zip(cands.families, resp.z)]
+    )
+    j0 = start.argmin(axis=1)
+    theta = np.zeros((B, M))
+    theta[rows, j0] = 1.0
+    resid = fit(theta) - target
+    g, fval, res, at_vertex = certify(theta, resid)
+    stage = np.where(at_vertex, VERTEX, ACTIVE_SET)
+    if not at_vertex.all():
+        # along e_jadd - e_j0 the slope at j0 is g_jadd - g_j0 = res < 0 and the
+        # curvature ||phi_jadd - phi_j0||^2; as e_j0 is the best vertex, the
+        # minimum lies at t <= 1/2.  Certified columns stay put (t = 0).
+        moved = ~at_vertex
+        step = np.zeros((B, M))
+        step[rows, g.argmin(axis=1)] += 1.0
+        step[rows, j0] -= 1.0
+        d = fit(step)
+        t = np.divide(-res, _sq_norms(d), out=np.zeros(B), where=moved)
+        theta += t[:, None] * step
+        _, fval_t, res_t, ok = certify(theta, resid + t * d)
+        fval[moved], res[moved] = fval_t[moved], res_t[moved]
+        stage[moved & ok] = SEGMENT
+    return theta, fval + offset, res, stage
+
+
 def solve_q_aggregation(
     family_or_union,
     y: np.ndarray,
@@ -443,15 +508,15 @@ def solve_q_aggregation(
     if not max_iters >= 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     resp = _response(family_or_union, y)
-    qp = _qp_data(resp, sigma)
-    max_pivots = min(3 * qp.lin.size + 100, max_iters)
+    phi, target, offset, lin = _qp_data(resp, sigma)
+    max_pivots = min(3 * lin.size + 100, max_iters)
     theta, fval, res, pivots, converged, fallbacks, stalled = _solve_simplex_qp(
-        qp.phi, qp.target, qp.lin, kkt_tol, max_pivots
+        phi, target, lin, kkt_tol, max_pivots
     )
     weights = make_weights(resp.candidates, theta, resp)
     return SolveReport(
         weights=weights,
-        objective=float(fval + qp.offset),
+        objective=float(fval + offset),
         kkt_residual=res,
         iterations=pivots,
         converged=converged,

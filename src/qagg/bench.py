@@ -11,9 +11,10 @@ a simulated one.
 
 Replicates run in blocks of REPLICATE_BLOCK responses.  One pass per
 block gives the spectral coordinates of every draw; the selection
-baselines, the exponential weights and the member losses are evaluated
-for the whole block in those coordinates, and only the aggregation
-solve runs per draw.
+baselines, the exponential weights, the member losses and the first two
+stages of the aggregation solve (vertex, then segment) are evaluated for
+the whole block in those coordinates; only the draws those stages leave
+undecided get an active-set solve each, and ``solve_stages`` counts them.
 
 All randomness flows from the config seed: the design matrix uses the
 (seed, 0) stream and replicate i the (seed, 1, i) stream.  Blocks start
@@ -27,16 +28,20 @@ import dataclasses
 import functools
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from qagg.aggregate import (
+    ACTIVE_SET,
+    SEGMENT,
+    SOLVE_STAGES,
+    _block_solve,
     _cp,
     _gcv_scores,
     _response,
     _softmax,
+    _sq_norms,
     excess_bound_gap,
     solve_q_aggregation,
 )
@@ -80,10 +85,10 @@ CI_Z = 1.96
 
 # Replicates per block of the Monte Carlo engine.  A column's arithmetic
 # depends on the width of its block, so blocks are fixed, aligned to global
-# replicate indices and handed to worker processes whole.  Wider blocks ran
-# no faster (the per-draw solve dominates) but held (q r + M) B doubles of
-# block arrays through every solve, which raised peak memory on unions.
-REPLICATE_BLOCK = 8
+# replicate indices and handed to worker processes whole.  The block solve
+# costs a few GEMMs per block: widths 8, 16, 32 and 64 took 0.113, 0.086,
+# 0.073 and 0.069 s per AC-2 sweep (2-core VM, single-threaded BLAS).
+REPLICATE_BLOCK = 32
 
 
 class ConfigError(ValueError):
@@ -458,6 +463,14 @@ def _member_losses(resp, members: np.ndarray, mean_coords) -> np.ndarray:
     return out
 
 
+def _weight_losses(resp, theta: np.ndarray, mu: np.ndarray, mean_coords) -> np.ndarray:
+    """||A_theta y_b - mu||^2 of weights theta[b] on every column b; spectral for one family."""
+    if resp.candidates.q == 1:
+        ((m, mu_perp),) = mean_coords
+        return _sq_norms(resp.spectral_fit(0, theta) - m[:, None]) + mu_perp
+    return _sq_norms(resp.fit(theta) - mu[:, None])
+
+
 def _block_losses(instance: Instance, resp, methods, mean_coords) -> dict[str, np.ndarray]:
     """Loss on every column of a block pass of each method other than q_agg."""
     mu, sigma = instance.truth.mu, instance.truth.sigma
@@ -472,8 +485,7 @@ def _block_losses(instance: Instance, resp, methods, mean_coords) -> dict[str, n
         elif name == "gcv":
             out[name] = _member_losses(resp, _gcv_scores(resp).argmin(axis=-1), mean_coords)
         elif name == "exp_weights":
-            fits = resp.fit(_softmax(cp, sigma))
-            out[name] = ((fits - mu[:, None]) ** 2).sum(axis=0)
+            out[name] = _weight_losses(resp, _softmax(cp, sigma), mu, mean_coords)
     return out
 
 
@@ -491,6 +503,7 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
     q_excess = np.full(count, np.nan)
     q_converged = np.ones(count, dtype=bool)
     lemma_gap = np.full(count, -np.inf)
+    stages = np.zeros(len(SOLVE_STAGES), dtype=int)
     mean_coords = []
     for fam in candidates.families:
         m = fam.spectral_coords(mu)
@@ -513,24 +526,37 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
             losses[name][block] = values
         if "q_agg" not in config.methods:
             continue
-        # one certified solve per draw, on that draw's column of the pass
-        for b, pos in enumerate(range(block.start, block.stop)):
+        theta, objective, kkt, stage = _block_solve(resp, sigma)
+        stages += np.bincount(stage, minlength=len(SOLVE_STAGES))
+        # a vertex draw's loss and the oracle's come from the same function, so a
+        # draw that lands on the oracle vertex has an excess of exactly zero
+        q_loss = _member_losses(resp, theta.argmax(axis=1), mean_coords)
+        oracle_loss = _member_losses(resp, np.full_like(stage, instance.oracle_member), mean_coords)
+        segment = stage == SEGMENT
+        if segment.any():
+            q_loss[segment] = _weight_losses(resp, theta, mu, mean_coords)[segment]
+        # the draws the block stages left undecided get one certified solve each
+        for b in np.flatnonzero(stage == ACTIVE_SET):
             draw = resp.column(b)
             report = solve_q_aggregation(candidates, draw, sigma)
-            losses["q_agg"][pos] = loss(report.weights.fitted)
-            # both fits in R^n, so a draw that picks the oracle vertex has an
-            # excess of exactly zero
-            q_excess[pos] = losses["q_agg"][pos] - loss(draw.member_fit(instance.oracle_member))
-            q_converged[pos] = report.converged
-            if config.lemma_check:
-                gap = excess_bound_gap(candidates, report.weights.theta, draw, sigma, mu)
-                slack = max(0.0, -report.kkt_residual) + 1e-9 * (1.0 + abs(report.objective))
-                lemma_gap[pos] = gap - slack
+            theta[b], objective[b] = report.weights.theta, report.objective
+            kkt[b] = report.kkt_residual
+            q_loss[b] = loss(report.weights.fitted)  # both in R^n, for the same reason
+            oracle_loss[b] = loss(draw.member_fit(instance.oracle_member))
+            q_converged[block.start + b] = report.converged
+        losses["q_agg"][block] = q_loss
+        q_excess[block] = q_loss - oracle_loss
+        if config.lemma_check:
+            for b in range(stop - start):
+                gap = excess_bound_gap(candidates, theta[b], resp.column(b), sigma, mu)
+                slack = max(0.0, -kkt[b]) + 1e-9 * (1.0 + abs(objective[b]))
+                lemma_gap[block.start + b] = gap - slack
     return {
         "losses": losses,
         "q_excess": q_excess,
         "q_converged": q_converged,
         "lemma_gap": lemma_gap,
+        "stages": stages,
     }
 
 
@@ -552,6 +578,7 @@ class RegretReport:
     Regrets are mean realized loss minus the exact oracle risk R*;
     confidence half-widths are CI_Z standard errors.  Per-draw excess
     quantiles of the aggregation method support tail checks.
+    ``solve_stages`` counts the q_agg draws decided at each of SOLVE_STAGES.
     """
 
     label: str
@@ -564,6 +591,7 @@ class RegretReport:
     stats: dict[str, MethodStats] = field(metadata={"key": ("methods",)})
     excess_quantiles: dict[str, float]
     solver_failures: int
+    solve_stages: dict[str, int]
     lemma_violations: int | None
     lemma_worst_gap: float | None
     runtime_seconds: float
@@ -604,6 +632,8 @@ def run_experiment(
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
+        from concurrent.futures import ProcessPoolExecutor  # slow to import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_task, tasks))
     else:
@@ -615,6 +645,7 @@ def run_experiment(
     q_excess = np.concatenate([c["q_excess"] for c in chunks])
     q_converged = np.concatenate([c["q_converged"] for c in chunks])
     lemma_gap = np.concatenate([c["lemma_gap"] for c in chunks])
+    stages = sum(c["stages"] for c in chunks)
 
     # every draw is scored, non-converged solves with the best iterate they
     # return; solver_failures counts those draws separately
@@ -654,6 +685,7 @@ def run_experiment(
         stats=stats,
         excess_quantiles=excess_quantiles,
         solver_failures=solver_failures,
+        solve_stages={name: int(k) for name, k in zip(SOLVE_STAGES, stages)},
         lemma_violations=lemma_violations,
         lemma_worst_gap=lemma_worst,
         runtime_seconds=time.perf_counter() - t0,

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -89,7 +90,9 @@ def _read_rows(path: Path, field: str) -> tuple[np.ndarray, tuple[int, ...] | No
                 tokens = first.lstrip("#").replace(",", " ").split()
                 if tokens and all(t.lstrip("-").isdigit() for t in tokens):
                     declared = tuple(int(t) for t in tokens)
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except (OSError, ValueError, EOFError) as exc:
         raise InputError(f"{field}: could not parse {path}: {exc}") from exc
     if not np.all(np.isfinite(data)):

@@ -154,6 +154,9 @@ def test_ac2_regret_independent_of_grid_size(m_sweep):
     diff = large.regret - small.regret
     assert diff <= 2.0 * SIGMA**2 + 2.0 * combined
     assert sum(r.solver_failures for r in reports) == 0
+    # on this grid the block's vertex and segment stages decide every draw
+    assert all(r.solve_stages["active_set"] == 0 for r in reports)
+    assert all(sum(r.solve_stages.values()) == r.replicates for r in reports)
     assert elapsed < 1800.0
     summary = ", ".join(f"M={M}: {s.regret:+.3f}±{s.ci_half_width:.3f}" for M, s in regrets.items())
     print(f"\nAC-2 grid-size independence: PASS ({summary}; trend {diff:+.3f} "
@@ -173,6 +176,7 @@ def test_ac3_regret_scales_with_log_family_count(q_sweep):
     regs = np.array([stats[q].regret for q in qs])
     b, a = np.polyfit(np.log(qs), regs, 1)
     assert sum(r.solver_failures for r in reports) == 0
+    assert all(sum(r.solve_stages.values()) == r.replicates for r in reports)
     assert elapsed < 1800.0
     print(f"\nAC-3 log-q scaling: PASS (regret q=1: {r1.regret:.3f}, q=16: {r16.regret:.3f} "
           f"<= {bound:.3f}; fitted slope {b:.3f}/log q; {elapsed:.0f}s)")

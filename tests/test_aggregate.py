@@ -10,8 +10,11 @@ import qagg.aggregate
 from conftest import STRESS_CASES, dense_smoother, random_problem, stress_problem
 
 from qagg.aggregate import (
+    DEFAULT_KKT_TOL,
     FACE_RIDGE,
+    SOLVE_STAGES,
     SimplexWeights,
+    _block_solve,
     _response,
     _face_minimizer,
     certify_kkt,
@@ -597,3 +600,79 @@ class TestExcessBound:
             theta[0] = 1.0  # smallest lambda: heavy overfit when mu = 0
             worst = max(worst, excess_bound_gap(family, theta, y, 1.0, mu))
         assert worst > 0.0
+
+
+def block_matches_scalar(cands, Y, sigma):
+    """Stage counts of _block_solve on the columns of Y, each checked against the scalar solve.
+
+    A column decided at the vertex must be one the scalar solve certifies
+    after one pivot, a segment column one it certifies after two, with the
+    same support, weights, objective and certificate; an undecided column
+    one that needs more pivots.
+    """
+    resp = _response(cands, Y, block=True)
+    theta, objective, kkt, stage = _block_solve(resp, sigma)
+    assert theta.shape == resp.resid_sq.shape
+    for b, s in enumerate(stage):
+        report = solve_q_aggregation(cands, Y[:, b], sigma)
+        assert min(report.iterations, 3) == s + 1, (b, SOLVE_STAGES[s], report.iterations)
+        if SOLVE_STAGES[s] == "active_set":
+            continue
+        assert report.converged
+        assert tuple(np.flatnonzero(theta[b] > 0)) == report.support
+        np.testing.assert_allclose(theta[b], report.weights.theta, rtol=0, atol=1e-10)
+        scale = 1.0 + abs(report.objective)
+        assert abs(objective[b] - report.objective) <= 1e-10 * scale
+        assert abs(kkt[b] - report.kkt_residual) <= 1e-10 * scale
+        assert kkt[b] >= -DEFAULT_KKT_TOL * (1.0 + abs(objective[b]))
+    return dict(zip(SOLVE_STAGES, np.bincount(stage, minlength=len(SOLVE_STAGES)).tolist()))
+
+
+def noisy_responses(rng, X, B, noise=1.0):
+    """B responses X beta + noise on one design, as the columns of an n x B matrix."""
+    signal = X @ rng.standard_normal(X.shape[1])
+    return signal[:, None] + noise * rng.standard_normal((X.shape[0], B))
+
+
+class TestBlockSolve:
+    """The block's vertex and segment stages against the scalar solve."""
+
+    def test_single_family(self, rng):
+        problem = random_problem(rng, 30, 12, 15, identity_penalty=True)
+        family = build_tikhonov_family(problem)
+        stages = block_matches_scalar(family, noisy_responses(rng, problem.X, 40), 1.0)
+        assert stages["vertex"] > 0 and stages["segment"] > 0
+
+    def test_union_of_three_families(self, rng):
+        X = rng.standard_normal((60, 30))
+        families = tuple(
+            build_tikhonov_family(
+                DesignProblem(
+                    X=X, K=np.diag(np.arange(1.0, 31.0) ** g), lambdas=np.geomspace(1e-2, 1e2, 16)
+                ),
+                family_id=f"power-{g}",
+            )
+            for g in (0.0, 1.5, 3.0)
+        )
+        union = FamilyUnion(families=families)
+        stages = block_matches_scalar(union, noisy_responses(rng, X, 40), 1.0)
+        assert min(stages.values()) > 0
+
+    @pytest.mark.parametrize("case", STRESS_CASES)
+    def test_stress_families(self, rng, case):
+        X, y, lambdas = stress_problem(rng, case)
+        family = build_tikhonov_family(DesignProblem(X=X, K=np.eye(X.shape[1]), lambdas=lambdas))
+        noise = 0.0 if case == "zero-response" else 2.0
+        Y = y[:, None] + noise * rng.standard_normal((y.size, 24))
+        stages = block_matches_scalar(family, Y, 2.0)
+        assert stages["active_set"] == 0
+        if case in ("single-member", "zero-response"):
+            assert stages["vertex"] == 24
+
+    def test_narrow_grid_of_ten_thousand_members(self, rng):
+        X = rng.standard_normal((40, 20))
+        scale = float(np.mean(np.linalg.svd(X, compute_uv=False) ** 2))
+        lambdas = scale * np.geomspace(0.5, 2.0, 10_000)
+        family = build_tikhonov_family(DesignProblem(X=X, K=np.eye(20), lambdas=lambdas))
+        stages = block_matches_scalar(family, noisy_responses(rng, X, 8), 1.0)
+        assert stages["active_set"] == 0

@@ -1,7 +1,10 @@
 """Monte Carlo harness: configs, determinism, consistency, sweeps."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 
 import qagg.bench
 from qagg.aggregate import (
+    SOLVE_STAGES,
     _cp,
     _gcv_scores,
     _response,
@@ -290,10 +294,28 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.lemma_violations == 0
 
+    def test_lemma_check_passes_on_block_decided_draws(self):
+        union = tuple(
+            FamilySpec(p=10, penalty=PenaltySpec("diag-power", g), grid=GridSpec(count=5))
+            for g in (0.0, 1.5, 3.0)
+        )
+        for families in (small_config().families, union):
+            cfg = small_config(replicates=60, families=families, lemma_check=True)
+            report = run_experiment(cfg)
+            assert report.lemma_violations == 0
+            assert sum(report.solve_stages.values()) == 60
+            assert report.solve_stages["vertex"] > 0 and report.solve_stages["segment"] > 0
+
     def test_non_converged_draws_are_scored_and_counted(self, monkeypatch):
         cfg = small_config(replicates=30)
         calls = []
         solve = qagg.bench.solve_q_aggregation
+        block_solve = qagg.bench._block_solve
+
+        def certify_nothing(*args, **kwargs):
+            # every draw goes on to the scalar solve
+            theta, objective, kkt, stage = block_solve(*args, **kwargs)
+            return theta, objective, kkt, np.full_like(stage, SOLVE_STAGES.index("active_set"))
 
         def flaky_solve(*args, **kwargs):
             # every third solve reports a failed certificate; its best
@@ -302,14 +324,16 @@ class TestRunExperiment:
             calls.append(report.weights.fitted)
             return replace(report, converged=len(calls) % 3 != 0)
 
-        monkeypatch.setattr(qagg.bench, "solve_q_aggregation", flaky_solve)
-        report = run_experiment(cfg)
+        monkeypatch.setattr(qagg.bench, "_block_solve", certify_nothing)
+        with monkeypatch.context() as patch:
+            patch.setattr(qagg.bench, "solve_q_aggregation", flaky_solve)
+            report = run_experiment(cfg)
         assert len(calls) == 30
         assert report.solver_failures == 10
+        assert report.solve_stages == {"vertex": 0, "segment": 0, "active_set": 30}
         mu = build_instance(cfg).truth.mu
         losses = np.array([float((fit - mu) @ (fit - mu)) for fit in calls])
         assert report.stats["q_agg"].mean_risk == float(losses.mean())
-        monkeypatch.undo()
         clean = run_experiment(cfg)
         assert clean.solver_failures == 0
         assert clean.stats["q_agg"].mean_risk == report.stats["q_agg"].mean_risk
@@ -371,6 +395,7 @@ class TestReports:
         loaded = json.loads(path.read_text())
         assert loaded["oracle_risk"] == report.oracle_risk
         assert loaded["methods"]["q_agg"]["regret"] == report.stats["q_agg"].regret
+        assert loaded["solve_stages"] == report.solve_stages
         again = ExperimentConfig.from_dict(loaded["config"])
         assert again == report.config
 
@@ -382,6 +407,24 @@ class TestReports:
         header = lines[0].split(",")
         assert header[:6] == ["label", "members", "families", "seed", "replicates", "method"]
         assert len(lines) == 1 + len(report.stats)
+        assert not {"solve_stages", *report.solve_stages} & set(header)
         row = dict(zip(header, lines[1].split(",")))
         assert row["method"] == "q_agg"
         assert float(row["regret"]) == report.stats["q_agg"].regret
+
+
+def test_import_leaves_process_pool_unloaded():
+    # the pool is imported only by a parallel run_experiment; a fresh
+    # interpreter, as this one has loaded it already
+    src = str(Path(qagg.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import sys, qagg, qagg.bench, qagg.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

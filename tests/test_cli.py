@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, golden outputs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,18 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --matrices:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["", "# 0 2 2\n"], ids=["empty", "comment-only"])
+    def test_empty_csv_exit_2_without_warning(self, tmp_path, capsys, text):
+        path = tmp_path / "mats.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--matrices", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --matrices:")
+        assert "is empty" in err
+        assert caught == []
 
     def test_parse_failure_exit_2(self, tmp_path):
         path = tmp_path / "mats.csv"
