@@ -55,7 +55,10 @@ __all__ = [
     "excess_bound_gap",
 ]
 
-DEFAULT_KKT_TOL = 1e-7
+# Relative tolerance of the KKT test of every solve stage (see _certificate),
+# and the most active-set pivots a solve of any size may take.
+KKT_TOL = 1e-7
+MAX_PIVOTS = 10_000
 
 # Relative Tikhonov term added to an active-set face system when its exact
 # KKT system is singular or yields a non-finite point.
@@ -346,13 +349,26 @@ def _face_minimizer(phi, pt, lin, support, ridge):
     return sol[:k], True
 
 
-def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
+def _certificate(g, theta, resid, lin):
+    """Objective less its offset, certificate min_k g_k - g . theta, and the KKT test.
+
+    g is the gradient at theta and resid = phi^T theta - target.  With theta
+    of shape (M,) each value is a scalar; with theta of shape (B, M) (resid
+    (r, B)) there is one per row.
+    """
+    fval = 0.5 * _sq_norms(resid) + np.einsum("...j,...j->...", lin, theta)
+    res = g.min(axis=-1) - np.einsum("...j,...j->...", g, theta)
+    return fval, res, res >= -KKT_TOL * (1.0 + np.abs(fval))
+
+
+def _solve_simplex_qp(phi, target, lin):
     """Active-set solve of min 1/2 ||phi^T th - target||^2 + lin . th over the simplex.
 
     Pivots one member at a time starting from the best vertex, solving
     each face exactly through its KKT system and pruning coordinates that
-    are driven negative; one face solve per pivot and per prune step.  The
-    returned certificate is evaluated on the unmodified objective.
+    are driven negative; one face solve per pivot and per prune step, at
+    most min(3 M + 100, MAX_PIVOTS) pivots.  The returned certificate is
+    evaluated on the unmodified objective.
     Returns (theta, objective, certificate, pivots, converged, ridge
     fallbacks, stalled pivots).
     """
@@ -365,7 +381,6 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
     pivots = 0
     fallbacks = 0
     stalled = 0
-    converged = False
 
     def solve_face(support):
         nonlocal fallbacks
@@ -373,15 +388,7 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
         fallbacks += fell_back
         return th
 
-    def evaluate(support, theta_s):
-        S = np.asarray(support)
-        resid = phi[S].T @ theta_s - target
-        g = phi @ resid + lin
-        fval = 0.5 * float(resid @ resid) + float(lin[S] @ theta_s)
-        res = float(g.min() - g[S] @ theta_s)
-        return g, fval, res
-
-    for _ in range(max_pivots):
+    for _ in range(min(3 * M + 100, MAX_PIVOTS)):
         pivots += 1
         th_new = solve_face(support)
         # every prune step drops at least one member, so this ends within
@@ -408,9 +415,12 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
             theta_s = theta_s / mass
         else:  # degenerate face solve: fall back to the flat face point
             theta_s = np.full(len(support), 1.0 / len(support))
-        g, fval, res = evaluate(support, theta_s)
-        if res >= -kkt_tol * (1.0 + abs(fval)):
-            converged = True
+        theta = np.zeros(M)
+        theta[support] = theta_s
+        resid = phi[support].T @ theta_s - target
+        g = phi @ resid + lin
+        fval, res, converged = _certificate(g, theta, resid, lin)
+        if converged:
             break
         jadd = int(np.argmin(g))
         if jadd in support:
@@ -419,9 +429,7 @@ def _solve_simplex_qp(phi, target, lin, kkt_tol, max_pivots):
         support.append(jadd)
         theta_s = np.append(theta_s, 0.0)
 
-    theta = np.zeros(M)
-    theta[np.asarray(support)] = theta_s
-    return theta, fval, res, pivots, converged, fallbacks, stalled
+    return theta, fval, float(res), pivots, bool(converged), fallbacks, stalled
 
 
 SOLVE_STAGES = ("vertex", "segment", "active_set")
@@ -431,9 +439,9 @@ VERTEX, SEGMENT, ACTIVE_SET = range(len(SOLVE_STAGES))
 def _block_solve(resp: _Response, sigma: float):
     """The first two steps of the solve on every column of a block pass at once.
 
-    Column b is tested with the scalar solve's certificate, at DEFAULT_KKT_TOL,
-    at its starting vertex j0, then at the exact minimum on the segment from
-    e_j0 toward the vertex of least gradient (the scalar solve's second face).
+    Column b is tested with the scalar solve's certificate at its starting
+    vertex j0, then at the exact minimum on the segment from e_j0 toward the
+    vertex of least gradient (the scalar solve's second face).
     Each test is one GEMM on the block in the QP's coordinates.  Returns
     (theta (B, M), objective, kkt_residual, stage), stage indexing
     SOLVE_STAGES; a column at ACTIVE_SET needs solve_q_aggregation.
@@ -458,9 +466,7 @@ def _block_solve(resp: _Response, sigma: float):
 
     def certify(theta, resid):
         g = grad(resid).T + lin
-        fval = 0.5 * _sq_norms(resid) + np.einsum("bj,bj->b", lin, theta)
-        res = g.min(axis=1) - np.einsum("bj,bj->b", g, theta)
-        return g, fval, res, res >= -DEFAULT_KKT_TOL * (1.0 + np.abs(fval))
+        return (g, *_certificate(g, theta, resid, lin))
 
     # vertex values 1/2 ||phi_j||^2 - phi_j . target + lin_j, as the scalar solve starts
     start = lin + np.hstack(
@@ -489,30 +495,16 @@ def _block_solve(resp: _Response, sigma: float):
     return theta, fval + offset, res, stage
 
 
-def solve_q_aggregation(
-    family_or_union,
-    y: np.ndarray,
-    sigma: float,
-    *,
-    kkt_tol: float = DEFAULT_KKT_TOL,
-    max_iters: int = 10_000,
-) -> SolveReport:
+def solve_q_aggregation(family_or_union, y: np.ndarray, sigma: float) -> SolveReport:
     """Solve the aggregation program and certify the result.
 
-    Convergence means kkt_residual >= -kkt_tol * (1 + |objective|); on
-    non-convergence within the pivot budget the best iterate is
-    returned with ``converged=False``.
+    Convergence means kkt_residual >= -KKT_TOL * (1 + |objective|); on
+    non-convergence within min(3 M + 100, MAX_PIVOTS) pivots the best
+    iterate is returned with ``converged=False``.
     """
-    if not kkt_tol >= 0:
-        raise ValueError(f"kkt_tol must be nonnegative, got {kkt_tol!r}")
-    if not max_iters >= 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     resp = _response(family_or_union, y)
     phi, target, offset, lin = _qp_data(resp, sigma)
-    max_pivots = min(3 * lin.size + 100, max_iters)
-    theta, fval, res, pivots, converged, fallbacks, stalled = _solve_simplex_qp(
-        phi, target, lin, kkt_tol, max_pivots
-    )
+    theta, fval, res, pivots, converged, fallbacks, stalled = _solve_simplex_qp(phi, target, lin)
     weights = make_weights(resp.candidates, theta, resp)
     return SolveReport(
         weights=weights,
@@ -531,12 +523,10 @@ def select_cp(family_or_union, y: np.ndarray, sigma: float) -> int:
     return int(np.argmin(cp_values(family_or_union, y, sigma)))
 
 
-def _gcv_scores(resp: _Response, tol: float | None = None) -> np.ndarray:
-    """GCV score of every member, inf where the denominator degenerates."""
+def _gcv_scores(resp: _Response) -> np.ndarray:
+    """GCV score of every member, inf where trace A_j >= n - 1e-8 n."""
     n, df = resp.candidates.n, resp.candidates.df
-    if tol is None:
-        tol = 1e-8 * n
-    degenerate = df >= n - tol
+    degenerate = df >= n - 1e-8 * n
     for j in np.flatnonzero(degenerate):
         warnings.warn(
             f"excluding member {j} from GCV selection: trace {df[j]:.6g} "
@@ -545,43 +535,38 @@ def _gcv_scores(resp: _Response, tol: float | None = None) -> np.ndarray:
             stacklevel=3,
         )
     if degenerate.all():
-        raise ValueError("every member has trace within tol of n; GCV is undefined")
+        raise ValueError("every member has trace within 1e-8 n of n; GCV is undefined")
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = resp.resid_sq / (n - df) ** 2
     scores[..., degenerate] = np.inf
     return scores
 
 
-def select_gcv(family_or_union, y: np.ndarray, tol: float | None = None) -> int:
+def select_gcv(family_or_union, y: np.ndarray) -> int:
     """Generalized cross-validation selection.
 
     Minimizes ||A_j y - y||^2 / (n - trace A_j)^2; members whose trace
-    comes within tol of n are excluded with a warning because the
+    comes within 1e-8 n of n are excluded with a warning because the
     denominator degenerates.
     """
-    return int(np.argmin(_gcv_scores(_response(family_or_union, y), tol)))
+    return int(np.argmin(_gcv_scores(_response(family_or_union, y))))
 
 
-def _softmax(cp: np.ndarray, sigma: float, temperature: float | None = None) -> np.ndarray:
-    """Weights proportional to exp(-cp / temperature) along the member axis."""
-    if temperature is None:
-        temperature = 4.0 * sigma**2
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
-    w = np.exp(-(cp - cp.min(axis=-1, keepdims=True)) / temperature)
+def _softmax(cp: np.ndarray, sigma: float) -> np.ndarray:
+    """Weights proportional to exp(-cp / (4 sigma^2)) along the member axis."""
+    w = np.exp(-(cp - cp.min(axis=-1, keepdims=True)) / (4.0 * sigma**2))
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def exponential_weights(
-    family_or_union, y: np.ndarray, sigma: float, temperature: float | None = None
-) -> SimplexWeights:
-    """Softmax weights theta_j proportional to exp(-Cp_j / temperature).
+def exponential_weights(family_or_union, y: np.ndarray, sigma: float) -> SimplexWeights:
+    """Softmax weights theta_j proportional to exp(-Cp_j / (4 sigma^2)).
 
-    The default temperature is 4 sigma^2.  Guarded against overflow by
+    4 sigma^2 is the temperature at which the exponential-weights risk
+    bound of Leung & Barron (2006) holds.  Guarded against overflow by
     subtracting the best criterion value before exponentiating.
     """
     resp = _response(family_or_union, y)
-    theta = _softmax(_cp(resp, sigma), sigma, temperature)
+    theta = _softmax(_cp(resp, sigma), sigma)
     return make_weights(resp.candidates, theta, resp)
 
 

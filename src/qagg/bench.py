@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import time
 import typing
 from dataclasses import dataclass, field, replace
@@ -165,6 +166,8 @@ def _load(tp, data, where: str):
         data = float(data)
     if not isinstance(data, tp) or isinstance(data, bool) is not (tp is bool):
         raise ConfigError(f"key '{where}' must be {_TYPE_NAMES[tp]}, got {data!r}")
+    if tp is float and not math.isfinite(data):  # JSON and TOML both read nan and inf
+        raise ConfigError(f"key '{where}' must be a finite number, got {data!r}")
     return data
 
 
@@ -312,6 +315,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigError(f"key 'replicates' must be >= 1, got {self.replicates}")
+        if self.seed < 0:
+            raise ConfigError(f"key 'seed' must be >= 0, got {self.seed}")
+        if not self.label or any(c in self.label for c in "/\\\0"):
+            raise ConfigError(
+                f"key 'label' must be a nonempty file-name part without '/', '\\' or NUL, "
+                f"got {self.label!r}"
+            )
         if not self.families:
             raise ConfigError("key 'families' must list at least one family")
         p0 = self.families[0].p
@@ -446,16 +456,16 @@ def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = No
     return Instance(candidates=candidates, truth=truth, oracle_member=j_star, oracle_risk=r_star)
 
 
-def _member_losses(resp, members: np.ndarray, mean_coords) -> np.ndarray:
+def _member_losses(resp, members: np.ndarray, mean) -> np.ndarray:
     """||A_j y_b - mu||^2 of member j = members[b] on every column b of a block pass.
 
     Evaluated in spectral coordinates as ||alpha_j * z_f - m_f||^2 + ||P_f_perp mu||^2,
-    with (m_f, ||P_f_perp mu||^2) = mean_coords[f] for the family f of member j.
+    with m_f = U_f^T mu and ||P_f_perp mu||^2 read from ``mean``, the pass of mu.
     """
     cands = resp.candidates
     fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
     out = np.empty(members.size)
-    for k, (fam, z, (m, mu_perp)) in enumerate(zip(cands.families, resp.z, mean_coords)):
+    for k, (fam, z, m, mu_perp) in enumerate(zip(cands.families, resp.z, mean.z, mean.perp)):
         cols = np.flatnonzero(fam_of == k)
         if cols.size:
             d = fam.alphas[members[cols] - cands.offsets[k]] * z[:, cols].T - m
@@ -463,29 +473,28 @@ def _member_losses(resp, members: np.ndarray, mean_coords) -> np.ndarray:
     return out
 
 
-def _weight_losses(resp, theta: np.ndarray, mu: np.ndarray, mean_coords) -> np.ndarray:
+def _weight_losses(resp, theta: np.ndarray, mean) -> np.ndarray:
     """||A_theta y_b - mu||^2 of weights theta[b] on every column b; spectral for one family."""
     if resp.candidates.q == 1:
-        ((m, mu_perp),) = mean_coords
-        return _sq_norms(resp.spectral_fit(0, theta) - m[:, None]) + mu_perp
-    return _sq_norms(resp.fit(theta) - mu[:, None])
+        return _sq_norms(resp.spectral_fit(0, theta) - mean.z[0][:, None]) + mean.perp[0]
+    return _sq_norms(resp.fit(theta) - mean.y[:, None])
 
 
-def _block_losses(instance: Instance, resp, methods, mean_coords) -> dict[str, np.ndarray]:
+def _block_losses(instance: Instance, resp, methods, mean) -> dict[str, np.ndarray]:
     """Loss on every column of a block pass of each method other than q_agg."""
-    mu, sigma = instance.truth.mu, instance.truth.sigma
+    sigma = instance.truth.sigma
     cp = _cp(resp, sigma)
     out = {}
     for name in methods:
         if name == "oracle":
             oracle = np.full(cp.shape[0], instance.oracle_member)
-            out[name] = _member_losses(resp, oracle, mean_coords)
+            out[name] = _member_losses(resp, oracle, mean)
         elif name == "cp_select":
-            out[name] = _member_losses(resp, cp.argmin(axis=-1), mean_coords)
+            out[name] = _member_losses(resp, cp.argmin(axis=-1), mean)
         elif name == "gcv":
-            out[name] = _member_losses(resp, _gcv_scores(resp).argmin(axis=-1), mean_coords)
+            out[name] = _member_losses(resp, _gcv_scores(resp).argmin(axis=-1), mean)
         elif name == "exp_weights":
-            out[name] = _weight_losses(resp, _softmax(cp, sigma), mu, mean_coords)
+            out[name] = _weight_losses(resp, _softmax(cp, sigma), mean)
     return out
 
 
@@ -504,11 +513,7 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
     q_converged = np.ones(count, dtype=bool)
     lemma_gap = np.full(count, -np.inf)
     stages = np.zeros(len(SOLVE_STAGES), dtype=int)
-    mean_coords = []
-    for fam in candidates.families:
-        m = fam.spectral_coords(mu)
-        mu_perp = mu - fam.basis @ m
-        mean_coords.append((m, float(mu_perp @ mu_perp)))
+    mean = _response(candidates, mu)
 
     def loss(fit):
         return float((fit - mu) @ (fit - mu))
@@ -522,7 +527,7 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
         draws += mu  # row b is the draw y = mu + sigma * eps of replicate start + b
         resp = _response(candidates, draws.T, block=True)
         block = slice(start - lo, stop - lo)
-        for name, values in _block_losses(instance, resp, config.methods, mean_coords).items():
+        for name, values in _block_losses(instance, resp, config.methods, mean).items():
             losses[name][block] = values
         if "q_agg" not in config.methods:
             continue
@@ -530,11 +535,11 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
         stages += np.bincount(stage, minlength=len(SOLVE_STAGES))
         # a vertex draw's loss and the oracle's come from the same function, so a
         # draw that lands on the oracle vertex has an excess of exactly zero
-        q_loss = _member_losses(resp, theta.argmax(axis=1), mean_coords)
-        oracle_loss = _member_losses(resp, np.full_like(stage, instance.oracle_member), mean_coords)
+        q_loss = _member_losses(resp, theta.argmax(axis=1), mean)
+        oracle_loss = _member_losses(resp, np.full_like(stage, instance.oracle_member), mean)
         segment = stage == SEGMENT
         if segment.any():
-            q_loss[segment] = _weight_losses(resp, theta, mu, mean_coords)[segment]
+            q_loss[segment] = _weight_losses(resp, theta, mean)[segment]
         # the draws the block stages left undecided get one certified solve each
         for b in np.flatnonzero(stage == ACTIVE_SET):
             draw = resp.column(b)

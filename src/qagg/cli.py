@@ -280,6 +280,10 @@ def _load_config(path: Path) -> dict:
 
 def cmd_bench(args) -> int:
     started = _utcnow()
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"--seed: must be >= 0, got {args.seed}")
+    if args.threads < 1:
+        raise InputError(f"--threads: must be >= 1, got {args.threads}")
     config_path = Path(args.config)
     try:  # some keys are checked only when the instances are built
         config = ExperimentConfig.from_dict(_load_config(config_path))

@@ -146,16 +146,15 @@ class OrderedCheckReport:
         return self.shrinkage_ok and self.commute_ok and self.comparable_ok
 
 
-def check_ordered(matrices, tol: float | None = None) -> OrderedCheckReport:
+def check_ordered(matrices, tol: float = 1e-8) -> OrderedCheckReport:
     """Check the three ordered-family axioms on a list of square matrices.
 
     (i) each matrix is symmetric with eigenvalues in [-tol, 1 + tol],
     (ii) every pair commutes up to tol in Frobenius norm,
     (iii) for every pair, one of the two differences is PSD up to -tol.
 
-    When tol is None it defaults to 1e-8 times the largest eigenvalue
-    scale of the (symmetrized) inputs, as estimated by whichever path
-    decides (the two estimates agree to rounding).
+    tol is absolute; its default 1e-8 is the default of ``qagg validate
+    --tol``.
 
     The members of an ordered family commute, so one basis diagonalizes
     them all.  The check first tries to prove the three axioms in the
@@ -165,15 +164,15 @@ def check_ordered(matrices, tol: float | None = None) -> OrderedCheckReport:
     per pair); it alone reports failures.
     """
     mats = _square_stack(matrices)
-    if tol is not None and not tol > 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    certified_tol, off_diagonal = _shared_basis_certificate(mats, tol)
-    if certified_tol is not None:
+    certified, off_diagonal = _shared_basis_certificate(mats, tol)
+    if certified:
         return OrderedCheckReport(
             shrinkage_ok=True,
             commute_ok=True,
             comparable_ok=True,
-            tol=certified_tol,
+            tol=float(tol),
             method="shared-basis",
             off_diagonal=off_diagonal,
         )
@@ -203,10 +202,10 @@ _COMBINATION_SEED = 0
 def _shared_basis_certificate(mats, tol):
     """Prove the three axioms through one shared eigenbasis, or give up.
 
-    Returns (tol, largest off-diagonal mass); tol is None when the proof
-    fails.  With S_j and N_j the symmetric and antisymmetric parts of
-    A_j and Q the eigenvectors of sum_j c_j S_j, T_j = Q^T S_j Q splits
-    into its diagonal d_j and off-diagonal mass eps_j.  Then
+    Returns (whether the proof holds, largest off-diagonal mass).  With
+    S_j and N_j the symmetric and antisymmetric parts of A_j and Q the
+    eigenvectors of sum_j c_j S_j, T_j = Q^T S_j Q splits into its
+    diagonal d_j and off-diagonal mass eps_j.  Then
     rho_j = eps_j + delta_j bounds ||W^T S_j W - diag(d_j)||_F, where W
     is the orthogonal polar factor of Q and delta_j covers the loss of
     orthogonality of Q and the rounding of the two products.  So:
@@ -229,7 +228,7 @@ def _shared_basis_certificate(mats, tol):
     try:
         _, Q = np.linalg.eigh(0.5 * (combo + combo.T))
     except np.linalg.LinAlgError:
-        return None, None
+        return False, None
     # eta >= ||Q^T Q - I||_2: the computed norm plus the rounding of Q^T Q
     eta = float(np.linalg.norm(Q.T @ Q - np.eye(n))) + n * gamma
     # delta_j / ||S_j||_F: 2 eta + eta^2 for the basis and 2 sqrt(n) gamma (1 + eta)
@@ -253,13 +252,11 @@ def _shared_basis_certificate(mats, tol):
         delta[j] = margin * np.linalg.norm(S)
     off_diagonal = float(eps.max())
     if not eta < 0.25:  # not even close to orthogonal (or not finite)
-        return None, off_diagonal
-    if tol is None:
-        tol = 1e-8 * max(1.0, float(np.abs(d).max()))
+        return False, off_diagonal
     rho = eps + delta
     lo, hi = d.min(axis=1), d.max(axis=1)
     if not np.all((asym <= tol) & (lo - rho >= -tol) & (hi + rho <= 1.0 + tol)):
-        return None, off_diagonal
+        return False, off_diagonal
     spread = hi - lo
     s = np.maximum(hi, -lo) + rho
     for j in range(count - 1):
@@ -274,11 +271,11 @@ def _shared_basis_certificate(mats, tol):
         slack = rho[k] + rho[j] - tol  # min of one difference's spectrum >= -tol
         ordered = (diff.min(axis=1) >= slack) | (-diff.max(axis=1) >= slack)
         if not (np.all(comm <= tol) and np.all(ordered)):
-            return None, off_diagonal
-    return float(tol), off_diagonal
+            return False, off_diagonal
+    return True, off_diagonal
 
 
-def _check_ordered_pairwise(matrices, tol: float | None = None) -> OrderedCheckReport:
+def _check_ordered_pairwise(matrices, tol: float) -> OrderedCheckReport:
     """The axioms checked pair by pair: an eigvalsh and a commutator per pair.
 
     The fallback of :func:`check_ordered` and its reference: it decides
@@ -287,11 +284,6 @@ def _check_ordered_pairwise(matrices, tol: float | None = None) -> OrderedCheckR
     mats = _square_stack(matrices)
     sym = [0.5 * (A + A.T) for A in mats]
     spectra = [np.linalg.eigvalsh(S) for S in sym]
-    if tol is None:
-        scale = max(1.0, max(float(np.abs(w).max()) for w in spectra))
-        tol = 1e-8 * scale
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
 
     failures: list[str] = []
     shrinkage_ok = True

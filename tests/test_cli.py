@@ -396,6 +396,22 @@ class TestBenchCommand:
             ({"lemma_check": "false"}, "lemma_check"),
             ({"families": [{"p": 6, "grid": {"absolute": "false"}}]},
              "families[0].grid.absolute"),
+            ({"families": [{"p": 6, "grid": {"max": float("inf")}}]}, "families[0].grid.max"),
+            ({"families": [{"p": 6, "penalty": {"kind": "diag-power", "exponent": float("nan")}}]},
+             "families[0].penalty.exponent"),
+            ({"scenario": {"n": 16, "sigma": float("inf")}}, "scenario.sigma"),
+            ({"scenario": {"n": 16, "mean": {"shape": "spectral-decay", "scale": float("nan")}}},
+             "scenario.mean.scale"),
+            ({"scenario": {"n": 16, "mean": {"shape": "spectral-decay", "rate": float("inf")}}},
+             "scenario.mean.rate"),
+            ({"scenario": {"n": 16, "mean": {"shape": "spectral-decay",
+                                             "target_risk": float("nan")}}},
+             "scenario.mean.target_risk"),
+            ({"seed": -3}, "seed"),
+            ({"label": "../../x"}, "label"),
+            ({"label": "a\\b"}, "label"),
+            ({"label": ""}, "label"),
+            ({"label": "a\0b"}, "label"),
         ],
         ids=lambda v: v if isinstance(v, str) else "",
     )
@@ -406,6 +422,18 @@ class TestBenchCommand:
         assert code == 2
         assert err.startswith("error:") and f"'{key}'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "-5"), ("--threads", "0"), ("--threads", "-3")]
+    )
+    def test_out_of_range_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        config = bench_config(tmp_path)
+        code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o"),
+                     flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {flag}:")
+        assert not (tmp_path / "o").exists()
 
     def test_config_rejected_while_building_exits_2(self, tmp_path, capsys):
         short_mean = {"n": 16, "mean": {"shape": "explicit", "values": [1.0]}}

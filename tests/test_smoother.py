@@ -86,6 +86,12 @@ class TestCheckOrdered:
         mats = [member_matrix(family, j) for j in range(3)]
         assert check_ordered(mats).passed
 
+    def test_default_tolerance_is_absolute(self):
+        # the default is the absolute 1e-8 of `qagg validate --tol`, whatever the scale
+        assert check_ordered([0.5 * np.eye(2)]).tol == 1e-8
+        report = check_ordered([(1.0 + 2e-8) * np.eye(2)])
+        assert report.tol == 1e-8 and not report.shrinkage_ok
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             check_ordered([])
@@ -99,16 +105,13 @@ class TestCheckOrdered:
             check_ordered([np.zeros((0, 0)), np.zeros((0, 0))])
 
 
-def same_as_pairwise(mats, tol=None):
+def same_as_pairwise(mats, tol):
     """check_ordered's report, asserted to decide exactly as the pairwise check does."""
     report = check_ordered(mats, tol)
     oracle = _check_ordered_pairwise(mats, tol)
     fields = ("passed", "shrinkage_ok", "commute_ok", "comparable_ok", "failures")
     assert [getattr(report, f) for f in fields] == [getattr(oracle, f) for f in fields]
-    if tol is None:  # the scale comes from the shared basis or from eigvalsh
-        assert report.tol == pytest.approx(oracle.tol, rel=1e-12)
-    else:
-        assert report.tol == oracle.tol == tol
+    assert report.tol == oracle.tol == tol
     if not report.passed:  # the certificate never decides a failure
         assert report.method == "pairwise"
     return report
@@ -133,7 +136,7 @@ def tikhonov_stack(rng, n, p, lambdas, rank=None):
 class TestCheckOrderedMatchesPairwise:
     """check_ordered decides every input as the pairwise check does."""
 
-    @pytest.mark.parametrize("tol", [None, 1e-8, 1e-10])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_random_tikhonov_families(self, rng, tol):
         for _ in range(12):
             n = int(rng.integers(1, 12))
