@@ -205,8 +205,8 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
 
 
 def _check_sigma(sigma: float) -> None:
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
 
 
 def member_fits(family_or_union, y: np.ndarray) -> np.ndarray:

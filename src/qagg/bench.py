@@ -47,13 +47,7 @@ from qagg.aggregate import (
     solve_q_aggregation,
 )
 from qagg.smoother import FamilyUnion, GroundTruth, member_risks, oracle_index
-from qagg.spectral import (
-    SpectralFamily,
-    _factor_penalty,
-    _tikhonov_family,
-    _tuning_grid,
-    _whitened_svd,
-)
+from qagg.spectral import DesignProblem, SpectralFamily, build_tikhonov_family
 
 __all__ = [
     "ConfigError",
@@ -90,6 +84,9 @@ CI_Z = 1.96
 # costs a few GEMMs per block: widths 8, 16, 32 and 64 took 0.113, 0.086,
 # 0.073 and 0.069 s per AC-2 sweep (2-core VM, single-threaded BLAS).
 REPLICATE_BLOCK = 32
+
+# Longest file name, in bytes, that common file systems accept.
+NAME_MAX = 255
 
 
 class ConfigError(ValueError):
@@ -222,7 +219,11 @@ class MeanSpec:
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty matrix generator: identity or diag(i^exponent), i = 1..p."""
+    """Diagonal penalty K = diag(d): identity (d = 1) or d_i = i^exponent, i = 1..p.
+
+    Only diagonal penalties are built, so the relative grid's scale is read
+    off the design without a factorization (see ``_build_families``).
+    """
 
     kind: str = "identity"
     exponent: float = 0.0
@@ -233,10 +234,15 @@ class PenaltySpec:
                 f"key 'penalty.kind' must be 'identity' or 'diag-power', got {self.kind!r}"
             )
 
-    def build(self, p: int) -> np.ndarray:
+    def diagonal(self, p: int) -> np.ndarray:
+        """The penalty's diagonal; ValueError unless every entry is finite and positive."""
         if self.kind == "identity" or self.exponent == 0.0:
-            return np.eye(p)
-        return np.diag(np.arange(1.0, p + 1.0) ** self.exponent)
+            return np.ones(p)
+        with np.errstate(over="ignore"):
+            d = np.arange(1.0, p + 1.0) ** self.exponent
+        if not (np.all(np.isfinite(d)) and d.min() > 0.0):
+            raise ValueError(f"i^{self.exponent} for i = 1..{p} is not finite and positive")
+        return d
 
 
 @dataclass(frozen=True)
@@ -244,8 +250,9 @@ class GridSpec:
     """Geometric tuning grid.
 
     Bounds are multiples of the mean squared singular value of the
-    whitened design unless ``absolute`` is set, so the default range
-    [1e-3, 1e3] covers near-interpolation through near-zero fits.
+    whitened design B = X K^{-1/2}, that is ||B||_F^2 / min(n, p), unless
+    ``absolute`` is set, so the default range [1e-3, 1e3] covers
+    near-interpolation through near-zero fits.
     """
 
     min: float = 1e-3
@@ -266,7 +273,8 @@ class GridSpec:
 
     def build(self, scale: float) -> np.ndarray:
         factor = 1.0 if self.absolute else scale
-        return factor * np.geomspace(self.min, self.max, self.count)
+        with np.errstate(over="ignore"):  # DesignProblem rejects a grid that overflows
+            return factor * np.geomspace(self.min, self.max, self.count)
 
 
 @dataclass(frozen=True)
@@ -339,7 +347,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return _load(cls, data, "")
+        """Config read from parsed JSON.
+
+        Its label must keep every report name a run or sweep of it writes,
+        report_<label>[-M<m> | -q<q>].json, within NAME_MAX bytes.
+        """
+        config = _load(cls, data, "")
+        suffixes = [f"-M{m}" for m in config.sweep_m or ()]
+        suffixes += [f"-q{q}" for q in config.sweep_q or ()]
+        longest = max(
+            len(f"report_{config.label}{s}.json".encode(errors="surrogatepass"))
+            for s in ["", *suffixes]
+        )
+        if longest > NAME_MAX:
+            raise ConfigError(
+                f"key 'label' is too long: its longest report file name takes {longest} "
+                f"bytes, over the {NAME_MAX}-byte limit"
+            )
+        return config
 
     def to_dict(self) -> dict:
         return _dump(self)
@@ -364,17 +389,30 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
+    """One ``build_tikhonov_family(DesignProblem(X, diag(d), grid))`` per spec, on a shared X.
+
+    The relative grid's scale, the mean squared singular value of X K^{-1/2},
+    is ||X K^{-1/2}||_F^2 / min(n, p) = sum_ij X_ij^2 / d_j / min(n, p): no SVD.
+    A penalty or grid that is rejected raises a ConfigError naming the family's key.
+    """
     n, p = config.scenario.n, config.families[0].p
     X = _design_rng(config.seed).standard_normal((n, p))
     families = []
     for idx, spec in enumerate(config.families):
-        # one eigh + SVD per family: its untruncated singular values set the
-        # grid scale, and the same factorization builds the family
-        _, eig = _factor_penalty(spec.penalty.build(p))
-        whitened = _whitened_svd(X, eig)
-        scale = float(np.mean(whitened[2] ** 2))
-        lambdas = _tuning_grid(spec.grid.build(scale))
-        families.append(_tikhonov_family(whitened, lambdas, f"family-{idx}"))
+        key = f"families[{idx}]"
+        try:
+            d = spec.penalty.diagonal(p)
+            with np.errstate(over="ignore"):
+                scale = float(np.sum(X**2 / d)) / min(n, p)
+            if not math.isfinite(scale):
+                raise ValueError(f"the whitened design overflows (scale {scale})")
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}.penalty.exponent': {exc}") from None
+        try:
+            problem = DesignProblem(X=X, K=np.diag(d), lambdas=spec.grid.build(scale))
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}.grid': {exc}") from None
+        families.append(build_tikhonov_family(problem, f"family-{idx}"))
     return families
 
 
@@ -402,7 +440,12 @@ def _mean_unit(spec: MeanSpec, basis_family: SpectralFamily, n: int) -> np.ndarr
 
 
 def _calibrate_mean(candidates, mu_unit: np.ndarray, sigma: float, target: float) -> np.ndarray:
-    """Scale mu_unit so that the oracle risk of the candidate set hits target."""
+    """Scale mu_unit so that the oracle risk of the candidate set hits target.
+
+    At scale t member j has risk v_j + t^2 b_j (variance plus squared bias),
+    so the oracle risk min_j (v_j + t^2 b_j) is nondecreasing in t^2 and first
+    reaches target at t^2 = max over biased members (b_j > 0) of (target - v_j) / b_j.
+    """
     variances = member_risks(candidates, GroundTruth(mu=np.zeros(mu_unit.size), sigma=sigma))
     bias_unit = member_risks(candidates, GroundTruth(mu=mu_unit, sigma=sigma)) - variances
     unbiased = bias_unit <= 1e-12 * max(1.0, float(np.abs(bias_unit).max()))
@@ -418,23 +461,8 @@ def _calibrate_mean(candidates, mu_unit: np.ndarray, sigma: float, target: float
             f"key 'scenario.mean.target_risk' = {target} is below the pure-variance "
             f"floor {float(variances.min()):.6g}"
         )
-
-    def oracle_risk_at(t):
-        return float(np.min(variances + t**2 * bias_unit))
-
-    hi = 1.0
-    while oracle_risk_at(hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConfigError("mean calibration failed to bracket the target risk")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if oracle_risk_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) * mu_unit
+    t2 = np.max((target - variances[~unbiased]) / bias_unit[~unbiased])
+    return math.sqrt(t2) * mu_unit
 
 
 def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = None) -> Instance:

@@ -180,7 +180,7 @@ def _parse_lambdas(text: str) -> np.ndarray:
 def _write_column_csv(path: Path, values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         for v in values:
-            fh.write(f"{v!r}\n")
+            fh.write(f"{float(v)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,8 @@ def cmd_aggregate(args) -> int:
     else:
         K = _load_matrix(Path(args.penalty), "--penalty")
     lambdas = _parse_lambdas(args.lambdas)
-    if not args.sigma > 0:
-        raise InputError(f"--sigma: must be positive, got {args.sigma}")
+    if not 0 < args.sigma < np.inf:
+        raise InputError(f"--sigma: must be finite and positive, got {args.sigma}")
     try:
         problem = DesignProblem(X=X, K=K, lambdas=lambdas)
     except ValueError as exc:
@@ -238,9 +238,8 @@ def cmd_aggregate(args) -> int:
     with open(out / "weights.csv", "w", newline="") as fh:
         fh.write("member,lambda,theta,df,cp\n")
         for j in range(family.member_count):
-            fh.write(
-                f"{j},{problem.lambdas[j]!r},{report.weights.theta[j]!r},{df[j]!r},{cp[j]!r}\n"
-            )
+            row = (problem.lambdas[j], report.weights.theta[j], df[j], cp[j])
+            fh.write(",".join([str(j), *(repr(float(v)) for v in row)]) + "\n")
     _write_column_csv(out / "coefficients.csv", coefficients)
     _write_column_csv(out / "fitted.csv", report.weights.fitted)
 
@@ -337,8 +336,8 @@ def cmd_bench(args) -> int:
 
 def cmd_validate(args) -> int:
     matrices = _load_matrix_list(Path(args.matrices), "--matrices")
-    if not args.tol > 0:
-        raise InputError(f"--tol: must be positive, got {args.tol}")
+    if not 0 < args.tol < np.inf:
+        raise InputError(f"--tol: must be finite and positive, got {args.tol}")
     report = check_ordered(matrices, tol=args.tol)
     if report.off_diagonal is None:
         basis = "no shared basis could be computed"

@@ -43,8 +43,8 @@ class GroundTruth:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if mu.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mu.shape}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         object.__setattr__(self, "mu", _frozen_array(mu))
         object.__setattr__(self, "sigma", float(self.sigma))
 
@@ -164,8 +164,8 @@ def check_ordered(matrices, tol: float = 1e-8) -> OrderedCheckReport:
     per pair); it alone reports failures.
     """
     mats = _square_stack(matrices)
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     certified, off_diagonal = _shared_basis_certificate(mats, tol)
     if certified:
         return OrderedCheckReport(

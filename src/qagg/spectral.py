@@ -41,53 +41,16 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return arr
 
 
-def _factor_penalty(K: np.ndarray):
-    """Symmetrized penalty (K + K^T)/2 and its eigenpairs (w, Q).
-
-    Grossly asymmetric or non-positive-definite penalties are rejected.
-    The one eigendecomposition serves both the check and the whitening.
-    """
-    scale = max(1.0, float(np.abs(K).max()))
-    asym = float(np.abs(K - K.T).max())
-    if asym > 1e-8 * scale:
-        raise ValueError(
-            f"penalty matrix is not symmetric (max |K - K^T| = {asym:.3e})"
-        )
-    K = 0.5 * (K + K.T)
-    w, Q = np.linalg.eigh(K)
-    if w[0] <= 0.0:
-        raise ValueError(
-            "penalty matrix is not positive definite "
-            f"(smallest eigenvalue {float(w[0]):.6e})"
-        )
-    w.setflags(write=False)
-    Q.setflags(write=False)
-    return K, (w, Q)
-
-
-def _tuning_grid(lambdas) -> np.ndarray:
-    """The grid sorted ascending; rejects empty, negative, non-finite or repeated values."""
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if lambdas.ndim != 1 or lambdas.size == 0:
-        raise ValueError("lambda grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(lambdas)) or np.any(lambdas < 0):
-        raise ValueError("lambda grid entries must be finite and >= 0")
-    lambdas = np.sort(lambdas)
-    if np.any(np.diff(lambdas) == 0):
-        dup = lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]]
-        raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
-    return _frozen_array(lambdas)
-
-
 @dataclass(frozen=True)
 class DesignProblem:
     """Design matrix, positive-definite penalty and tuning grid.
 
     The penalty is symmetrized as (K + K^T)/2 on construction; grossly
     asymmetric or non-positive-definite penalties are rejected.  The
-    grid is sorted ascending and must not contain duplicates.
-    ``penalty_eigh`` keeps the eigenpairs (w, Q) of the symmetrized
-    penalty, so building a family does not factorize it again.
+    grid is sorted ascending and must be nonempty, finite, nonnegative
+    and free of duplicates.  ``penalty_eigh`` keeps the eigenpairs
+    (w, Q) of the symmetrized penalty: the one eigendecomposition serves
+    both the definiteness check and the whitening of the family build.
     """
 
     X: np.ndarray
@@ -109,11 +72,30 @@ class DesignProblem:
             )
         if not np.all(np.isfinite(K)):
             raise ValueError("penalty matrix entries must be finite")
-        K, eig = _factor_penalty(K)
+        asym = float(np.abs(K - K.T).max())
+        if asym > 1e-8 * max(1.0, float(np.abs(K).max())):
+            raise ValueError(f"penalty matrix is not symmetric (max |K - K^T| = {asym:.3e})")
+        K = 0.5 * (K + K.T)
+        w, Q = np.linalg.eigh(K)
+        if w[0] <= 0.0:
+            raise ValueError(
+                f"penalty matrix is not positive definite (smallest eigenvalue {w[0]:.6e})"
+            )
+        lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
+        if lambdas.ndim != 1 or lambdas.size == 0:
+            raise ValueError("lambda grid must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(lambdas)) or np.any(lambdas < 0):
+            raise ValueError("lambda grid entries must be finite and >= 0")
+        lambdas = np.sort(lambdas)
+        if np.any(np.diff(lambdas) == 0):
+            dup = float(lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]])
+            raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "K", _frozen_array(K))
-        object.__setattr__(self, "lambdas", _tuning_grid(self.lambdas))
-        object.__setattr__(self, "penalty_eigh", eig)
+        object.__setattr__(self, "lambdas", _frozen_array(lambdas))
+        w.setflags(write=False)
+        Q.setflags(write=False)
+        object.__setattr__(self, "penalty_eigh", (w, Q))
 
     @property
     def n(self) -> int:
@@ -197,47 +179,34 @@ class SpectralFamily:
         return self.basis.T @ y
 
 
-def _whitened_svd(X: np.ndarray, penalty_eigh):
-    """K^{-1/2} and the untruncated thin SVD U, s, V^T of B = X K^{-1/2}.
+def build_tikhonov_family(
+    problem: DesignProblem, family_id: str = "tikhonov"
+) -> SpectralFamily:
+    """Diagonalize the whole tuning grid of a design problem at once.
 
-    ``penalty_eigh`` holds the eigenpairs (w, Q) of the symmetrized K.
+    With B = X K^{-1/2} = U diag(mu) V^T (one thin SVD, with K^{-1/2}
+    taken from the problem's ``penalty_eigh``), member j acts as
+    U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, which agrees with the
+    dense fit map X (X^T X + lambda_j K)^{-1} X^T.  Coordinates with
+    mu_i <= RANK_TOL * mu_max are dropped.
     """
-    w, Q = penalty_eigh
+    w, Q = problem.penalty_eigh
     k_inv_sqrt = (Q / np.sqrt(w)) @ Q.T
-    U, s, Vt = np.linalg.svd(X @ k_inv_sqrt, full_matrices=False)
-    return k_inv_sqrt, U, s, Vt
-
-
-def _tikhonov_family(whitened, lambdas: np.ndarray, family_id: str) -> SpectralFamily:
-    """The family of a tuning grid, from the output of :func:`_whitened_svd`."""
-    k_inv_sqrt, U, s, Vt = whitened
+    U, s, Vt = np.linalg.svd(problem.X @ k_inv_sqrt, full_matrices=False)
     if s.size:
         keep = s > RANK_TOL * s[0]
         U, s, Vt = U[:, keep], s[keep], Vt[keep]
     mu2 = s**2
     # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly.
-    alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
+    alphas = mu2[None, :] / (mu2[None, :] + problem.lambdas[:, None])
     return SpectralFamily(
         basis=U,
         sing_vals=s,
         alphas=alphas,
         right_factor=Vt @ k_inv_sqrt,
         family_id=family_id,
-        lambdas=lambdas,
+        lambdas=problem.lambdas,
     )
-
-
-def build_tikhonov_family(
-    problem: DesignProblem, family_id: str = "tikhonov"
-) -> SpectralFamily:
-    """Diagonalize the whole tuning grid of a design problem at once.
-
-    With B = X K^{-1/2} = U diag(mu) V^T, member j acts as
-    U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, which agrees with the
-    dense fit map X (X^T X + lambda_j K)^{-1} X^T.
-    """
-    whitened = _whitened_svd(problem.X, problem.penalty_eigh)
-    return _tikhonov_family(whitened, problem.lambdas, family_id)
 
 
 def _check_index(family: SpectralFamily, j: int) -> int:
@@ -276,11 +245,12 @@ def member_matrix(family: SpectralFamily, j: int) -> np.ndarray:
 def recover_coefficients(family: SpectralFamily, weights: "SimplexWeights") -> np.ndarray:
     """Aggregated coefficient vector sum_j theta_j w_hat(K, lambda_j).
 
-    Requires a family built from a design problem (right_factor and the
-    tuning grid present) and weights that remember the response they
-    were fitted to.
+    Member j's coefficient curve on coordinate i, mu_i / (mu_i^2 + lambda_j),
+    equals alpha_ji / mu_i, so only the member eigenvalues are needed.
+    Requires a family built from a design problem (right_factor present)
+    and weights that remember the response they were fitted to.
     """
-    if family.right_factor is None or family.lambdas is None:
+    if family.right_factor is None:
         raise ValueError(
             "family has no coefficient-space factor; it was not built "
             "from a design problem"
@@ -293,7 +263,4 @@ def recover_coefficients(family: SpectralFamily, weights: "SimplexWeights") -> n
     if weights.response is None:
         raise ValueError("weights carry no response vector; cannot recover coefficients")
     z = family.spectral_coords(weights.response)
-    mu2 = family.sing_vals**2
-    # coefficient curve of member j on coordinate i: mu_i / (mu_i^2 + lambda_j)
-    curves = family.sing_vals[None, :] / (mu2[None, :] + family.lambdas[:, None])
-    return family.right_factor.T @ ((curves.T @ theta) * z)
+    return family.right_factor.T @ ((family.alphas.T @ theta) * z / family.sing_vals)

@@ -139,6 +139,8 @@ class TestCpCriterion:
         _, family = small_family
         with pytest.raises(ValueError, match="sigma"):
             cp_values(family, np.zeros(5), 0.0)
+        with pytest.raises(ValueError, match="sigma"):
+            cp_values(family, np.zeros(5), np.inf)
 
 
 class TestQObjective:
@@ -289,6 +291,8 @@ class TestSolver:
         _, family = small_family
         with pytest.raises(ValueError, match="sigma"):
             solve_q_aggregation(family, np.zeros(5), -1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            solve_q_aggregation(family, np.zeros(5), np.inf)
 
     def test_report_lists_support_and_no_fallbacks_on_a_separated_grid(self, rng):
         for _ in range(10):

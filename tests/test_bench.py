@@ -32,6 +32,10 @@ from qagg.bench import (
     MeanSpec,
     PenaltySpec,
     ScenarioSpec,
+    _build_families,
+    _calibrate_mean,
+    _design_rng,
+    _mean_unit,
     _replicate_chunk,
     _replicate_rng,
     build_instance,
@@ -41,7 +45,7 @@ from qagg.bench import (
     write_report_json,
     write_reports_csv,
 )
-from qagg.smoother import member_risks
+from qagg.smoother import FamilyUnion, GroundTruth, member_risks
 
 
 def small_config(**overrides):
@@ -140,6 +144,31 @@ class TestConfigParsing:
             build_instance(cfg)
 
 
+def bisection_scale(candidates, mu_unit, sigma, target):
+    """Scale t with min_j (v_j + t^2 b_j) = target by bracket doubling and 200 bisections.
+
+    The search bench used before the closed form; kept as its reference oracle.
+    """
+    variances = member_risks(candidates, GroundTruth(mu=np.zeros(mu_unit.size), sigma=sigma))
+    bias_unit = member_risks(candidates, GroundTruth(mu=mu_unit, sigma=sigma)) - variances
+
+    def oracle_risk_at(t):
+        return float(np.min(variances + t**2 * bias_unit))
+
+    hi = 1.0
+    while oracle_risk_at(hi) < target:
+        hi *= 2.0
+        assert hi <= 1e12, "failed to bracket the target risk"
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if oracle_risk_at(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestInstance:
     def test_target_risk_calibration(self):
         cfg = small_config(
@@ -164,6 +193,59 @@ class TestInstance:
         )
         with pytest.raises(ConfigError, match="target_risk"):
             build_instance(cfg)
+
+    @pytest.mark.parametrize("n, p", [(30, 12), (12, 30)], ids=["n>p", "n<p"])
+    @pytest.mark.parametrize(
+        "penalty", [PenaltySpec(), PenaltySpec("diag-power", 1.5), PenaltySpec("diag-power", -2.0)],
+        ids=["identity", "power-1.5", "power-minus-2"],
+    )
+    def test_relative_grid_scale_is_mean_squared_singular_value(self, n, p, penalty):
+        # a one-point relative grid at 1.0 is the scale itself
+        cfg = small_config(
+            scenario=ScenarioSpec(n=n, mean=MeanSpec(shape="spectral-decay")),
+            families=(FamilySpec(p=p, penalty=penalty, grid=GridSpec(min=1.0, max=1.0, count=1)),),
+        )
+        (family,) = _build_families(cfg)
+        X = _design_rng(cfg.seed).standard_normal((n, p))
+        d = np.arange(1.0, p + 1.0) ** penalty.exponent
+        expected = np.mean(np.linalg.svd(X / np.sqrt(d), compute_uv=False) ** 2)
+        assert family.lambdas.shape == (1,)
+        assert abs(family.lambdas[0] - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize(
+        "mean",
+        [MeanSpec(shape="spectral-decay", rate=1.0), MeanSpec(shape="spectral-decay", rate=0.5),
+         MeanSpec(shape="single-spike", coordinate=0), MeanSpec(shape="single-spike", coordinate=9)],
+        ids=["decay-1", "decay-0.5", "spike-first", "spike-last"],
+    )
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(count=12), GridSpec(min=1e-2, max=1e2, count=5),
+         GridSpec(min=0.5, max=50.0, count=8, absolute=True)],
+        ids=["default", "narrow", "absolute"],
+    )
+    def test_closed_form_calibration_matches_bisection(self, seed, mean, grid):
+        sigma = 1.3
+        cfg = small_config(
+            scenario=ScenarioSpec(n=24, sigma=sigma, mean=mean),
+            families=(FamilySpec(p=10, grid=grid),),
+            seed=seed,
+        )
+        families = _build_families(cfg)
+        candidates = FamilyUnion(families=tuple(families))
+        mu_unit = _mean_unit(mean, families[0], 24)
+        variances = member_risks(candidates, GroundTruth(mu=np.zeros(24), sigma=sigma))
+        for frac in (0.05, 0.5, 0.95):
+            # targets inside the reachable range (floor, cap)
+            target = variances.min() + frac * (variances.max() - variances.min())
+            mu = _calibrate_mean(candidates, mu_unit, sigma, target)
+            t = bisection_scale(candidates, mu_unit, sigma, target)
+            np.testing.assert_allclose(mu, t * mu_unit, rtol=1e-12, atol=0)
+            calibrated = replace(cfg, scenario=replace(
+                cfg.scenario, mean=replace(mean, target_risk=float(target))))
+            risk = build_instance(calibrated).oracle_risk
+            assert abs(risk - target) <= 1e-12 * target
 
     def test_oracle_matches_member_risks(self):
         instance = build_instance(small_config())

@@ -10,6 +10,7 @@ from conftest import STRESS_CASES, stress_problem
 
 from qagg.aggregate import cp_values, solve_q_aggregation
 from qagg.cli import main
+from qagg.smoother import FamilyUnion
 from qagg.spectral import (
     DesignProblem,
     build_tikhonov_family,
@@ -81,6 +82,29 @@ class TestAggregateCommand:
         assert weights_lines[0] == "member,lambda,theta,df,cp"
         assert len(weights_lines) == 4
 
+    def test_csv_outputs_read_back_exactly(self, tmp_path, toy_inputs):
+        # every number in the CSVs is a plain float literal that parses back to the same bits
+        X, y, design, response = toy_inputs
+        out = tmp_path / "out"
+        code = main(
+            ["aggregate", "--design", str(design), "--response", str(response),
+             "--lambdas", "0.5,2.0,8.0", "--sigma", "0.3", "--output", str(out)]
+        )
+        assert code == 0
+        problem = DesignProblem(X=X, K=np.eye(3), lambdas=[0.5, 2.0, 8.0])
+        family = build_tikhonov_family(problem)
+        report = solve_q_aggregation(family, y, 0.3)
+        weights = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1)
+        expected = np.column_stack([
+            np.arange(3.0), problem.lambdas, report.weights.theta,
+            FamilyUnion.of(family).df, cp_values(family, y, 0.3),
+        ])
+        assert np.array_equal(weights, expected)
+        coefficients = np.loadtxt(out / "coefficients.csv", delimiter=",")
+        assert np.array_equal(coefficients, recover_coefficients(family, report.weights))
+        fitted = np.loadtxt(out / "fitted.csv", delimiter=",")
+        assert np.array_equal(fitted, report.weights.fitted)
+
     def test_single_member_grid_gets_unit_weight(self, tmp_path, toy_inputs):
         _, _, design, response = toy_inputs
         out = tmp_path / "out"
@@ -126,6 +150,7 @@ class TestAggregateCommand:
             ({"--sigma": "-1.0"}, "--sigma"),
             ({"--lambdas": "geom:1:0.1:4"}, "--lambdas"),
             ({"--lambdas": "1.0,1.0"}, "--lambdas"),
+            ({"--sigma": "inf"}, "--sigma"),
         ],
     )
     def test_malformed_inputs_exit_2(self, tmp_path, toy_inputs, capsys, mutation, needle):
@@ -320,6 +345,18 @@ class TestValidateCommand:
         path.write_text("not,numbers\n1,2\n")
         assert main(["validate", "--matrices", str(path)]) == 2
 
+    def test_non_finite_tol_exit_2(self, tmp_path, capsys):
+        # {I, 3I}: the spectrum 3 lies outside [0, 1], which no tolerance may hide
+        path = tmp_path / "mats.csv"
+        np.savetxt(path, np.vstack([np.eye(2), 3.0 * np.eye(2)]), delimiter=",")
+        assert main(["validate", "--matrices", str(path)]) == 1
+        assert "axiom (i) symmetric with spectrum in [0, 1]: FAIL" in capsys.readouterr().out
+        for tol in ("inf", "nan"):
+            assert main(["validate", "--matrices", str(path), "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: --tol:")
+            assert "PASS" not in captured.out
+
 
 class TestBenchCommand:
     def test_outputs_and_manifest(self, tmp_path):
@@ -412,6 +449,9 @@ class TestBenchCommand:
             ({"label": "a\\b"}, "label"),
             ({"label": ""}, "label"),
             ({"label": "a\0b"}, "label"),
+            ({"label": "x" * 300}, "label"),
+            # report_<label>.json alone is 252 bytes, report_<label>-M1000.json 258
+            ({"label": "x" * 240, "sweep": {"M": [1000]}}, "label"),
         ],
         ids=lambda v: v if isinstance(v, str) else "",
     )
@@ -440,12 +480,41 @@ class TestBenchCommand:
         for overrides, extra, key in (
             ({"scenario": short_mean}, [], "scenario.mean.values"),
             ({"sweep": {"M": [5, 2]}}, ["--sweep", "M"], "sweep.M"),
+            ({"families": [{"p": 6, "penalty": {"kind": "diag-power", "exponent": -1000}}]},
+             [], "families[0].penalty.exponent"),
+            ({"families": [{"p": 6, "penalty": {"kind": "diag-power", "exponent": 1e6}}]},
+             [], "families[0].penalty.exponent"),
+            # 6^-400 is subnormal: the diagonal is positive, but X K^(-1/2) overflows
+            ({"families": [{"p": 6, "penalty": {"kind": "diag-power", "exponent": -400}}]},
+             [], "families[0].penalty.exponent"),
+            ({"families": [{"p": 6, "grid": {"min": 1, "max": 1 + 1e-13, "count": 1000,
+                                             "absolute": True}}]},
+             [], "families[0].grid"),
         ):
             config = bench_config(tmp_path, **overrides)
             code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o"),
                          *extra])
             assert code == 2
             assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, key",
+        [
+            ({"p": 6, "penalty": {"kind": "diag-power", "exponent": 1e6}},
+             "families[0].penalty.exponent"),
+            ({"p": 6, "penalty": {"kind": "diag-power", "exponent": -400}},
+             "families[0].penalty.exponent"),
+            ({"p": 6, "grid": {"min": 1, "max": 1e308, "count": 3}}, "families[0].grid"),
+        ],
+        ids=["power-overflow", "whitening-overflow", "grid-overflow"],
+    )
+    def test_overflow_exits_2_without_a_warning(self, tmp_path, capsys, family, key):
+        config = bench_config(tmp_path, families=[family])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -15,6 +15,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# family builds per sweep at tiny size, all through build_tikhonov_family:
+# mc-grid the reference grid plus M in {2, 10}; mc-union the q = 1 reference
+# plus q in {1, 2}; cli-oneshot the one family of `qagg aggregate`
+FAMILY_BUILDS = {"mc-grid": 3, "mc-union": 4, "cli-oneshot": 1}
+
 
 @pytest.mark.parametrize("workload", ["mc-grid", "mc-union", "cli-oneshot"])
 def test_traced_tiny_run_is_correct(workload):
@@ -27,3 +32,5 @@ def test_traced_tiny_run_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
+    builds = result["metrics"]["spectral.build_tikhonov_family.calls"]["value"]
+    assert builds == FAMILY_BUILDS[workload]

@@ -26,6 +26,8 @@ class TestGroundTruth:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma"):
             GroundTruth(mu=np.zeros(3), sigma=0.0)
+        with pytest.raises(ValueError, match="sigma"):
+            GroundTruth(mu=np.zeros(3), sigma=np.inf)
 
     def test_dimension(self):
         assert GroundTruth(mu=np.zeros(4), sigma=1.0).n == 4
@@ -91,6 +93,12 @@ class TestCheckOrdered:
         assert check_ordered([0.5 * np.eye(2)]).tol == 1e-8
         report = check_ordered([(1.0 + 2e-8) * np.eye(2)])
         assert report.tol == 1e-8 and not report.shrinkage_ok
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # with tol = inf the stack {I, 3I}, spectrum 3, would pass every axiom
+        with pytest.raises(ValueError, match="tolerance"):
+            check_ordered([np.eye(2), 3.0 * np.eye(2)], tol=tol)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
