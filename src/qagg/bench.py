@@ -754,6 +754,7 @@ def regret_vs_M_sweep(
             config,
             label=f"{config.label}-M{m}",
             families=(replace(base, grid=replace(base.grid, count=m)),),
+            sweep_m=None, sweep_q=None,
         )
         reports.append(run_experiment(cfg, threads=threads, mu_override=mu))
     return reports
@@ -790,6 +791,7 @@ def regret_vs_q_sweep(
             config,
             label=f"{config.label}-q{q}",
             families=_q_sweep_families(base, q, config.members_per_family),
+            sweep_m=None, sweep_q=None,
         )
         reports.append(run_experiment(cfg, threads=threads, mu_override=mu))
     return reports

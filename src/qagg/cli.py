@@ -203,6 +203,8 @@ def cmd_aggregate(args) -> int:
         raise InputError(f"--sigma: must be finite and positive, got {args.sigma}")
     try:
         problem = DesignProblem(X=X, K=K, lambdas=lambdas)
+    except np.linalg.LinAlgError:  # reported by main, naming every input
+        raise
     except ValueError as exc:
         raise InputError(f"--penalty/--lambdas: {exc}") from exc
     family = build_tikhonov_family(problem)
@@ -226,6 +228,8 @@ def cmd_aggregate(args) -> int:
         "converged": report.converged,
         "support": list(report.support),
         "ridge_fallbacks": report.ridge_fallbacks,
+        "factorization": family.factorization,
+        "orthogonality_defect": family.orthogonality_defect,
         "stalled_pivots": report.stalled_pivots,
         "df": df.tolist(),
         "cp": cp.tolist(),

@@ -4,9 +4,9 @@ A grid of Tikhonov regularizers with a common penalty matrix is
 simultaneously diagonalizable: every fit map has the form
 ``U diag(alpha) U^T`` for one orthonormal basis ``U`` and per-member
 eigenvalue vectors ``alpha`` in [0, 1].  Building that representation
-once (one SVD) makes every downstream quantity -- fits, degrees of
-freedom, risks, selection criteria -- an O(n * M) vector computation
-instead of M dense linear solves.
+once (one certified factorization) makes every downstream quantity --
+fits, degrees of freedom, risks, selection criteria -- an O(n * M)
+vector computation instead of M dense linear solves.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ __all__ = [
 # the minimum-norm (pseudoinverse) least-squares convention.
 RANK_TOL = 1e-12
 
+GRAM_TOL = 1e-10  # the Gram route's screen on mu_min^2 / mu_max^2 and bound on its defect
+
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype, order="C")
@@ -48,15 +50,14 @@ class DesignProblem:
     The penalty is symmetrized as (K + K^T)/2 on construction; grossly
     asymmetric or non-positive-definite penalties are rejected.  The
     grid is sorted ascending and must be nonempty, finite, nonnegative
-    and free of duplicates.  ``penalty_eigh`` keeps the eigenpairs
-    (w, Q) of the symmetrized penalty: the one eigendecomposition serves
-    both the definiteness check and the whitening of the family build.
+    and free of duplicates.  ``penalty_factor`` is the Cholesky factor L
+    (K = L L^T), which both checks definiteness and whitens the build.
     """
 
     X: np.ndarray
     K: np.ndarray
     lambdas: np.ndarray
-    penalty_eigh: tuple = field(init=False, repr=False, compare=False)
+    penalty_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -76,11 +77,15 @@ class DesignProblem:
         if asym > 1e-8 * max(1.0, float(np.abs(K).max())):
             raise ValueError(f"penalty matrix is not symmetric (max |K - K^T| = {asym:.3e})")
         K = 0.5 * (K + K.T)
-        w, Q = np.linalg.eigh(K)
-        if w[0] <= 0.0:
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            smallest = float(np.linalg.eigvalsh(K)[0])
+            if smallest > 0.0:  # positive definite, yet Cholesky broke down: report that
+                raise
             raise ValueError(
-                f"penalty matrix is not positive definite (smallest eigenvalue {w[0]:.6e})"
-            )
+                f"penalty matrix is not positive definite (smallest eigenvalue {smallest:.6e})"
+            ) from None
         lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         if lambdas.ndim != 1 or lambdas.size == 0:
             raise ValueError("lambda grid must be a nonempty 1-d sequence")
@@ -93,9 +98,7 @@ class DesignProblem:
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "K", _frozen_array(K))
         object.__setattr__(self, "lambdas", _frozen_array(lambdas))
-        w.setflags(write=False)
-        Q.setflags(write=False)
-        object.__setattr__(self, "penalty_eigh", (w, Q))
+        object.__setattr__(self, "penalty_factor", _frozen_array(L))
 
     @property
     def n(self) -> int:
@@ -116,10 +119,11 @@ class SpectralFamily:
 
     ``basis`` holds the r retained eigenvectors (n x r, orthonormal
     columns), ``alphas[j, i]`` the eigenvalue of member j on basis
-    vector i, and ``sing_vals`` the singular values of X K^{-1/2} on
+    vector i, and ``sing_vals`` the singular values of X L^{-T} on
     the retained coordinates.  ``right_factor`` (r x p) maps spectral
-    coordinates back to coefficient space and is None for synthetic
-    families that were not built from a design problem.
+    coordinates back to coefficient space; it and ``factorization`` ("gram"
+    or "svd") are None for families not built from a design problem.
+    ``orthogonality_defect``, max |U^T U - I|, is computed unless given.
     """
 
     basis: np.ndarray
@@ -128,6 +132,8 @@ class SpectralFamily:
     right_factor: np.ndarray | None = None
     family_id: str = "family-0"
     lambdas: np.ndarray | None = None
+    orthogonality_defect: float | None = None
+    factorization: str | None = None
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
@@ -145,12 +151,11 @@ class SpectralFamily:
                 f"[{alphas.min():.3e}, {alphas.max():.3e}]"
             )
         alphas = np.clip(alphas, 0.0, 1.0)
-        if r:
-            gram_err = float(np.abs(basis.T @ basis - np.eye(r)).max())
-            if gram_err > 1e-8:
-                raise ValueError(
-                    f"basis columns are not orthonormal (max deviation {gram_err:.3e})"
-                )
+        if self.orthogonality_defect is None:
+            object.__setattr__(self, "orthogonality_defect", _orthogonality_defect(basis))
+        if not self.orthogonality_defect <= 1e-8:
+            defect = self.orthogonality_defect
+            raise ValueError(f"basis columns are not orthonormal (max deviation {defect:.3e})")
         object.__setattr__(self, "basis", _frozen_array(basis))
         object.__setattr__(self, "sing_vals", _frozen_array(sing_vals))
         object.__setattr__(self, "alphas", _frozen_array(alphas))
@@ -179,23 +184,50 @@ class SpectralFamily:
         return self.basis.T @ y
 
 
+def _orthogonality_defect(U: np.ndarray) -> float:
+    return float(np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0))
+
+
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L by halves; numpy has no triangular inverse."""
+    k = L.shape[0] // 2
+    if k < 32:
+        return np.linalg.inv(L)
+    A, D = _tril_inv(L[:k, :k]), _tril_inv(L[k:, k:])
+    return np.block([[A, np.zeros((k, L.shape[0] - k))], [-D @ (L[k:, :k] @ A), D]])
+
+
 def build_tikhonov_family(
     problem: DesignProblem, family_id: str = "tikhonov"
 ) -> SpectralFamily:
     """Diagonalize the whole tuning grid of a design problem at once.
 
-    With B = X K^{-1/2} = U diag(mu) V^T (one thin SVD, with K^{-1/2}
-    taken from the problem's ``penalty_eigh``), member j acts as
-    U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, which agrees with the
-    dense fit map X (X^T X + lambda_j K)^{-1} X^T.  Coordinates with
-    mu_i <= RANK_TOL * mu_max are dropped.
+    With K = L L^T and B = X L^{-T} = U diag(mu) V^T, member j acts as
+    U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, the dense fit map
+    X (X^T X + lambda_j K)^{-1} X^T.  U, mu and V come from eigh(B^T B),
+    U = B V / mu, where GRAM_TOL certifies that route (U^T U - I =
+    -D^{-1} V^T E V D^{-1} for the error E in B^T B bounds the fit maps'
+    relative error), otherwise from the thin SVD of B, dropping coordinates
+    with mu_i <= RANK_TOL * mu_max.  Each u_i's largest entry is positive.
     """
-    w, Q = problem.penalty_eigh
-    k_inv_sqrt = (Q / np.sqrt(w)) @ Q.T
-    U, s, Vt = np.linalg.svd(problem.X @ k_inv_sqrt, full_matrices=False)
-    if s.size:
-        keep = s > RANK_TOL * s[0]
+    L_inv = _tril_inv(problem.penalty_factor)
+    B = problem.X @ L_inv.T
+    defect = np.inf
+    if problem.n >= problem.p:  # otherwise B^T B is singular
+        mu2, V = np.linalg.eigh(B.T @ B)
+        if mu2[0] > GRAM_TOL * mu2[-1]:
+            s, Vt = np.sqrt(mu2[::-1]), V[:, ::-1].T
+            U = B @ Vt.T
+            U /= s
+            defect = _orthogonality_defect(U)
+    gram = defect <= GRAM_TOL
+    if not gram:  # SpectralFamily measures the SVD basis's defect itself
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        keep = s > RANK_TOL * s.max(initial=0.0)
         U, s, Vt = U[:, keep], s[keep], Vt[keep]
+    signs = np.where(U.max(axis=0, initial=0.0) >= -U.min(axis=0, initial=0.0), 1.0, -1.0)
+    U *= signs
+    Vt *= signs[:, None]
     mu2 = s**2
     # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly.
     alphas = mu2[None, :] / (mu2[None, :] + problem.lambdas[:, None])
@@ -203,9 +235,11 @@ def build_tikhonov_family(
         basis=U,
         sing_vals=s,
         alphas=alphas,
-        right_factor=Vt @ k_inv_sqrt,
+        right_factor=Vt @ L_inv,
         family_id=family_id,
         lambdas=problem.lambdas,
+        orthogonality_defect=defect if gram else None,
+        factorization="gram" if gram else "svd",
     )
 
 

@@ -444,6 +444,28 @@ class TestSweeps:
         assert [r.member_total for r in reports] == [2, 11, 101]
         assert [r.label for r in reports] == ["unit-M2", "unit-M11", "unit-M101"]
 
+    @pytest.mark.parametrize("sweep", ["M", "q"])
+    def test_point_configs_load_back_near_the_name_limit(self, tmp_path, sweep):
+        # report_<label>-M10.json takes 255 bytes: the limit, with no room for another suffix
+        label = "x" * 239
+        if sweep == "M":
+            cfg = ExperimentConfig.from_dict(
+                small_config(replicates=5, label=label, sweep_m=(2, 10)).to_dict()
+            )
+            reports = regret_vs_M_sweep(cfg, cfg.sweep_m)
+        else:
+            cfg = ExperimentConfig.from_dict(
+                small_config(replicates=5, label=label, sweep_q=(1, 10), members_per_family=2)
+                .to_dict()
+            )
+            reports = regret_vs_q_sweep(cfg, cfg.sweep_q)
+        for report in reports:
+            path = tmp_path / f"report_{report.label}.json"
+            write_report_json(report, path)
+            again = ExperimentConfig.from_dict(json.loads(path.read_text())["config"])
+            assert again == report.config
+            assert again.sweep_m is None and again.sweep_q is None
+
     def test_m_sweep_requires_sorted_values(self):
         with pytest.raises(ConfigError, match="ascending"):
             regret_vs_M_sweep(small_config(), [10, 2])

@@ -226,13 +226,27 @@ class TestAggregateCommand:
         assert code == 2
         assert "positive definite" in capsys.readouterr().err
 
-    def test_linalg_failure_exit_2(self, tmp_path, toy_inputs, capsys, monkeypatch):
-        _, _, design, response = toy_inputs
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("cholesky", "Matrix is not positive definite"),
+            ("eigh", "Eigenvalues did not converge"),
+            ("svd", "SVD did not converge"),
+        ],
+    )
+    def test_linalg_failure_exit_2(self, tmp_path, toy_inputs, capsys, monkeypatch, name, message):
+        X, _, design, response = toy_inputs
+        if name == "svd":  # a rank-deficient design, which the Gram screen sends to gesdd
+            X = X.copy()
+            X[:, 2] = X[:, 0] + X[:, 1]
+            np.savetxt(design, X, delimiter=",")
+            problem = DesignProblem(X=X, K=np.eye(3), lambdas=[1.0])
+            assert build_tikhonov_family(problem).factorization == "svd"
 
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, name, failing)
         code = main(
             ["aggregate", "--design", str(design), "--response", str(response),
              "--lambdas", "1.0", "--sigma", "1.0", "--output", str(tmp_path / "o")]
@@ -240,7 +254,7 @@ class TestAggregateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: --design, --response, --penalty")
-        assert "SVD did not converge" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_solver_observability_fields(self, tmp_path, toy_inputs):
@@ -256,6 +270,22 @@ class TestAggregateCommand:
         assert payload["support"] == np.flatnonzero(theta > 0).tolist()
         assert payload["ridge_fallbacks"] == 0
         assert payload["stalled_pivots"] == 0
+
+    def test_factorization_fields(self, tmp_path, toy_inputs):
+        X, _, design, response = toy_inputs
+        out = tmp_path / "out"
+        code = main(
+            ["aggregate", "--design", str(design), "--response", str(response),
+             "--lambdas", "geom:0.01:100:12", "--sigma", "0.3", "--output", str(out)]
+        )
+        assert code == 0
+        payload = json.loads((out / "aggregate.json").read_text())
+        family = build_tikhonov_family(
+            DesignProblem(X=X, K=np.eye(3), lambdas=np.geomspace(0.01, 100, 12))
+        )
+        assert payload["factorization"] == family.factorization == "gram"
+        assert payload["orthogonality_defect"] == family.orthogonality_defect
+        assert 0.0 <= payload["orthogonality_defect"] <= 1e-10
 
     @pytest.mark.parametrize("case", STRESS_CASES)
     def test_stress_families_exit_0_and_certify(self, tmp_path, rng, case):

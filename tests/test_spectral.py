@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import dense_smoother, random_problem
+from conftest import STRESS_CASES, dense_smoother, random_problem, random_spd, stress_problem
 
+from qagg import spectral
 from qagg.aggregate import make_weights
 from qagg.smoother import FamilyUnion
 from qagg.spectral import (
+    GRAM_TOL,
     DesignProblem,
     SpectralFamily,
     apply_member,
@@ -40,6 +42,16 @@ class TestDesignProblem:
         K = np.diag([1.0, -2.0])
         with pytest.raises(ValueError, match="(?s)not positive definite.*-2"):
             DesignProblem(X=np.eye(2), K=K, lambdas=[1.0])
+
+    def test_singular_penalty_reports_eigenvalue(self):
+        with pytest.raises(ValueError, match=r"not positive definite \(smallest eigenvalue"):
+            DesignProblem(X=np.eye(2), K=np.diag([1.0, 0.0]), lambdas=[1.0])
+
+    def test_penalty_factor_is_cholesky(self, rng):
+        K = random_spd(rng, 5)
+        L = DesignProblem(X=np.eye(5), K=K, lambdas=[1.0]).penalty_factor
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.T - K).max() < 1e-12
 
     def test_penalty_shape_must_match_design(self):
         with pytest.raises(ValueError, match="penalty matrix must be"):
@@ -101,6 +113,92 @@ class TestBuildTikhonovFamily:
         y = rng.standard_normal(6)
         expected = X @ np.linalg.pinv(X) @ y
         assert np.abs(apply_member(family, 0, y) - expected).max() < 1e-10
+
+
+def ill_conditioned_design(rng, n, p, cond):
+    """An n x p design whose singular values run geometrically from 1 to 1/cond."""
+    left, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    right, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (left * np.geomspace(1.0, 1.0 / cond, p)) @ right.T
+
+
+# Each stress case with the route the certificate sends it down.
+STRESS_ROUTES = {
+    "lambda0-rank-deficient": "svd",
+    "n-below-p": "svd",
+    "single-member": "gram",
+    "zero-response": "gram",
+    "near-duplicate-lambdas": "gram",
+}
+
+
+class TestFactorizationRoutes:
+    """Each route of the family build against a dense oracle at the AC-1 tolerance."""
+
+    @staticmethod
+    def assert_matches_dense(problem, family, y):
+        for j, lam in enumerate(problem.lambdas):
+            if lam == 0.0:  # the minimum-norm least-squares fit
+                expected = problem.X @ np.linalg.pinv(problem.X) @ y
+            else:
+                expected = dense_smoother(problem.X, problem.K, lam) @ y
+            assert np.abs(apply_member(family, j, y) - expected).max() < 1e-8
+
+    @pytest.mark.parametrize("n, p", [(40, 8), (160, 70)])  # 70 > 64: L^{-1} is built by halves
+    def test_well_conditioned_takes_gram(self, rng, n, p):
+        problem = random_problem(rng, n=n, p=p, M=6)
+        family = build_tikhonov_family(problem)
+        assert family.factorization == "gram"
+        assert family.orthogonality_defect <= GRAM_TOL
+        self.assert_matches_dense(problem, family, rng.standard_normal(n))
+
+    @pytest.mark.parametrize("p", [1, 63, 64, 150])
+    def test_triangular_inverse(self, rng, p):
+        L = np.linalg.cholesky(random_spd(rng, p, cond=1e3))
+        L_inv = spectral._tril_inv(L)
+        assert np.array_equal(L_inv, np.tril(L_inv))
+        assert np.abs(L_inv @ L - np.eye(p)).max() < 1e-12
+
+    def test_ill_conditioned_takes_svd(self, rng):
+        X = ill_conditioned_design(rng, 30, 6, cond=1e6)
+        problem = DesignProblem(X=X, K=np.eye(6), lambdas=np.geomspace(1e-4, 10.0, 5))
+        family = build_tikhonov_family(problem)
+        assert family.factorization == "svd"
+        assert family.rank == 6
+        self.assert_matches_dense(problem, family, rng.standard_normal(30))
+
+    def test_gram_screen_passes_but_certificate_fails(self, rng):
+        # kappa(B) = 1e4 clears mu_min^2 > GRAM_TOL * mu_max^2, but its defect is near u * 1e8
+        X = ill_conditioned_design(rng, 200, 50, cond=1e4)
+        problem = DesignProblem(X=X, K=np.eye(50), lambdas=[1e-3, 1.0])
+        family = build_tikhonov_family(problem)
+        assert family.factorization == "svd"
+        self.assert_matches_dense(problem, family, rng.standard_normal(200))
+
+    @pytest.mark.parametrize("case", STRESS_CASES)
+    def test_stress_families(self, rng, case):
+        X, y, lambdas = stress_problem(rng, case)
+        problem = DesignProblem(X=X, K=np.eye(X.shape[1]), lambdas=lambdas)
+        family = build_tikhonov_family(problem)
+        assert family.factorization == STRESS_ROUTES[case]
+        self.assert_matches_dense(problem, family, y + rng.standard_normal(y.size))
+
+    def test_routes_give_the_same_family(self, rng, monkeypatch):
+        problem = random_problem(rng, n=30, p=7, M=4)
+        gram = build_tikhonov_family(problem)
+        monkeypatch.setattr(spectral, "GRAM_TOL", 0.0)  # no defect is certified
+        svd = build_tikhonov_family(problem)
+        assert (gram.factorization, svd.factorization) == ("gram", "svd")
+        assert np.abs(gram.sing_vals - svd.sing_vals).max() < 1e-12 * svd.sing_vals[0]
+        # basis vectors are oriented alike, so the two bases agree entrywise
+        assert np.abs(gram.basis - svd.basis).max() < 1e-12
+        scale = np.abs(svd.right_factor).max()
+        assert np.abs(gram.right_factor - svd.right_factor).max() < 1e-12 * scale
+
+    def test_synthetic_family_computes_its_defect(self):
+        family = SpectralFamily(basis=np.eye(3)[:, :2], sing_vals=[1.0, 1.0], alphas=[[0.5, 0.5]])
+        assert family.orthogonality_defect == 0.0
+        assert family.factorization is None
 
 
 class TestApplyMember:
