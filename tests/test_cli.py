@@ -226,22 +226,40 @@ class TestAggregateCommand:
         assert code == 2
         assert "positive definite" in capsys.readouterr().err
 
+    def test_linalg_failure_exit_2(self, tmp_path, toy_inputs, capsys, monkeypatch):
+        X, _, design, response = toy_inputs
+        # a rank-deficient design, which the Gram screen sends to gesdd
+        X = X.copy()
+        X[:, 2] = X[:, 0] + X[:, 1]
+        np.savetxt(design, X, delimiter=",")
+        problem = DesignProblem(X=X, K=np.eye(3), lambdas=[1.0])
+        assert build_tikhonov_family(problem).factorization == "svd"
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        code = main(
+            ["aggregate", "--design", str(design), "--response", str(response),
+             "--lambdas", "1.0", "--sigma", "1.0", "--output", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --design, --response, --penalty")
+        assert "SVD did not converge" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "name, message",
         [
             ("cholesky", "Matrix is not positive definite"),
             ("eigh", "Eigenvalues did not converge"),
-            ("svd", "SVD did not converge"),
         ],
     )
-    def test_linalg_failure_exit_2(self, tmp_path, toy_inputs, capsys, monkeypatch, name, message):
-        X, _, design, response = toy_inputs
-        if name == "svd":  # a rank-deficient design, which the Gram screen sends to gesdd
-            X = X.copy()
-            X[:, 2] = X[:, 0] + X[:, 1]
-            np.savetxt(design, X, delimiter=",")
-            problem = DesignProblem(X=X, K=np.eye(3), lambdas=[1.0])
-            assert build_tikhonov_family(problem).factorization == "svd"
+    def test_gram_factorization_failure_exit_2(
+        self, tmp_path, toy_inputs, capsys, monkeypatch, name, message
+    ):
+        _, _, design, response = toy_inputs
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError(message)
