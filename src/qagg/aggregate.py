@@ -22,20 +22,19 @@ family.  One pass computes them, and every public function accepts that
 pass in place of y.  The pass also takes a block of responses (the
 columns of an n x B matrix); per-member arrays then carry a leading block
 axis, and each criterion is written once along the trailing member axis.
-For a single family the program is assembled in spectral coordinates, so
-a solve costs O((n + M) r) per pivot instead of anything involving dense
-n x n matrices.
+The pass alone decides the QP's coordinates: spectral for a single family,
+so a solve costs O((n + M) r) per pivot instead of anything involving
+dense n x n matrices, and R^n for a union, whose families share no basis.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from qagg.smoother import FamilyUnion
+from qagg.smoother import FamilyUnion, _check_sigma
 from qagg.spectral import _frozen_array
 
 __all__ = [
@@ -128,6 +127,11 @@ class _Response:
 
     y is one response (n,) or a block of responses, one per column (n, B).
     Per-member arrays put the member axis last: resid_sq is (M,) or (B, M).
+    It also fixes the coordinates of the QP 1/2 ||phi^T theta - target||^2 +
+    lin . theta + offset: spectral for one shared-basis family (phi_j =
+    alpha_j * U^T y, target = U^T y, offset = ||P_perp y||^2 / 2), R^n for a
+    union (phi_j = A_j y, target = y, offset = 0).  Only _response and the
+    qp_* methods know which.
     """
 
     candidates: FamilyUnion
@@ -135,6 +139,8 @@ class _Response:
     z: tuple[np.ndarray, ...]  # U^T y per family, (r,) or (r, B)
     perp: tuple  # ||P_perp y||^2 per family, a float or (B,)
     resid_sq: np.ndarray  # c_j = ||A_j y - y||^2, globally indexed
+    target: np.ndarray  # the QP's target, (d,) or (d, B)
+    offset: float | np.ndarray  # the QP's constant, a float or (B,)
 
     def column(self, b: int) -> "_Response":
         """The pass of response b of a block, with contiguous arrays of its own."""
@@ -144,6 +150,8 @@ class _Response:
             z=tuple(np.ascontiguousarray(z[:, b]) for z in self.z),
             perp=tuple(float(p[b]) for p in self.perp),
             resid_sq=self.resid_sq[b],
+            target=np.ascontiguousarray(self.target[:, b]),
+            offset=float(self.offset[b]) if np.ndim(self.offset) else self.offset,
         )
 
     def member_fit(self, j: int) -> np.ndarray:
@@ -168,6 +176,45 @@ class _Response:
         """U_k^T of the fit of weights theta on family k's members alone; (r,) or (r, B)."""
         return (self.candidates.families[k].alphas.T @ theta.T) * self.z[k]
 
+    def qp_fit(self, theta: np.ndarray) -> np.ndarray:
+        """phi^T theta in the QP's coordinates; for a block theta is (B, M), fits columns."""
+        if self.candidates.q == 1:
+            return self.spectral_fit(0, theta)
+        return self.fit(theta)
+
+    def qp_grad(self, resid: np.ndarray) -> np.ndarray:
+        """phi resid in the QP's coordinates: (M,), or (M, B) for residual columns (d, B)."""
+        fams = self.candidates.families
+        if self.candidates.q == 1:
+            return fams[0].alphas @ (self.target * resid)
+        return np.concatenate([f.alphas @ (z * (f.basis.T @ resid)) for f, z in zip(fams, self.z)])
+
+    def qp_rows(self) -> np.ndarray:
+        """The rows phi_j of a one-response QP as an (M, d) matrix."""
+        if self.candidates.q == 1:
+            return self.candidates.families[0].alphas * self.target
+        return member_fits(self.candidates, self)
+
+    def member_losses(self, members: np.ndarray, mean: "_Response") -> np.ndarray:
+        """||A_j y_b - mu||^2 of member j = members[b] on every column b of a block pass.
+
+        Evaluated in spectral coordinates as ||alpha_j * z_f - m_f||^2 + ||P_f_perp mu||^2,
+        with m_f = U_f^T mu and ||P_f_perp mu||^2 read from ``mean``, the pass of mu.
+        """
+        cands = self.candidates
+        fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
+        out = np.empty(members.size)
+        for k, (fam, z, m, mu_perp) in enumerate(zip(cands.families, self.z, mean.z, mean.perp)):
+            cols = np.flatnonzero(fam_of == k)
+            if cols.size:
+                d = fam.alphas[members[cols] - cands.offsets[k]] * z[:, cols].T - m
+                out[cols] = np.einsum("ij,ij->i", d, d) + mu_perp
+        return out
+
+    def weight_losses(self, theta: np.ndarray, mean: "_Response") -> np.ndarray:
+        """||A_theta y_b - mu||^2 per column b: ||phi^T theta[b] - m||^2 + 2 offset of mu's pass."""
+        return _sq_norms(self.qp_fit(theta) - mean.target[:, None]) + 2.0 * mean.offset
+
 
 def _sq_norms(v: np.ndarray):
     """Squared norm of a vector, or of every column of a matrix."""
@@ -187,6 +234,8 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
         resp = y
     else:
         y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("the response y must be finite")
         yy = _sq_norms(y)
         z = tuple(fam.spectral_coords(y) for fam in cands.families)
         perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
@@ -198,15 +247,11 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
             ],
             axis=-1,
         )
-        resp = _Response(candidates=cands, y=y, z=z, perp=perp, resid_sq=resid_sq)
+        target, offset = (z[0], 0.5 * perp[0]) if cands.q == 1 else (y, 0.0)
+        resp = _Response(cands, y, z, perp, resid_sq, target, offset)
     if resp.y.ndim != 1 and not block:
         raise ValueError(f"expected one response of length {cands.n}, got shape {resp.y.shape}")
     return resp
-
-
-def _check_sigma(sigma: float) -> None:
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
 
 
 def member_fits(family_or_union, y: np.ndarray) -> np.ndarray:
@@ -223,27 +268,10 @@ def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWe
     return SimplexWeights(theta=theta, fitted=resp.fit(theta), response=resp.y)
 
 
-def _qp_data(resp: _Response, sigma: float):
-    """Assembly (phi, target, offset, lin) of the aggregation QP
-
-        H(theta) = 1/2 ||phi^T theta - target||^2 + lin . theta + offset
-
-    with lin = 2 sigma^2 df + c / 2.  For a single shared-basis family phi
-    holds spectral coordinates (target = U^T y, offset = ||P_perp y||^2 / 2);
-    for a union phi holds the member fits in R^n (target = y, offset = 0).
-    For a block pass the other terms are per column and phi is None.
-    """
+def _qp_linear(resp: _Response, sigma: float) -> np.ndarray:
+    """Linear term lin = 2 sigma^2 df + c / 2 of the aggregation QP (see _Response)."""
     _check_sigma(sigma)
-    cands = resp.candidates
-    if cands.q == 1:
-        target, offset = resp.z[0], 0.5 * resp.perp[0]
-    else:
-        target, offset = resp.y, 0.0
-    phi = None
-    if resp.y.ndim == 1:
-        phi = cands.families[0].alphas * target if cands.q == 1 else member_fits(cands, resp)
-    lin = 2.0 * sigma**2 * cands.df + 0.5 * resp.resid_sq
-    return phi, target, offset, lin
+    return 2.0 * sigma**2 * resp.candidates.df + 0.5 * resp.resid_sq
 
 
 def _cp(resp: _Response, sigma: float) -> np.ndarray:
@@ -271,10 +299,11 @@ def q_objective(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     The formula extends smoothly off the simplex, which is what the
     finite-difference gradient checks differentiate.
     """
-    phi, target, offset, lin = _qp_data(_response(family_or_union, y), sigma)
+    resp = _response(family_or_union, y)
+    lin = _qp_linear(resp, sigma)
     theta = _check_theta(theta, lin.size)
-    r = phi.T @ theta - target
-    return float(0.5 * r @ r + lin @ theta + offset)
+    r = resp.qp_rows().T @ theta - resp.target
+    return float(0.5 * r @ r + lin @ theta + resp.offset)
 
 
 def q_objective_penalized(
@@ -300,9 +329,11 @@ def q_objective_penalized(
 
 def q_gradient(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     """Analytic gradient of the convex objective form."""
-    phi, target, _, lin = _qp_data(_response(family_or_union, y), sigma)
+    resp = _response(family_or_union, y)
+    lin = _qp_linear(resp, sigma)
     theta = _check_theta(theta, lin.size)
-    return phi @ (phi.T @ theta - target) + lin
+    phi = resp.qp_rows()
+    return phi @ (phi.T @ theta - resp.target) + lin
 
 
 def certify_kkt(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -447,25 +478,12 @@ def _block_solve(resp: _Response, sigma: float):
     SOLVE_STAGES; a column at ACTIVE_SET needs solve_q_aggregation.
     """
     cands = resp.candidates
-    _, target, offset, lin = _qp_data(resp, sigma)
+    lin = _qp_linear(resp, sigma)
     B, M = lin.shape
     rows = np.arange(B)
-    # fit(theta) = phi^T theta and grad(resid) = phi resid, column by column
-    if cands.q == 1:
-        fit = functools.partial(resp.spectral_fit, 0)
-
-        def grad(resid):
-            return cands.families[0].alphas @ (target * resid)
-    else:
-        fit = resp.fit
-
-        def grad(resid):
-            return np.vstack(
-                [f.alphas @ (z * (f.basis.T @ resid)) for f, z in zip(cands.families, resp.z)]
-            )
 
     def certify(theta, resid):
-        g = grad(resid).T + lin
+        g = resp.qp_grad(resid).T + lin
         return (g, *_certificate(g, theta, resid, lin))
 
     # vertex values 1/2 ||phi_j||^2 - phi_j . target + lin_j, as the scalar solve starts
@@ -475,7 +493,7 @@ def _block_solve(resp: _Response, sigma: float):
     j0 = start.argmin(axis=1)
     theta = np.zeros((B, M))
     theta[rows, j0] = 1.0
-    resid = fit(theta) - target
+    resid = resp.qp_fit(theta) - resp.target
     g, fval, res, at_vertex = certify(theta, resid)
     stage = np.where(at_vertex, VERTEX, ACTIVE_SET)
     if not at_vertex.all():
@@ -486,13 +504,13 @@ def _block_solve(resp: _Response, sigma: float):
         step = np.zeros((B, M))
         step[rows, g.argmin(axis=1)] += 1.0
         step[rows, j0] -= 1.0
-        d = fit(step)
+        d = resp.qp_fit(step)
         t = np.divide(-res, _sq_norms(d), out=np.zeros(B), where=moved)
         theta += t[:, None] * step
         _, fval_t, res_t, ok = certify(theta, resid + t * d)
         fval[moved], res[moved] = fval_t[moved], res_t[moved]
         stage[moved & ok] = SEGMENT
-    return theta, fval + offset, res, stage
+    return theta, fval + resp.offset, res, stage
 
 
 def solve_q_aggregation(family_or_union, y: np.ndarray, sigma: float) -> SolveReport:
@@ -503,12 +521,14 @@ def solve_q_aggregation(family_or_union, y: np.ndarray, sigma: float) -> SolveRe
     iterate is returned with ``converged=False``.
     """
     resp = _response(family_or_union, y)
-    phi, target, offset, lin = _qp_data(resp, sigma)
-    theta, fval, res, pivots, converged, fallbacks, stalled = _solve_simplex_qp(phi, target, lin)
+    lin = _qp_linear(resp, sigma)
+    theta, fval, res, pivots, converged, fallbacks, stalled = _solve_simplex_qp(
+        resp.qp_rows(), resp.target, lin
+    )
     weights = make_weights(resp.candidates, theta, resp)
     return SolveReport(
         weights=weights,
-        objective=float(fval + offset),
+        objective=float(fval + resp.offset),
         kkt_residual=res,
         iterations=pivots,
         converged=converged,
@@ -586,6 +606,8 @@ def excess_bound_gap(
     fits = member_fits(resp.candidates, resp)
     theta = _check_theta(theta, fits.shape[0])
     mu = np.asarray(mu, dtype=float)
+    if mu.shape != resp.y.shape or not np.all(np.isfinite(mu)):
+        raise ValueError(f"mu must be a finite vector of length {resp.y.size}, got {mu.shape}")
     eps = resp.y - mu
     fit = fits.T @ theta
     df = resp.candidates.df

@@ -42,11 +42,10 @@ from qagg.aggregate import (
     _gcv_scores,
     _response,
     _softmax,
-    _sq_norms,
     excess_bound_gap,
     solve_q_aggregation,
 )
-from qagg.smoother import FamilyUnion, GroundTruth, member_risks, oracle_index
+from qagg.smoother import FamilyUnion, GroundTruth, _check_sigma, member_risks, oracle_index
 from qagg.spectral import DesignProblem, SpectralFamily, build_tikhonov_family
 
 __all__ = [
@@ -301,8 +300,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"key 'scenario.n' must be >= 1, got {self.n}")
-        if not self.sigma > 0:
-            raise ConfigError(f"key 'scenario.sigma' must be positive, got {self.sigma}")
+        try:
+            _check_sigma(self.sigma)
+        except ValueError as exc:
+            raise ConfigError(f"key 'scenario.sigma': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -325,10 +326,10 @@ class ExperimentConfig:
             raise ConfigError(f"key 'replicates' must be >= 1, got {self.replicates}")
         if self.seed < 0:
             raise ConfigError(f"key 'seed' must be >= 0, got {self.seed}")
-        if not self.label or any(c in self.label for c in "/\\\0"):
+        if not self.label or any(c in self.label for c in '/\\\0,"\n\r'):
             raise ConfigError(
-                f"key 'label' must be a nonempty file-name part without '/', '\\' or NUL, "
-                f"got {self.label!r}"
+                f"key 'label' must be a nonempty file-name and CSV field part without "
+                f"'/', '\\', NUL, ',', '\"' or a line break, got {self.label!r}"
             )
         if not self.families:
             raise ConfigError("key 'families' must list at least one family")
@@ -484,30 +485,6 @@ def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = No
     return Instance(candidates=candidates, truth=truth, oracle_member=j_star, oracle_risk=r_star)
 
 
-def _member_losses(resp, members: np.ndarray, mean) -> np.ndarray:
-    """||A_j y_b - mu||^2 of member j = members[b] on every column b of a block pass.
-
-    Evaluated in spectral coordinates as ||alpha_j * z_f - m_f||^2 + ||P_f_perp mu||^2,
-    with m_f = U_f^T mu and ||P_f_perp mu||^2 read from ``mean``, the pass of mu.
-    """
-    cands = resp.candidates
-    fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
-    out = np.empty(members.size)
-    for k, (fam, z, m, mu_perp) in enumerate(zip(cands.families, resp.z, mean.z, mean.perp)):
-        cols = np.flatnonzero(fam_of == k)
-        if cols.size:
-            d = fam.alphas[members[cols] - cands.offsets[k]] * z[:, cols].T - m
-            out[cols] = np.einsum("ij,ij->i", d, d) + mu_perp
-    return out
-
-
-def _weight_losses(resp, theta: np.ndarray, mean) -> np.ndarray:
-    """||A_theta y_b - mu||^2 of weights theta[b] on every column b; spectral for one family."""
-    if resp.candidates.q == 1:
-        return _sq_norms(resp.spectral_fit(0, theta) - mean.z[0][:, None]) + mean.perp[0]
-    return _sq_norms(resp.fit(theta) - mean.y[:, None])
-
-
 def _block_losses(instance: Instance, resp, methods, mean) -> dict[str, np.ndarray]:
     """Loss on every column of a block pass of each method other than q_agg."""
     sigma = instance.truth.sigma
@@ -516,13 +493,13 @@ def _block_losses(instance: Instance, resp, methods, mean) -> dict[str, np.ndarr
     for name in methods:
         if name == "oracle":
             oracle = np.full(cp.shape[0], instance.oracle_member)
-            out[name] = _member_losses(resp, oracle, mean)
+            out[name] = resp.member_losses(oracle, mean)
         elif name == "cp_select":
-            out[name] = _member_losses(resp, cp.argmin(axis=-1), mean)
+            out[name] = resp.member_losses(cp.argmin(axis=-1), mean)
         elif name == "gcv":
-            out[name] = _member_losses(resp, _gcv_scores(resp).argmin(axis=-1), mean)
+            out[name] = resp.member_losses(_gcv_scores(resp).argmin(axis=-1), mean)
         elif name == "exp_weights":
-            out[name] = _weight_losses(resp, _softmax(cp, sigma), mean)
+            out[name] = resp.weight_losses(_softmax(cp, sigma), mean)
     return out
 
 
@@ -563,11 +540,11 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
         stages += np.bincount(stage, minlength=len(SOLVE_STAGES))
         # a vertex draw's loss and the oracle's come from the same function, so a
         # draw that lands on the oracle vertex has an excess of exactly zero
-        q_loss = _member_losses(resp, theta.argmax(axis=1), mean)
-        oracle_loss = _member_losses(resp, np.full_like(stage, instance.oracle_member), mean)
+        q_loss = resp.member_losses(theta.argmax(axis=1), mean)
+        oracle_loss = resp.member_losses(np.full_like(stage, instance.oracle_member), mean)
         segment = stage == SEGMENT
         if segment.any():
-            q_loss[segment] = _weight_losses(resp, theta, mean)[segment]
+            q_loss[segment] = resp.weight_losses(theta, mean)[segment]
         # the draws the block stages left undecided get one certified solve each
         for b in np.flatnonzero(stage == ACTIVE_SET):
             draw = resp.column(b)

@@ -35,7 +35,7 @@ from qagg.bench import (
     write_report_json,
     write_reports_csv,
 )
-from qagg.smoother import check_ordered
+from qagg.smoother import _check_sigma, check_ordered
 from qagg.spectral import DesignProblem, build_tikhonov_family, recover_coefficients
 
 __all__ = ["InputError", "RunManifest", "main", "entry"]
@@ -199,8 +199,10 @@ def cmd_aggregate(args) -> int:
     else:
         K = _load_matrix(Path(args.penalty), "--penalty")
     lambdas = _parse_lambdas(args.lambdas)
-    if not 0 < args.sigma < np.inf:
-        raise InputError(f"--sigma: must be finite and positive, got {args.sigma}")
+    try:
+        _check_sigma(args.sigma)
+    except ValueError as exc:
+        raise InputError(f"--sigma: {exc}") from None
     try:
         problem = DesignProblem(X=X, K=K, lambdas=lambdas)
     except np.linalg.LinAlgError:  # reported by main, naming every input

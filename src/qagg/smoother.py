@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def _check_sigma(sigma) -> None:
+    """The one rule for a noise level: sigma > 0 with 0 < sigma * sigma < inf."""
+    if not (sigma > 0 and 0 < sigma * sigma < np.inf):
+        raise ValueError(f"sigma must be positive with a finite nonzero square, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Unknown mean and noise level of the Gaussian mean model."""
@@ -43,8 +49,9 @@ class GroundTruth:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if mu.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mu.shape}")
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("mean mu must be finite")
+        _check_sigma(self.sigma)
         object.__setattr__(self, "mu", _frozen_array(mu))
         object.__setattr__(self, "sigma", float(self.sigma))
 

@@ -84,19 +84,47 @@ class TestResponsePass:
     def test_union_quantities_match_dense(self, rng):
         f1 = build_tikhonov_family(random_problem(rng, 8, 3, 3), family_id="a")
         f2 = build_tikhonov_family(random_problem(rng, 8, 5, 2), family_id="b")
-        union = FamilyUnion(families=(f1, f2))
-        dense = [member_matrix(f, j) for f in (f1, f2) for j in range(f.member_count)]
-        y = rng.standard_normal(8)
-        resp = _response(union, y)
-        cp = cp_values(union, resp, 0.7)
-        for j, A in enumerate(dense):
-            assert np.abs(resp.member_fit(j) - A @ y).max() < 1e-10
-            assert abs(union.df[j] - np.trace(A)) < 1e-10
-            expected = np.sum((A @ y - y) ** 2) + 2 * 0.7**2 * np.trace(A)
-            assert abs(cp[j] - expected) < 1e-10
-        theta = random_interior_theta(rng, 5)
-        expected = sum(t * A for t, A in zip(theta, dense)) @ y
-        assert np.abs(resp.fit(theta) - expected).max() < 1e-10
+        # a single family (spectral QP coordinates) and a union (R^n)
+        for union in (FamilyUnion(families=(f1,)), FamilyUnion(families=(f1, f2))):
+            dense = [member_matrix(f, j) for f in union.families for j in range(f.member_count)]
+            y = rng.standard_normal(8)
+            resp = _response(union, y)
+            cp = cp_values(union, resp, 0.7)
+            for j, A in enumerate(dense):
+                assert np.abs(resp.member_fit(j) - A @ y).max() < 1e-10
+                assert abs(union.df[j] - np.trace(A)) < 1e-10
+                expected = np.sum((A @ y - y) ** 2) + 2 * 0.7**2 * np.trace(A)
+                assert abs(cp[j] - expected) < 1e-10
+            theta = random_interior_theta(rng, union.member_count)
+            expected = sum(t * A for t, A in zip(theta, dense)) @ y
+            assert np.abs(resp.fit(theta) - expected).max() < 1e-10
+            self.check_qp_view(rng, union, dense, resp, theta)
+
+    @staticmethod
+    def check_qp_view(rng, union, dense, resp, theta):
+        """The pass's QP coordinates, mapped back to R^n, against dense member matrices."""
+        n, y = union.n, resp.y
+        to_rn = union.families[0].basis if union.q == 1 else np.eye(n)
+        fits = np.column_stack([A @ y for A in dense])  # n x M
+        assert np.abs(to_rn @ resp.qp_rows().T - fits).max() < 1e-10
+        fit_theta = sum(t * A for t, A in zip(theta, dense)) @ y
+        assert np.abs(to_rn @ resp.qp_fit(theta) - fit_theta).max() < 1e-10
+        # 1/2 ||phi^T theta - target||^2 + offset is 1/2 ||A_theta y - y||^2
+        r = resp.qp_fit(theta) - resp.target
+        expected = 0.5 * np.sum((fit_theta - y) ** 2)
+        assert abs(0.5 * r @ r + resp.offset - expected) < 1e-10
+        assert np.abs(resp.qp_grad(r) - fits.T @ (to_rn @ r)).max() < 1e-10
+        # losses against a mean off every family's range, on a block of responses
+        mu = rng.standard_normal(n)
+        Y = mu[:, None] + rng.standard_normal((n, 3))
+        block, mean = _response(union, Y, block=True), _response(union, mu)
+        members = rng.integers(0, union.member_count, size=3)
+        Theta = np.vstack([random_interior_theta(rng, union.member_count) for _ in range(3)])
+        for b, (j, th) in enumerate(zip(members, Theta)):
+            expected = np.sum((dense[j] @ Y[:, b] - mu) ** 2)
+            assert abs(block.member_losses(members, mean)[b] - expected) < 1e-10
+            expected = np.sum((sum(t * A for t, A in zip(th, dense)) @ Y[:, b] - mu) ** 2)
+            assert abs(block.weight_losses(Theta, mean)[b] - expected) < 1e-10
 
 
 class TestSimplexWeights:
@@ -293,6 +321,20 @@ class TestSolver:
             solve_q_aggregation(family, np.zeros(5), -1.0)
         with pytest.raises(ValueError, match="sigma"):
             solve_q_aggregation(family, np.zeros(5), np.inf)
+        # sigma^2 overflows to inf or underflows to 0
+        for sigma in (1e200, 1e-200):
+            with pytest.raises(ValueError, match="sigma"):
+                solve_q_aggregation(family, np.zeros(5), sigma)
+
+    def test_non_finite_response_rejected(self, small_family):
+        _, family = small_family
+        for bad in (np.full(5, np.nan), np.array([0.0, 1.0, np.inf, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="response y"):
+                solve_q_aggregation(family, bad, 1.0)
+            with pytest.raises(ValueError, match="response y"):
+                cp_values(family, bad, 1.0)
+        with pytest.raises(ValueError, match="response y"):
+            _response(family, np.full((5, 2), np.nan), block=True)
 
     def test_report_lists_support_and_no_fallbacks_on_a_separated_grid(self, rng):
         for _ in range(10):
@@ -597,6 +639,13 @@ class TestExcessBound:
             theta[0] = 1.0  # smallest lambda: heavy overfit when mu = 0
             worst = max(worst, excess_bound_gap(family, theta, y, 1.0, mu))
         assert worst > 0.0
+
+    def test_rejects_a_mean_that_is_not_a_finite_length_n_vector(self, small_family):
+        _, family = small_family
+        theta = np.full(3, 1.0 / 3.0)
+        for mu in (np.zeros(4), np.zeros((5, 1)), np.full(5, np.nan), [0, 0, np.inf, 0, 0]):
+            with pytest.raises(ValueError, match="mu"):
+                excess_bound_gap(family, theta, np.ones(5), 1.0, mu)
 
 
 def block_matches_scalar(cands, Y, sigma):

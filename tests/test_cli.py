@@ -151,6 +151,8 @@ class TestAggregateCommand:
             ({"--lambdas": "geom:1:0.1:4"}, "--lambdas"),
             ({"--lambdas": "1.0,1.0"}, "--lambdas"),
             ({"--sigma": "inf"}, "--sigma"),
+            ({"--sigma": "1e200"}, "--sigma"),
+            ({"--sigma": "1e-200"}, "--sigma"),
         ],
     )
     def test_malformed_inputs_exit_2(self, tmp_path, toy_inputs, capsys, mutation, needle):
@@ -500,6 +502,16 @@ class TestBenchCommand:
             ({"label": "x" * 300}, "label"),
             # report_<label>.json alone is 252 bytes, report_<label>-M1000.json 258
             ({"label": "x" * 240, "sweep": {"M": [1000]}}, "label"),
+            # sigma^2 overflows or underflows; a label that would break reports.csv
+            pytest.param({"scenario": {"n": 16, "sigma": 1e200}}, "scenario.sigma",
+                         id="scenario.sigma-squared-inf"),
+            pytest.param({"scenario": {"n": 16, "sigma": 1e-200}}, "scenario.sigma",
+                         id="scenario.sigma-squared-zero"),
+            pytest.param({"label": "a,b\nc"}, "label", id="label-comma-newline"),
+            pytest.param({"label": "a,b"}, "label", id="label-comma"),
+            pytest.param({"label": 'a"b'}, "label", id="label-quote"),
+            pytest.param({"label": "a\nb"}, "label", id="label-newline"),
+            pytest.param({"label": "a\rb"}, "label", id="label-return"),
         ],
         ids=lambda v: v if isinstance(v, str) else "",
     )

@@ -28,6 +28,14 @@ class TestGroundTruth:
             GroundTruth(mu=np.zeros(3), sigma=0.0)
         with pytest.raises(ValueError, match="sigma"):
             GroundTruth(mu=np.zeros(3), sigma=np.inf)
+        for sigma in (1e200, 1e-200):  # sigma^2 overflows or underflows
+            with pytest.raises(ValueError, match="sigma"):
+                GroundTruth(mu=np.zeros(3), sigma=sigma)
+
+    def test_mean_must_be_finite(self):
+        for mu in (np.full(3, np.nan), np.array([0.0, np.inf, 0.0])):
+            with pytest.raises(ValueError, match="mu"):
+                GroundTruth(mu=mu, sigma=1.0)
 
     def test_dimension(self):
         assert GroundTruth(mu=np.zeros(4), sigma=1.0).n == 4
