@@ -270,12 +270,12 @@ def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWe
 
 def _qp_linear(resp: _Response, sigma: float) -> np.ndarray:
     """Linear term lin = 2 sigma^2 df + c / 2 of the aggregation QP (see _Response)."""
-    _check_sigma(sigma)
+    _check_sigma(sigma, resp.candidates.n)
     return 2.0 * sigma**2 * resp.candidates.df + 0.5 * resp.resid_sq
 
 
 def _cp(resp: _Response, sigma: float) -> np.ndarray:
-    _check_sigma(sigma)
+    _check_sigma(sigma, resp.candidates.n)
     return resp.resid_sq + 2.0 * sigma**2 * resp.candidates.df
 
 
@@ -315,8 +315,8 @@ def q_objective_penalized(
     shortcut used by :func:`q_objective`; the two must agree on the
     simplex.
     """
-    _check_sigma(sigma)
     resp = _response(family_or_union, y)
+    _check_sigma(sigma, resp.candidates.n)
     fits = member_fits(resp.candidates, resp)
     theta = _check_theta(theta, fits.shape[0])
     fit = fits.T @ theta

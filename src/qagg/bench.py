@@ -20,6 +20,11 @@ All randomness flows from the config seed: the design matrix uses the
 (seed, 0) stream and replicate i the (seed, 1, i) stream.  Blocks start
 at multiples of REPLICATE_BLOCK and are never split between worker
 processes, so serial and parallel executions agree bit for bit.
+
+The points of one M or q sweep share each (X, K)'s factorization and each
+block's standard normals while the sweep runs (``_sweep_store``).  A point
+does the arithmetic of a run of its own on the same inputs, so its report
+is byte-identical to that run's.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from qagg.aggregate import (
     solve_q_aggregation,
 )
 from qagg.smoother import FamilyUnion, GroundTruth, _check_sigma, member_risks, oracle_index
-from qagg.spectral import DesignProblem, SpectralFamily, build_tikhonov_family
+from qagg.spectral import DesignProblem, SpectralFamily, _Factorization, _family
+from qagg.spectral import build_tikhonov_family
 
 __all__ = [
     "ConfigError",
@@ -301,7 +307,7 @@ class ScenarioSpec:
         if self.n < 1:
             raise ConfigError(f"key 'scenario.n' must be >= 1, got {self.n}")
         try:
-            _check_sigma(self.sigma)
+            _check_sigma(self.sigma, self.n)
         except ValueError as exc:
             raise ConfigError(f"key 'scenario.sigma': {exc}") from None
 
@@ -389,6 +395,31 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, index)))
 
 
+# Factorizations and noise blocks shared by the points of the running sweep, else None.
+_sweep_store: dict | None = None
+
+
+def _noise(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Standard normals of replicates [start, stop), one row each; drawn once per sweep."""
+    store = {} if _sweep_store is None else _sweep_store
+    key = ("noise", seed, n, start, stop)
+    if key not in store:
+        rows = range(start, stop)
+        store[key] = np.stack([_replicate_rng(seed, i).standard_normal(n) for i in rows])
+    return store[key]
+
+
+def _tikhonov_family(key: tuple, problem: DesignProblem, family_id: str) -> SpectralFamily:
+    """build_tikhonov_family, factorizing once per sweep the (X, K) that key names."""
+    store = {} if _sweep_store is None else _sweep_store
+    if key in store:
+        return _family(store[key], problem.lambdas, family_id)
+    f = build_tikhonov_family(problem, family_id)
+    store[key] = _Factorization(f.basis, f.sing_vals, f.right_factor, f.factorization,
+                                f.orthogonality_defect)
+    return f
+
+
 def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
     """One ``build_tikhonov_family(DesignProblem(X, diag(d), grid))`` per spec, on a shared X.
 
@@ -413,7 +444,9 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
             problem = DesignProblem(X=X, K=np.diag(d), lambdas=spec.grid.build(scale))
         except ValueError as exc:
             raise ConfigError(f"key '{key}.grid': {exc}") from None
-        families.append(build_tikhonov_family(problem, f"family-{idx}"))
+        # X is the (seed, 0) stream's n x p draw and K = diag(d)
+        problem_key = ("factor", config.seed, n, p, d.tobytes())
+        families.append(_tikhonov_family(problem_key, problem, f"family-{idx}"))
     return families
 
 
@@ -525,10 +558,7 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
 
     for start in range(lo, hi, REPLICATE_BLOCK):
         stop = min(start + REPLICATE_BLOCK, hi)
-        draws = np.stack(
-            [_replicate_rng(config.seed, idx).standard_normal(mu.size) for idx in range(start, stop)]
-        )
-        draws *= sigma
+        draws = _noise(config.seed, mu.size, start, stop) * sigma
         draws += mu  # row b is the draw y = mu + sigma * eps of replicate start + b
         resp = _response(candidates, draws.T, block=True)
         block = slice(start - lo, stop - lo)
@@ -611,10 +641,6 @@ class RegretReport:
         return _dump(self)
 
 
-def _chunk_task(args):
-    return _replicate_chunk(*args)
-
-
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -645,7 +671,7 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor  # slow to import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_task, tasks))
+            chunks = list(pool.map(_replicate_chunk, *zip(*tasks)))
     else:
         chunks = [_replicate_chunk(instance, config, 0, R)]
 
@@ -703,6 +729,27 @@ def run_experiment(
     )
 
 
+def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> list[RegretReport]:
+    """One report per (label suffix, families) point, the mean calibrated on ``reference``.
+
+    The points share ``_sweep_store`` until the sweep returns or raises (see the module doc).
+    """
+    global _sweep_store
+    _sweep_store = {}
+    try:
+        mu = build_instance(replace(config, families=reference)).truth.mu
+        return [
+            run_experiment(
+                replace(config, label=f"{config.label}-{suffix}", families=families,
+                        sweep_m=None, sweep_q=None),
+                threads=threads, mu_override=mu,
+            )
+            for suffix, families in points
+        ]
+    finally:
+        _sweep_store = None
+
+
 def regret_vs_M_sweep(
     config: ExperimentConfig, m_values, *, threads: int = 1
 ) -> list[RegretReport]:
@@ -721,20 +768,8 @@ def regret_vs_M_sweep(
     if len(config.families) != 1:
         raise ConfigError("an M sweep needs a single-family config")
     base = config.families[0]
-    ref_cfg = replace(
-        config, families=(replace(base, grid=replace(base.grid, count=max(m_values))),)
-    )
-    mu = build_instance(ref_cfg).truth.mu
-    reports = []
-    for m in m_values:
-        cfg = replace(
-            config,
-            label=f"{config.label}-M{m}",
-            families=(replace(base, grid=replace(base.grid, count=m)),),
-            sweep_m=None, sweep_q=None,
-        )
-        reports.append(run_experiment(cfg, threads=threads, mu_override=mu))
-    return reports
+    points = [(f"M{m}", (replace(base, grid=replace(base.grid, count=m)),)) for m in m_values]
+    return _sweep(config, points[-1][1], points, threads)  # calibrated on the densest grid
 
 
 def _q_sweep_families(base: FamilySpec, q: int, members_per_family: int) -> tuple[FamilySpec, ...]:
@@ -760,18 +795,8 @@ def regret_vs_q_sweep(
     if not q_values or any(q < 1 for q in q_values):
         raise ConfigError(f"key 'sweep.q' must list positive family counts, got {q_values}")
     base = config.families[0]
-    ref_cfg = replace(config, families=_q_sweep_families(base, 1, config.members_per_family))
-    mu = build_instance(ref_cfg).truth.mu
-    reports = []
-    for q in q_values:
-        cfg = replace(
-            config,
-            label=f"{config.label}-q{q}",
-            families=_q_sweep_families(base, q, config.members_per_family),
-            sweep_m=None, sweep_q=None,
-        )
-        reports.append(run_experiment(cfg, threads=threads, mu_override=mu))
-    return reports
+    points = [(f"q{q}", _q_sweep_families(base, q, config.members_per_family)) for q in q_values]
+    return _sweep(config, _q_sweep_families(base, 1, config.members_per_family), points, threads)
 
 
 def write_report_json(report: RegretReport, path) -> None:

@@ -200,7 +200,7 @@ def cmd_aggregate(args) -> int:
         K = _load_matrix(Path(args.penalty), "--penalty")
     lambdas = _parse_lambdas(args.lambdas)
     try:
-        _check_sigma(args.sigma)
+        _check_sigma(args.sigma, X.shape[0])
     except ValueError as exc:
         raise InputError(f"--sigma: {exc}") from None
     try:

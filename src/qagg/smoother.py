@@ -32,10 +32,13 @@ __all__ = [
 ]
 
 
-def _check_sigma(sigma) -> None:
-    """The one rule for a noise level: sigma > 0 with 0 < sigma * sigma < inf."""
-    if not (sigma > 0 and 0 < sigma * sigma < np.inf):
-        raise ValueError(f"sigma must be positive with a finite nonzero square, got {sigma!r}")
+def _check_sigma(sigma, n: int) -> None:
+    """The one rule for a noise level on n points: sigma > 0 with 0 < sigma^2 * 4n < inf.
+
+    So 4 sigma^2 is finite and nonzero, and every 2 sigma^2 trace(A) <= 2 sigma^2 n is finite.
+    """
+    if not (sigma > 0 and 0 < sigma * sigma * 4.0 * max(n, 1) < np.inf):
+        raise ValueError(f"sigma must be > 0 with 0 < sigma^2 * 4n < inf (n = {n}), got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class GroundTruth:
             raise ValueError(f"mean must be a vector, got shape {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mean mu must be finite")
-        _check_sigma(self.sigma)
+        _check_sigma(self.sigma, mu.size)
         object.__setattr__(self, "mu", _frozen_array(mu))
         object.__setattr__(self, "sigma", float(self.sigma))
 

@@ -12,7 +12,7 @@ vector computation instead of M dense linear solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -108,10 +108,6 @@ class DesignProblem:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def member_count(self) -> int:
-        return self.lambdas.size
-
 
 @dataclass(frozen=True)
 class SpectralFamily:
@@ -123,7 +119,8 @@ class SpectralFamily:
     the retained coordinates.  ``right_factor`` (r x p) maps spectral
     coordinates back to coefficient space; it and ``factorization`` ("gram"
     or "svd") are None for families not built from a design problem.
-    ``orthogonality_defect``, max |U^T U - I|, is computed unless given.
+    ``orthogonality_defect``, max |U^T U - I|, is measured on construction;
+    only a family built from a factorization takes it from there (``_family``).
     """
 
     basis: np.ndarray
@@ -132,8 +129,8 @@ class SpectralFamily:
     right_factor: np.ndarray | None = None
     family_id: str = "family-0"
     lambdas: np.ndarray | None = None
-    orthogonality_defect: float | None = None
     factorization: str | None = None
+    orthogonality_defect: float = field(init=False)
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
@@ -151,10 +148,11 @@ class SpectralFamily:
                 f"[{alphas.min():.3e}, {alphas.max():.3e}]"
             )
         alphas = np.clip(alphas, 0.0, 1.0)
-        if self.orthogonality_defect is None:
-            object.__setattr__(self, "orthogonality_defect", _orthogonality_defect(basis))
-        if not self.orthogonality_defect <= 1e-8:
-            defect = self.orthogonality_defect
+        defect = vars(self).get("orthogonality_defect")  # set before __init__ only by _family
+        if defect is None:
+            defect = _orthogonality_defect(basis)
+            object.__setattr__(self, "orthogonality_defect", defect)
+        if not defect <= 1e-8:
             raise ValueError(f"basis columns are not orthonormal (max deviation {defect:.3e})")
         object.__setattr__(self, "basis", _frozen_array(basis))
         object.__setattr__(self, "sing_vals", _frozen_array(sing_vals))
@@ -221,26 +219,38 @@ def build_tikhonov_family(
             U /= s
             defect = _orthogonality_defect(U)
     gram = defect <= GRAM_TOL
-    if not gram:  # SpectralFamily measures the SVD basis's defect itself
+    if not gram:
         U, s, Vt = np.linalg.svd(B, full_matrices=False)
         keep = s > RANK_TOL * s.max(initial=0.0)
         U, s, Vt = U[:, keep], s[keep], Vt[keep]
+        defect = _orthogonality_defect(U)
     signs = np.where(U.max(axis=0, initial=0.0) >= -U.min(axis=0, initial=0.0), 1.0, -1.0)
-    U *= signs
+    U *= signs  # flipping columns leaves max |U^T U - I| as it is
     Vt *= signs[:, None]
-    mu2 = s**2
+    factor = _Factorization(U, s, Vt @ L_inv, "gram" if gram else "svd", defect)
+    return _family(factor, problem.lambdas, family_id)
+
+
+class _Factorization(NamedTuple):
+    """What every tuning grid on one (X, K) shares: U, mu, the right factor and U's defect."""
+
+    basis: np.ndarray
+    sing_vals: np.ndarray
+    right_factor: np.ndarray
+    kind: str
+    defect: float
+
+
+def _family(factor: _Factorization, lambdas: np.ndarray, family_id: str) -> SpectralFamily:
+    """The family of one grid on a factorization; U's defect is taken from it, not re-measured."""
+    mu2 = factor.sing_vals**2
     # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly.
-    alphas = mu2[None, :] / (mu2[None, :] + problem.lambdas[:, None])
-    return SpectralFamily(
-        basis=U,
-        sing_vals=s,
-        alphas=alphas,
-        right_factor=Vt @ L_inv,
-        family_id=family_id,
-        lambdas=problem.lambdas,
-        orthogonality_defect=defect if gram else None,
-        factorization="gram" if gram else "svd",
-    )
+    alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
+    family = object.__new__(SpectralFamily)
+    object.__setattr__(family, "orthogonality_defect", factor.defect)
+    family.__init__(factor.basis, factor.sing_vals, alphas, factor.right_factor,
+                    family_id, lambdas, factor.kind)
+    return family
 
 
 def _check_index(family: SpectralFamily, j: int) -> int:

@@ -321,8 +321,9 @@ class TestSolver:
             solve_q_aggregation(family, np.zeros(5), -1.0)
         with pytest.raises(ValueError, match="sigma"):
             solve_q_aggregation(family, np.zeros(5), np.inf)
-        # sigma^2 overflows to inf or underflows to 0
-        for sigma in (1e200, 1e-200):
+        # sigma^2 overflows to inf or underflows to 0; at 1e154 sigma^2 is finite,
+        # but 2 sigma^2 df and 4 sigma^2 are not
+        for sigma in (1e200, 1e-200, 1e154):
             with pytest.raises(ValueError, match="sigma"):
                 solve_q_aggregation(family, np.zeros(5), sigma)
 

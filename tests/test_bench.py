@@ -491,6 +491,71 @@ class TestSweeps:
         assert gap <= r1.stats["q_agg"].ci_half_width + r2.stats["q_agg"].ci_half_width + 1e-6
 
 
+class TestSweepSharing:
+    """A sweep's points share noise draws and factorizations, and nothing outlives it."""
+
+    @staticmethod
+    def sweep(kind, threads=1):
+        # three blocks, the last one partial, so that two workers split the replicates
+        cfg = small_config(replicates=2 * REPLICATE_BLOCK + 5, members_per_family=3)
+        if kind == "M":
+            base = cfg.families[0]
+            ref = replace(cfg, families=(replace(base, grid=replace(base.grid, count=9)),))
+            return ref, regret_vs_M_sweep(cfg, [2, 5, 9], threads=threads)
+        ref = replace(cfg, families=qagg.bench._q_sweep_families(cfg.families[0], 1, 3))
+        return ref, regret_vs_q_sweep(cfg, [1, 2, 4], threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["M", "q"])
+    def test_points_equal_standalone_runs(self, kind, threads):
+        ref, reports = self.sweep(kind, threads)
+        mu = build_instance(ref).truth.mu
+        for report in reports:
+            alone = run_experiment(report.config, threads=threads, mu_override=mu).to_dict()
+            shared = report.to_dict()
+            alone.pop("runtime_seconds")
+            shared.pop("runtime_seconds")
+            assert shared == alone
+
+    @pytest.mark.parametrize("kind, builds", [("M", 1), ("q", 4)])
+    def test_each_sweep_draws_and_factorizes_once(self, kind, builds, monkeypatch):
+        # q in {1, 2, 4} uses the penalty exponents {0}, {0, 3} and {0, 1, 2, 3}
+        draws, factorizations = [], []
+        rng, build = qagg.bench._replicate_rng, qagg.bench.build_tikhonov_family
+        monkeypatch.setattr(qagg.bench, "_replicate_rng",
+                            lambda seed, index: draws.append(index) or rng(seed, index))
+        monkeypatch.setattr(qagg.bench, "build_tikhonov_family",
+                            lambda *args: factorizations.append(1) or build(*args))
+        replicates = 2 * REPLICATE_BLOCK + 5
+        for _ in range(2):  # back to back: the second sweep draws everything again
+            draws.clear()
+            factorizations.clear()
+            self.sweep(kind)
+            assert sorted(draws) == list(range(replicates))
+            assert len(factorizations) == builds
+        assert qagg.bench._sweep_store is None
+
+    def test_store_is_dropped_when_a_point_fails(self, monkeypatch):
+        run = qagg.bench.run_experiment
+        seen = []
+
+        def fail_second(cfg, *, threads=1, mu_override=None):
+            if seen:
+                raise ConfigError("key 'scenario': failed on purpose")
+            seen.append(sorted(key[0] for key in qagg.bench._sweep_store))
+            return run(cfg, threads=threads, mu_override=mu_override)
+
+        monkeypatch.setattr(qagg.bench, "run_experiment", fail_second)
+        with pytest.raises(ConfigError, match="on purpose"):
+            regret_vs_M_sweep(small_config(replicates=5), [2, 4])
+        assert seen == [["factor"]]  # the reference grid's factorization was shared
+        assert qagg.bench._sweep_store is None
+
+    def test_a_single_run_keeps_nothing(self):
+        run_experiment(small_config(replicates=5))
+        assert qagg.bench._sweep_store is None
+
+
 class TestReports:
     def test_json_round_trip(self, tmp_path):
         report = run_experiment(small_config(replicates=20))

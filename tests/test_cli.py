@@ -153,6 +153,7 @@ class TestAggregateCommand:
             ({"--sigma": "inf"}, "--sigma"),
             ({"--sigma": "1e200"}, "--sigma"),
             ({"--sigma": "1e-200"}, "--sigma"),
+            ({"--sigma": "1e154"}, "--sigma"),  # sigma^2 is finite, 2 sigma^2 df is not
         ],
     )
     def test_malformed_inputs_exit_2(self, tmp_path, toy_inputs, capsys, mutation, needle):
@@ -170,6 +171,17 @@ class TestAggregateCommand:
             flat += [k, v]
         assert main(flat) == 2
         assert needle in capsys.readouterr().err
+
+    def test_large_admitted_sigma_solves(self, tmp_path, toy_inputs):
+        # 4 n sigma^2 = 2e307 on 5 points: admitted, and every output is finite
+        _, _, design, response = toy_inputs
+        out = tmp_path / "out"
+        code = main(["aggregate", "--design", str(design), "--response", str(response),
+                     "--lambdas", "0.5,2.0,8.0", "--sigma", "1e153", "--output", str(out)])
+        assert code == 0
+        payload = json.loads((out / "aggregate.json").read_text())
+        assert payload["converged"]
+        assert np.isfinite([payload["objective"], payload["kkt_residual"], *payload["cp"]]).all()
 
     def test_response_length_mismatch_exit_2(self, tmp_path, toy_inputs, capsys):
         _, _, design, _ = toy_inputs
@@ -507,6 +519,8 @@ class TestBenchCommand:
                          id="scenario.sigma-squared-inf"),
             pytest.param({"scenario": {"n": 16, "sigma": 1e-200}}, "scenario.sigma",
                          id="scenario.sigma-squared-zero"),
+            pytest.param({"scenario": {"n": 16, "sigma": 1e154}}, "scenario.sigma",
+                         id="scenario.sigma-4n-sigma-squared-inf"),
             pytest.param({"label": "a,b\nc"}, "label", id="label-comma-newline"),
             pytest.param({"label": "a,b"}, "label", id="label-comma"),
             pytest.param({"label": 'a"b'}, "label", id="label-quote"),

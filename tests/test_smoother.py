@@ -32,6 +32,12 @@ class TestGroundTruth:
             with pytest.raises(ValueError, match="sigma"):
                 GroundTruth(mu=np.zeros(3), sigma=sigma)
 
+    def test_sigma_bound_scales_with_n(self):
+        # 4 n sigma^2 must be finite: sigma^2 = 1e306 allows n <= 44, not n = 45
+        GroundTruth(mu=np.zeros(44), sigma=1e153)
+        with pytest.raises(ValueError, match=r"sigma.*n = 45"):
+            GroundTruth(mu=np.zeros(45), sigma=1e153)
+
     def test_mean_must_be_finite(self):
         for mu in (np.full(3, np.nan), np.array([0.0, np.inf, 0.0])):
             with pytest.raises(ValueError, match="mu"):

@@ -200,6 +200,39 @@ class TestFactorizationRoutes:
         assert family.orthogonality_defect == 0.0
         assert family.factorization is None
 
+    def test_caller_cannot_set_the_defect(self):
+        basis = [[1.0, 0.9], [0.0, 0.5], [0.0, 0.0]]
+        with pytest.raises(TypeError, match="orthogonality_defect"):
+            SpectralFamily(basis=basis, sing_vals=[1, 1], alphas=[[0.5, 0.5]],
+                           orthogonality_defect=0.0)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            SpectralFamily(basis=basis, sing_vals=[1, 1], alphas=[[0.5, 0.5]])
+
+    def test_gram_build_measures_the_defect_once(self, rng, monkeypatch):
+        calls = []
+        measure = spectral._orthogonality_defect
+        monkeypatch.setattr(
+            spectral, "_orthogonality_defect", lambda U: calls.append(1) or measure(U)
+        )
+        family = build_tikhonov_family(random_problem(rng, n=40, p=8, M=5))
+        assert family.factorization == "gram"
+        assert len(calls) == 1
+
+    def test_regrid_equals_a_fresh_build(self, rng, monkeypatch):
+        problem = random_problem(rng, n=30, p=7, M=4)
+        f = build_tikhonov_family(problem)
+        factor = spectral._Factorization(
+            f.basis, f.sing_vals, f.right_factor, f.factorization, f.orthogonality_defect
+        )
+        other = DesignProblem(X=problem.X, K=problem.K, lambdas=np.geomspace(1e-3, 1e3, 9))
+        fresh = build_tikhonov_family(other, "f")
+        monkeypatch.setattr(spectral, "_orthogonality_defect", None)  # reused, not re-measured
+        regrid = spectral._family(factor, other.lambdas, "f")
+        for name in ("basis", "sing_vals", "alphas", "right_factor", "lambdas"):
+            assert np.array_equal(getattr(regrid, name), getattr(fresh, name)), name
+        assert regrid.orthogonality_defect == fresh.orthogonality_defect
+        assert (regrid.factorization, regrid.family_id) == (fresh.factorization, "f")
+
 
 class TestApplyMember:
     def test_zero_smoother_returns_zero(self):
