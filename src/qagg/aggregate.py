@@ -25,10 +25,15 @@ axis, and each criterion is written once along the trailing member axis.
 The pass alone decides the QP's coordinates: spectral for a single family,
 so a solve costs O((n + M) r) per pivot instead of anything involving
 dense n x n matrices, and R^n for a union, whose families share no basis.
+One active-set method solves the QP for all columns of a block pass at once
+(_block_solve): closed-form vertex and segment stages, then lockstep pivots
+(_active_set) on the columns they leave undecided; solve_q_aggregation runs it
+on a block of one column.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -104,11 +109,12 @@ class SimplexWeights:
 class SolveReport:
     """Solver output: weights, objective value and optimality certificate.
 
-    ``support`` lists the members with positive weight,
-    ``ridge_fallbacks`` counts the face solves that fell back to the
-    FACE_RIDGE-regularized system, and ``stalled_pivots`` is 1 when the
-    solve stopped because the member it would add was already in the
-    support (a face system too ill-conditioned to make progress).
+    ``iterations`` counts the active-set pivots (the vertex is the first),
+    ``support`` lists the members with positive weight, ``ridge_fallbacks``
+    counts the face solves that fell back to the FACE_RIDGE-regularized
+    system, and ``stalled_pivots`` is 1 when the solve stopped because the
+    member it would add was already in the support (a face system too
+    ill-conditioned to make progress).  _block_solve counts these per column.
     """
 
     weights: SimplexWeights
@@ -131,7 +137,8 @@ class _Response:
     lin . theta + offset: spectral for one shared-basis family (phi_j =
     alpha_j * U^T y, target = U^T y, offset = ||P_perp y||^2 / 2), R^n for a
     union (phi_j = A_j y, target = y, offset = 0).  Only _response and the
-    qp_* methods know which.
+    qp_* methods know which; the active-set solve fetches the rows phi_j it
+    pivots on through qp_member_rows.
     """
 
     candidates: FamilyUnion
@@ -141,24 +148,6 @@ class _Response:
     resid_sq: np.ndarray  # c_j = ||A_j y - y||^2, globally indexed
     target: np.ndarray  # the QP's target, (d,) or (d, B)
     offset: float | np.ndarray  # the QP's constant, a float or (B,)
-
-    def column(self, b: int) -> "_Response":
-        """The pass of response b of a block, with contiguous arrays of its own."""
-        return _Response(
-            candidates=self.candidates,
-            y=np.ascontiguousarray(self.y[:, b]),
-            z=tuple(np.ascontiguousarray(z[:, b]) for z in self.z),
-            perp=tuple(float(p[b]) for p in self.perp),
-            resid_sq=self.resid_sq[b],
-            target=np.ascontiguousarray(self.target[:, b]),
-            offset=float(self.offset[b]) if np.ndim(self.offset) else self.offset,
-        )
-
-    def member_fit(self, j: int) -> np.ndarray:
-        """Fit A_j y of the member with global index j."""
-        k, local = self.candidates.locate(j)
-        fam = self.candidates.families[k]
-        return fam.basis @ (fam.alphas[local] * self.z[k])
 
     def fit(self, theta: np.ndarray) -> np.ndarray:
         """Aggregated fit sum_j theta_j A_j y; for a block, theta is (B, M) and fits are columns."""
@@ -182,18 +171,36 @@ class _Response:
             return self.spectral_fit(0, theta)
         return self.fit(theta)
 
-    def qp_grad(self, resid: np.ndarray) -> np.ndarray:
-        """phi resid in the QP's coordinates: (M,), or (M, B) for residual columns (d, B)."""
+    def qp_grad(self, resid: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """phi resid in the QP's coordinates: (M,), or (M, B') for residuals (d, B') of cols."""
         fams = self.candidates.families
         if self.candidates.q == 1:
-            return fams[0].alphas @ (self.target * resid)
-        return np.concatenate([f.alphas @ (z * (f.basis.T @ resid)) for f, z in zip(fams, self.z)])
+            return fams[0].alphas @ (self.target[..., cols] * resid)
+        return np.concatenate(
+            [f.alphas @ (z[..., cols] * (f.basis.T @ resid)) for f, z in zip(fams, self.z)]
+        )
 
-    def qp_rows(self) -> np.ndarray:
-        """The rows phi_j of a one-response QP as an (M, d) matrix."""
-        if self.candidates.q == 1:
-            return self.candidates.families[0].alphas * self.target
-        return member_fits(self.candidates, self)
+    def qp_member_rows(self, cols: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Row phi_j of block column b for each (b, j) in zip(cols, members), as (len, d)."""
+        cands = self.candidates
+        if cands.q == 1:
+            return cands.families[0].alphas[members] * self.target[:, cols].T
+        fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
+        rows = np.empty((members.size, cands.n))
+        for k in np.unique(fam_of):
+            sel = np.flatnonzero(fam_of == k)
+            fam = cands.families[k]
+            alphas = fam.alphas[members[sel] - cands.offsets[k]]
+            rows[sel] = (alphas * self.z[k][:, cols[sel]].T) @ fam.basis.T
+        return rows
+
+    def as_block(self) -> "_Response":
+        """A one-response pass as the pass of a block of one column."""
+        return _Response(
+            self.candidates, self.y[:, None], tuple(z[:, None] for z in self.z),
+            tuple(np.reshape(p, 1) for p in self.perp), self.resid_sq[None],
+            self.target[:, None], np.reshape(self.offset, 1),
+        )
 
     def member_losses(self, members: np.ndarray, mean: "_Response") -> np.ndarray:
         """||A_j y_b - mu||^2 of member j = members[b] on every column b of a block pass.
@@ -302,7 +309,7 @@ def q_objective(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     resp = _response(family_or_union, y)
     lin = _qp_linear(resp, sigma)
     theta = _check_theta(theta, lin.size)
-    r = resp.qp_rows().T @ theta - resp.target
+    r = resp.qp_fit(theta) - resp.target
     return float(0.5 * r @ r + lin @ theta + resp.offset)
 
 
@@ -332,8 +339,7 @@ def q_gradient(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) 
     resp = _response(family_or_union, y)
     lin = _qp_linear(resp, sigma)
     theta = _check_theta(theta, lin.size)
-    phi = resp.qp_rows()
-    return phi @ (phi.T @ theta - resp.target) + lin
+    return resp.qp_grad(resp.qp_fit(theta) - resp.target) + lin
 
 
 def certify_kkt(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -345,39 +351,6 @@ def certify_kkt(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     g = q_gradient(family_or_union, theta, y, sigma)
     theta = np.asarray(theta, dtype=float)
     return float(g.min() - g @ theta)
-
-
-def _face_minimizer(phi, pt, lin, support, ridge):
-    """Minimize the objective on one face (support fixed, weights summing to one).
-
-    Solves the exact KKT system of the face.  Only when that system is
-    singular or its solution is not finite is the system solved again
-    with ``ridge`` added to the face Gram diagonal.  Returns the face
-    weights and whether that fallback ran.
-    """
-    S = np.asarray(support)
-    k = len(S)
-    if k == 1:  # a vertex: the only point of its face
-        return np.ones(1), False
-    KKT = np.zeros((k + 1, k + 1))
-    KKT[:k, :k] = phi[S] @ phi[S].T
-    KKT[:k, k] = 1.0
-    KKT[k, :k] = 1.0
-    rhs = np.empty(k + 1)
-    rhs[:k] = pt[S] - lin[S]
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-        if np.isfinite(sol).all():
-            return sol[:k], False
-    except np.linalg.LinAlgError:
-        pass
-    KKT[np.diag_indices(k)] += ridge
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-    return sol[:k], True
 
 
 def _certificate(g, theta, resid, lin):
@@ -392,101 +365,148 @@ def _certificate(g, theta, resid, lin):
     return fval, res, res >= -KKT_TOL * (1.0 + np.abs(fval))
 
 
-def _solve_simplex_qp(phi, target, lin):
-    """Active-set solve of min 1/2 ||phi^T th - target||^2 + lin . th over the simplex.
-
-    Pivots one member at a time starting from the best vertex, solving
-    each face exactly through its KKT system and pruning coordinates that
-    are driven negative; one face solve per pivot and per prune step, at
-    most min(3 M + 100, MAX_PIVOTS) pivots.  The returned certificate is
-    evaluated on the unmodified objective.
-    Returns (theta, objective, certificate, pivots, converged, ridge
-    fallbacks, stalled pivots).
-    """
-    M = phi.shape[0]
-    pt = phi @ target
-    sqn = np.einsum("ij,ij->i", phi, phi)
-    ridge = FACE_RIDGE * max(float(sqn.max()), 1.0)
-    support = [int(np.argmin(0.5 * sqn - pt + lin))]
-    theta_s = np.ones(1)
-    pivots = 0
-    fallbacks = 0
-    stalled = 0
-
-    def solve_face(support):
-        nonlocal fallbacks
-        th, fell_back = _face_minimizer(phi, pt, lin, support, ridge)
-        fallbacks += fell_back
-        return th
-
-    for _ in range(min(3 * M + 100, MAX_PIVOTS)):
-        pivots += 1
-        th_new = solve_face(support)
-        # every prune step drops at least one member, so this ends within
-        # len(support) - 1 steps
-        while th_new.min() < -1e-12 and len(support) > 1:
-            neg = th_new < 1e-15
-            denom = theta_s[neg] - th_new[neg]
-            # a coordinate already at zero contributes a zero-length step
-            ratio = np.where(denom > 1e-300, theta_s[neg] / np.maximum(denom, 1e-300), 0.0)
-            a = max(0.0, min(1.0, float(ratio.min())))
-            theta_s = theta_s + a * (th_new - theta_s)
-            keep = theta_s > 1e-12
-            if keep.all():
-                keep[np.argmin(theta_s)] = False
-            if not keep.any():
-                keep[np.argmax(theta_s)] = True
-            support = [s for s, k_ in zip(support, keep) if k_]
-            theta_s = theta_s[keep]
-            theta_s = theta_s / theta_s.sum()
-            th_new = solve_face(support)
-        theta_s = np.clip(th_new, 0.0, None)
-        mass = theta_s.sum()
-        if mass > 0:
-            theta_s = theta_s / mass
-        else:  # degenerate face solve: fall back to the flat face point
-            theta_s = np.full(len(support), 1.0 / len(support))
-        theta = np.zeros(M)
-        theta[support] = theta_s
-        resid = phi[support].T @ theta_s - target
-        g = phi @ resid + lin
-        fval, res, converged = _certificate(g, theta, resid, lin)
-        if converged:
-            break
-        jadd = int(np.argmin(g))
-        if jadd in support:
-            stalled += 1
-            break  # face system too ill-conditioned to make progress
-        support.append(jadd)
-        theta_s = np.append(theta_s, 0.0)
-
-    return theta, fval, float(res), pivots, bool(converged), fallbacks, stalled
-
-
 SOLVE_STAGES = ("vertex", "segment", "active_set")
 VERTEX, SEGMENT, ACTIVE_SET = range(len(SOLVE_STAGES))
 
 
-def _block_solve(resp: _Response, sigma: float):
-    """The first two steps of the solve on every column of a block pass at once.
+def _certify(resp: _Response, lin, theta, resid, cols=slice(None)):
+    """Gradient at theta (lin and theta rows of the block columns cols), then _certificate."""
+    g = resp.qp_grad(resid, cols).T + lin
+    return (g, *_certificate(g, theta, resid, lin))
 
-    Column b is tested with the scalar solve's certificate at its starting
-    vertex j0, then at the exact minimum on the segment from e_j0 toward the
-    vertex of least gradient (the scalar solve's second face).
-    Each test is one GEMM on the block in the QP's coordinates.  Returns
-    (theta (B, M), objective, kkt_residual, stage), stage indexing
-    SOLVE_STAGES; a column at ACTIVE_SET needs solve_q_aggregation.
+
+def _face_solve(kkt: np.ndarray, rhs: np.ndarray, ridge):
+    """Face weights (L, k) of stacked face KKT systems (L, k + 1, k + 1), and which fell back.
+
+    A singular system, or one with a non-finite solution, is solved again with
+    ``ridge(its index)`` on its Gram diagonal (by least squares if still singular).
+    """
+    try:
+        sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # solve one by one to find the singular systems
+        sol = np.full(rhs.shape, np.nan)
+        for i in range(len(kkt)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                sol[i] = np.linalg.solve(kkt[i], rhs[i])
+    bad = ~np.isfinite(sol).all(axis=1)
+    k = rhs.shape[1] - 1
+    for i, r in zip(np.flatnonzero(bad), ridge(np.flatnonzero(bad))):
+        a = kkt[i] + np.diag(np.append(np.full(k, r), 0.0))
+        try:
+            sol[i] = np.linalg.solve(a, rhs[i])
+        except np.linalg.LinAlgError:
+            sol[i] = np.linalg.lstsq(a, rhs[i], rcond=None)[0]
+    return sol[:, :k], bad
+
+
+def _active_set(resp: _Response, lin, cols, support, g, out):
+    """The active-set method on the columns ``cols`` of a block pass, in lockstep.
+
+    Column i, uncertified after k pivots, starts on the face support[i] (its k
+    members in pivot order) at its weights in out = (theta, objective less
+    offset, certificate), with gradient g[i].  Each pivot adds the member of
+    least gradient and solves every face's KKT system in one stacked solve; a
+    face point below -1e-12 takes the ratio step toward it, drops the members
+    that reach zero (their slots stay, pinned at zero) and is solved again.
+    A column stops when it certifies, when the member it would add is on its
+    face (a stall: a face system too ill-conditioned to progress) or after
+    min(3 M + 100, MAX_PIVOTS) pivots.  Writes the last iterates into out;
+    returns pivots, converged, ridge fallbacks and stalls.
+    """
+    fams, (B, M) = resp.candidates.families, (len(cols), lin.shape[1])
+    cap = min(3 * M + 100, MAX_PIVOTS)
+    lin, target = lin[cols], resp.target[:, cols].T
+    pivots = np.full(B, support.shape[1])
+    converged, fallbacks, stalls = np.zeros(B, bool), np.zeros(B, int), np.zeros(B, int)
+    # one row per column still pivoting: slot s of row i holds member S[i, s], its
+    # row R[i, s] and weight W[i, s], and is on the face while on[i, s]
+    live, S, W = np.arange(B), support, np.take_along_axis(out[0][cols], support, 1)
+    on = np.ones(S.shape, dtype=bool)
+    R = resp.qp_member_rows(np.repeat(cols, S.shape[1]), S.ravel()).reshape(*S.shape, -1)
+
+    def ridge(rows):  # FACE_RIDGE times the largest ||phi_j||^2 (at least 1) per live row
+        c = cols[live[rows]]
+        sq = np.hstack([(f.alphas**2 @ z[:, c] ** 2).T for f, z in zip(fams, resp.z)])
+        return FACE_RIDGE * np.maximum(sq.max(axis=1), 1.0)
+
+    def face_points(sub):  # the minimizers of the faces of live rows sub, pinned slots at 0
+        L, k = S[sub].shape
+        kkt = np.zeros((L, k + 1, k + 1))
+        both = on[sub, :, None] & on[sub, None, :]
+        kkt[:, :k, :k] = np.where(both, R[sub] @ R[sub].transpose(0, 2, 1), np.eye(k))
+        kkt[:, :k, k] = kkt[:, k, :k] = on[sub]
+        c = np.einsum("lkd,ld->lk", R[sub], target[live[sub]])
+        rhs = np.ones((L, k + 1))
+        rhs[:, :k] = np.where(on[sub], c - np.take_along_axis(lin[live[sub]], S[sub], 1), 0.0)
+        th, fell = _face_solve(kkt, rhs, lambda bad: ridge(sub[bad]))
+        fallbacks[live[sub]] += fell
+        return np.where(on[sub], th, 0.0)
+
+    while live.size:
+        jadd = g.argmin(axis=1)
+        stalled = (on & (S == jadd[:, None])).any(axis=1)
+        stalls[live[stalled]] = 1
+        go = ~stalled & (pivots[live] < cap)
+        live, S, W, on, R, jadd = (a[go] for a in (live, S, W, on, R, jadd))
+        if not live.size:
+            break
+        S = np.column_stack([S, jadd])
+        W = np.column_stack([W, np.zeros(live.size)])
+        on = np.column_stack([on, np.ones(live.size, dtype=bool)])
+        R = np.concatenate([R, resp.qp_member_rows(cols[live], jadd)[:, None]], axis=1)
+        pivots[live] += 1
+        th = face_points(np.arange(live.size))
+        while True:  # every prune step drops a member, so this ends
+            low = np.where(on, th, np.inf).min(axis=1)
+            need = np.flatnonzero((low < -1e-12) & (on.sum(axis=1) > 1))
+            if not need.size:
+                break
+            for i in need:
+                s = np.flatnonzero(on[i])
+                ts, tn = W[i, s], th[i, s]
+                neg = tn < 1e-15
+                denom = ts[neg] - tn[neg]
+                # a coordinate already at zero contributes a zero-length step
+                ratio = np.where(denom > 1e-300, ts[neg] / np.maximum(denom, 1e-300), 0.0)
+                ts = ts + max(0.0, min(1.0, float(ratio.min()))) * (tn - ts)
+                keep = ts > 1e-12
+                if keep.all():
+                    keep[np.argmin(ts)] = False
+                if not keep.any():
+                    keep[np.argmax(ts)] = True
+                on[i, s[~keep]] = False
+                W[i, s] = np.where(keep, ts, 0.0) / ts[keep].sum()
+            th[need] = face_points(need)
+        th = np.clip(th, 0.0, None)
+        mass = th.sum(axis=1, keepdims=True)
+        flat = on / on.sum(axis=1, keepdims=True)  # for a degenerate face solve
+        W = np.where(mass > 0, th / np.where(mass > 0, mass, 1.0), flat)
+        theta = np.zeros((live.size, M))
+        i, s = np.nonzero(on)
+        theta[i, S[i, s]] = W[i, s]
+        resid = np.einsum("lk,lkd->dl", W, R) - target[live].T
+        g, fval, res, ok = _certify(resp, lin[live], theta, resid, cols[live])
+        out[0][cols[live]], out[1][cols[live]], out[2][cols[live]] = theta, fval, res
+        converged[live] = ok
+        live, S, W, on, R, g = (a[~ok] for a in (live, S, W, on, R, g))
+    return pivots, converged, fallbacks, stalls
+
+
+def _block_solve(resp: _Response, sigma: float, segment: bool = True):
+    """The aggregation solve on every column of a block pass at once.
+
+    Column b is tested with the certificate at its best vertex j0, then (with
+    ``segment``) at the exact minimum on the segment toward the vertex of
+    least gradient, the active-set method's second face; each test is one
+    GEMM on the block.  The columns left undecided go on together through
+    _active_set.  Returns (theta (B, M), objective, kkt_residual, stage,
+    pivots, converged, ridge fallbacks, stalls) per column (SOLVE_STAGES).
     """
     cands = resp.candidates
     lin = _qp_linear(resp, sigma)
     B, M = lin.shape
     rows = np.arange(B)
-
-    def certify(theta, resid):
-        g = resp.qp_grad(resid).T + lin
-        return (g, *_certificate(g, theta, resid, lin))
-
-    # vertex values 1/2 ||phi_j||^2 - phi_j . target + lin_j, as the scalar solve starts
+    # vertex values 1/2 ||phi_j||^2 - phi_j . target + lin_j
     start = lin + np.hstack(
         [((0.5 * f.alphas**2 - f.alphas) @ z**2).T for f, z in zip(cands.families, resp.z)]
     )
@@ -494,48 +514,52 @@ def _block_solve(resp: _Response, sigma: float):
     theta = np.zeros((B, M))
     theta[rows, j0] = 1.0
     resid = resp.qp_fit(theta) - resp.target
-    g, fval, res, at_vertex = certify(theta, resid)
+    g, fval, res, at_vertex = _certify(resp, lin, theta, resid)
     stage = np.where(at_vertex, VERTEX, ACTIVE_SET)
-    if not at_vertex.all():
+    face = [j0]  # the members of the face each column has reached, in order
+    if segment and not at_vertex.all():
         # along e_jadd - e_j0 the slope at j0 is g_jadd - g_j0 = res < 0 and the
         # curvature ||phi_jadd - phi_j0||^2; as e_j0 is the best vertex, the
         # minimum lies at t <= 1/2.  Certified columns stay put (t = 0).
         moved = ~at_vertex
+        jadd = g.argmin(axis=1)
         step = np.zeros((B, M))
-        step[rows, g.argmin(axis=1)] += 1.0
+        step[rows, jadd] += 1.0
         step[rows, j0] -= 1.0
         d = resp.qp_fit(step)
         t = np.divide(-res, _sq_norms(d), out=np.zeros(B), where=moved)
         theta += t[:, None] * step
-        _, fval_t, res_t, ok = certify(theta, resid + t * d)
+        g, fval_t, res_t, ok = _certify(resp, lin, theta, resid + t * d)
         fval[moved], res[moved] = fval_t[moved], res_t[moved]
         stage[moved & ok] = SEGMENT
-    return theta, fval + resp.offset, res, stage
+        face.append(jadd)
+    pivots, converged = stage + 1, stage != ACTIVE_SET
+    fallbacks, stalls = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    cols = np.flatnonzero(~converged)
+    if cols.size:
+        S = np.stack([f[cols] for f in face], axis=1)
+        pivots[cols], converged[cols], fallbacks[cols], stalls[cols] = _active_set(
+            resp, lin, cols, S, g[cols], (theta, fval, res)
+        )
+    return theta, fval + resp.offset, res, stage, pivots, converged, fallbacks, stalls
 
 
 def solve_q_aggregation(family_or_union, y: np.ndarray, sigma: float) -> SolveReport:
     """Solve the aggregation program and certify the result.
 
-    Convergence means kkt_residual >= -KKT_TOL * (1 + |objective|); on
-    non-convergence within min(3 M + 100, MAX_PIVOTS) pivots the best
-    iterate is returned with ``converged=False``.
+    The active-set method of _active_set, from the best vertex.  Convergence
+    means kkt_residual >= -KKT_TOL * (1 + |objective|); on non-convergence
+    within min(3 M + 100, MAX_PIVOTS) pivots the best iterate is returned
+    with ``converged=False``.
     """
     resp = _response(family_or_union, y)
-    lin = _qp_linear(resp, sigma)
-    theta, fval, res, pivots, converged, fallbacks, stalled = _solve_simplex_qp(
-        resp.qp_rows(), resp.target, lin
+    theta, objective, kkt, _, pivots, converged, fallbacks, stalls = (
+        a[0] for a in _block_solve(resp.as_block(), sigma, segment=False)
     )
     weights = make_weights(resp.candidates, theta, resp)
-    return SolveReport(
-        weights=weights,
-        objective=float(fval + resp.offset),
-        kkt_residual=res,
-        iterations=pivots,
-        converged=converged,
-        support=tuple(int(j) for j in np.flatnonzero(weights.theta > 0)),
-        ridge_fallbacks=fallbacks,
-        stalled_pivots=stalled,
-    )
+    support = tuple(int(j) for j in np.flatnonzero(weights.theta > 0))
+    return SolveReport(weights, float(objective), float(kkt), int(pivots), bool(converged),
+                       support, int(fallbacks), int(stalls))
 
 
 def select_cp(family_or_union, y: np.ndarray, sigma: float) -> int:

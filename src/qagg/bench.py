@@ -11,10 +11,12 @@ a simulated one.
 
 Replicates run in blocks of REPLICATE_BLOCK responses.  One pass per
 block gives the spectral coordinates of every draw; the selection
-baselines, the exponential weights, the member losses and the first two
-stages of the aggregation solve (vertex, then segment) are evaluated for
-the whole block in those coordinates; only the draws those stages leave
-undecided get an active-set solve each, and ``solve_stages`` counts them.
+baselines, the exponential weights, the member losses and the whole
+aggregation solve are evaluated for the block in those coordinates.  The
+solve's vertex and segment stages decide most draws in closed form; the
+draws they leave undecided go on together through the active-set pivots
+of the block, so no draw gets a solve of its own.  ``solve_stages`` counts
+the draws decided at each stage.
 
 All randomness flows from the config seed: the design matrix uses the
 (seed, 0) stream and replicate i the (seed, 1, i) stream.  Blocks start
@@ -22,9 +24,9 @@ at multiples of REPLICATE_BLOCK and are never split between worker
 processes, so serial and parallel executions agree bit for bit.
 
 The points of one M or q sweep share each (X, K)'s factorization and each
-block's standard normals while the sweep runs (``_sweep_store``).  A point
-does the arithmetic of a run of its own on the same inputs, so its report
-is byte-identical to that run's.
+block's standard normals, up to NOISE_STORE_BYTES, while the sweep runs
+(``_sweep_store``).  A point does the arithmetic of a run of its own on the
+same inputs, so its report is byte-identical to that run's.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from qagg.aggregate import (
     _response,
     _softmax,
     excess_bound_gap,
-    solve_q_aggregation,
 )
 from qagg.smoother import FamilyUnion, GroundTruth, _check_sigma, member_risks, oracle_index
 from qagg.spectral import DesignProblem, SpectralFamily, _Factorization, _family
@@ -398,15 +399,22 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 # Factorizations and noise blocks shared by the points of the running sweep, else None.
 _sweep_store: dict | None = None
 
+# Most bytes of noise blocks a sweep keeps; a block past it is drawn again at
+# every point.  The benchmark sweeps keep 200 x 100 draws, 160 KiB.
+NOISE_STORE_BYTES = 64 * 2**20
+
 
 def _noise(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     """Standard normals of replicates [start, stop), one row each; drawn once per sweep."""
     store = {} if _sweep_store is None else _sweep_store
     key = ("noise", seed, n, start, stop)
-    if key not in store:
-        rows = range(start, stop)
-        store[key] = np.stack([_replicate_rng(seed, i).standard_normal(n) for i in rows])
-    return store[key]
+    if key in store:
+        return store[key]
+    noise = np.stack([_replicate_rng(seed, i).standard_normal(n) for i in range(start, stop)])
+    kept = sum(v.nbytes for k, v in store.items() if k[0] == "noise")
+    if kept + noise.nbytes <= NOISE_STORE_BYTES:
+        store[key] = noise
+    return noise
 
 
 def _tikhonov_family(key: tuple, problem: DesignProblem, family_id: str) -> SpectralFamily:
@@ -551,11 +559,8 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
     q_converged = np.ones(count, dtype=bool)
     lemma_gap = np.full(count, -np.inf)
     stages = np.zeros(len(SOLVE_STAGES), dtype=int)
+    fallbacks = np.zeros(2, dtype=int)  # ridge fallbacks, stalls
     mean = _response(candidates, mu)
-
-    def loss(fit):
-        return float((fit - mu) @ (fit - mu))
-
     for start in range(lo, hi, REPLICATE_BLOCK):
         stop = min(start + REPLICATE_BLOCK, hi)
         draws = _noise(config.seed, mu.size, start, stop) * sigma
@@ -566,29 +571,24 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
             losses[name][block] = values
         if "q_agg" not in config.methods:
             continue
-        theta, objective, kkt, stage = _block_solve(resp, sigma)
+        theta, objective, kkt, stage, _, converged, ridge, stalls = _block_solve(resp, sigma)
         stages += np.bincount(stage, minlength=len(SOLVE_STAGES))
-        # a vertex draw's loss and the oracle's come from the same function, so a
-        # draw that lands on the oracle vertex has an excess of exactly zero
+        # a draw left on one member is scored by the function that scores the
+        # oracle, so a draw at the oracle vertex has an excess of exactly zero
         q_loss = resp.member_losses(theta.argmax(axis=1), mean)
-        oracle_loss = resp.member_losses(np.full_like(stage, instance.oracle_member), mean)
-        segment = stage == SEGMENT
-        if segment.any():
-            q_loss[segment] = resp.weight_losses(theta, mean)[segment]
-        # the draws the block stages left undecided get one certified solve each
-        for b in np.flatnonzero(stage == ACTIVE_SET):
-            draw = resp.column(b)
-            report = solve_q_aggregation(candidates, draw, sigma)
-            theta[b], objective[b] = report.weights.theta, report.objective
-            kkt[b] = report.kkt_residual
-            q_loss[b] = loss(report.weights.fitted)  # both in R^n, for the same reason
-            oracle_loss[b] = loss(draw.member_fit(instance.oracle_member))
-            q_converged[block.start + b] = report.converged
+        mixed, kernel = stage == SEGMENT, stage == ACTIVE_SET
+        if kernel.any():  # only the kernel's draws can stall, fall back or fail
+            mixed[kernel] = (theta[kernel] > 0).sum(axis=1) > 1
+            fallbacks += [ridge.sum(), stalls.sum()]
+            q_converged[block] = converged
+        if mixed.any():
+            q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
         losses["q_agg"][block] = q_loss
-        q_excess[block] = q_loss - oracle_loss
+        oracle = np.full_like(stage, instance.oracle_member)
+        q_excess[block] = q_loss - resp.member_losses(oracle, mean)
         if config.lemma_check:
             for b in range(stop - start):
-                gap = excess_bound_gap(candidates, theta[b], resp.column(b), sigma, mu)
+                gap = excess_bound_gap(candidates, theta[b], draws[b], sigma, mu)
                 slack = max(0.0, -kkt[b]) + 1e-9 * (1.0 + abs(objective[b]))
                 lemma_gap[block.start + b] = gap - slack
     return {
@@ -597,6 +597,7 @@ def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: 
         "q_converged": q_converged,
         "lemma_gap": lemma_gap,
         "stages": stages,
+        "fallbacks": fallbacks,
     }
 
 
@@ -618,7 +619,9 @@ class RegretReport:
     Regrets are mean realized loss minus the exact oracle risk R*;
     confidence half-widths are CI_Z standard errors.  Per-draw excess
     quantiles of the aggregation method support tail checks.
-    ``solve_stages`` counts the q_agg draws decided at each of SOLVE_STAGES.
+    ``solve_stages`` counts the q_agg draws decided at each of SOLVE_STAGES;
+    ``solver_fallbacks`` sums their solves' face systems solved again with a
+    ridge ("ridge") and pivots stopped by a stall ("stalled").
     """
 
     label: str
@@ -632,6 +635,7 @@ class RegretReport:
     excess_quantiles: dict[str, float]
     solver_failures: int
     solve_stages: dict[str, int]
+    solver_fallbacks: dict[str, int]
     lemma_violations: int | None
     lemma_worst_gap: float | None
     runtime_seconds: float
@@ -682,6 +686,7 @@ def run_experiment(
     q_converged = np.concatenate([c["q_converged"] for c in chunks])
     lemma_gap = np.concatenate([c["lemma_gap"] for c in chunks])
     stages = sum(c["stages"] for c in chunks)
+    fallbacks = sum(c["fallbacks"] for c in chunks)
 
     # every draw is scored, non-converged solves with the best iterate they
     # return; solver_failures counts those draws separately
@@ -722,6 +727,7 @@ def run_experiment(
         excess_quantiles=excess_quantiles,
         solver_failures=solver_failures,
         solve_stages={name: int(k) for name, k in zip(SOLVE_STAGES, stages)},
+        solver_fallbacks=dict(zip(("ridge", "stalled"), fallbacks.tolist())),
         lemma_violations=lemma_violations,
         lemma_worst_gap=lemma_worst,
         runtime_seconds=time.perf_counter() - t0,

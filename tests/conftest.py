@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qagg.aggregate import FACE_RIDGE, MAX_PIVOTS, _certificate, _qp_linear, _response
 from qagg.spectral import DesignProblem, build_tikhonov_family
 
 
@@ -65,6 +66,133 @@ def stress_problem(rng, case):
     if case != "zero-response":
         y = X @ rng.standard_normal(X.shape[1]) + 0.5 * rng.standard_normal(X.shape[0])
     return X, y, np.array(lambdas)
+
+
+# The scalar active-set solver, one response and one face at a time: the
+# reference that the lockstep kernel, aggregate._active_set, is checked against.
+
+
+def _face_minimizer(phi, pt, lin, support, ridge):
+    """Minimize the objective on one face (support fixed, weights summing to one).
+
+    Solves the exact KKT system of the face.  Only when that system is
+    singular or its solution is not finite is the system solved again
+    with ``ridge`` added to the face Gram diagonal.  Returns the face
+    weights and whether that fallback ran.
+    """
+    S = np.asarray(support)
+    k = len(S)
+    if k == 1:  # a vertex: the only point of its face
+        return np.ones(1), False
+    KKT = np.zeros((k + 1, k + 1))
+    KKT[:k, :k] = phi[S] @ phi[S].T
+    KKT[:k, k] = 1.0
+    KKT[k, :k] = 1.0
+    rhs = np.empty(k + 1)
+    rhs[:k] = pt[S] - lin[S]
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+        if np.isfinite(sol).all():
+            return sol[:k], False
+    except np.linalg.LinAlgError:
+        pass
+    KKT[np.diag_indices(k)] += ridge
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+    except np.linalg.LinAlgError:
+        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+    return sol[:k], True
+
+
+def _solve_simplex_qp(phi, target, lin):
+    """Active-set solve of min 1/2 ||phi^T th - target||^2 + lin . th over the simplex.
+
+    Pivots one member at a time starting from the best vertex, solving
+    each face exactly through its KKT system and pruning coordinates that
+    are driven negative; one face solve per pivot and per prune step, at
+    most min(3 M + 100, MAX_PIVOTS) pivots.  The returned certificate is
+    evaluated on the unmodified objective.
+    Returns (theta, objective, certificate, pivots, converged, ridge
+    fallbacks, stalled pivots, prune steps).
+    """
+    M = phi.shape[0]
+    pt = phi @ target
+    sqn = np.einsum("ij,ij->i", phi, phi)
+    ridge = FACE_RIDGE * max(float(sqn.max()), 1.0)
+    support = [int(np.argmin(0.5 * sqn - pt + lin))]
+    theta_s = np.ones(1)
+    pivots = 0
+    fallbacks = 0
+    stalled = 0
+    prunes = 0
+
+    def solve_face(support):
+        nonlocal fallbacks
+        th, fell_back = _face_minimizer(phi, pt, lin, support, ridge)
+        fallbacks += fell_back
+        return th
+
+    for _ in range(min(3 * M + 100, MAX_PIVOTS)):
+        pivots += 1
+        th_new = solve_face(support)
+        # every prune step drops at least one member, so this ends within
+        # len(support) - 1 steps
+        while th_new.min() < -1e-12 and len(support) > 1:
+            prunes += 1
+            neg = th_new < 1e-15
+            denom = theta_s[neg] - th_new[neg]
+            # a coordinate already at zero contributes a zero-length step
+            ratio = np.where(denom > 1e-300, theta_s[neg] / np.maximum(denom, 1e-300), 0.0)
+            a = max(0.0, min(1.0, float(ratio.min())))
+            theta_s = theta_s + a * (th_new - theta_s)
+            keep = theta_s > 1e-12
+            if keep.all():
+                keep[np.argmin(theta_s)] = False
+            if not keep.any():
+                keep[np.argmax(theta_s)] = True
+            support = [s for s, k_ in zip(support, keep) if k_]
+            theta_s = theta_s[keep]
+            theta_s = theta_s / theta_s.sum()
+            th_new = solve_face(support)
+        theta_s = np.clip(th_new, 0.0, None)
+        mass = theta_s.sum()
+        if mass > 0:
+            theta_s = theta_s / mass
+        else:  # degenerate face solve: fall back to the flat face point
+            theta_s = np.full(len(support), 1.0 / len(support))
+        theta = np.zeros(M)
+        theta[support] = theta_s
+        resid = phi[support].T @ theta_s - target
+        g = phi @ resid + lin
+        fval, res, converged = _certificate(g, theta, resid, lin)
+        if converged:
+            break
+        jadd = int(np.argmin(g))
+        if jadd in support:
+            stalled += 1
+            break  # face system too ill-conditioned to make progress
+        support.append(jadd)
+        theta_s = np.append(theta_s, 0.0)
+
+    return theta, fval, float(res), pivots, bool(converged), fallbacks, stalled, prunes
+
+
+
+def first_vertex_faces(kkt, rhs, ridge):
+    """A kernel face solve that never leaves each face's first vertex, without fallbacks."""
+    k = rhs.shape[1] - 1
+    return np.eye(k)[np.zeros(len(rhs), dtype=int)], np.zeros(len(rhs), dtype=bool)
+
+
+def reference_solve(cands, y, sigma):
+    """The reference solve of response y: (theta, objective, certificate, pivots,
+    converged, ridge fallbacks, stalled pivots, prune steps), objective with its offset."""
+    resp = _response(cands, y)
+    M = resp.resid_sq.size
+    phi = resp.as_block().qp_member_rows(np.zeros(M, dtype=int), np.arange(M))
+    theta, fval, *rest = _solve_simplex_qp(phi, resp.target, _qp_linear(resp, sigma))
+    return (theta, float(fval + resp.offset), *rest)
 
 
 @pytest.fixture

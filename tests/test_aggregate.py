@@ -7,7 +7,14 @@ import pytest
 
 import qagg.aggregate
 
-from conftest import STRESS_CASES, dense_smoother, random_problem, stress_problem
+from conftest import (
+    STRESS_CASES,
+    dense_smoother,
+    first_vertex_faces,
+    random_problem,
+    reference_solve,
+    stress_problem,
+)
 
 from qagg.aggregate import (
     FACE_RIDGE,
@@ -15,8 +22,8 @@ from qagg.aggregate import (
     SOLVE_STAGES,
     SimplexWeights,
     _block_solve,
+    _face_solve,
     _response,
-    _face_minimizer,
     certify_kkt,
     cp_values,
     excess_bound_gap,
@@ -91,7 +98,7 @@ class TestResponsePass:
             resp = _response(union, y)
             cp = cp_values(union, resp, 0.7)
             for j, A in enumerate(dense):
-                assert np.abs(resp.member_fit(j) - A @ y).max() < 1e-10
+                assert np.abs(member_fits(union, resp)[j] - A @ y).max() < 1e-10
                 assert abs(union.df[j] - np.trace(A)) < 1e-10
                 expected = np.sum((A @ y - y) ** 2) + 2 * 0.7**2 * np.trace(A)
                 assert abs(cp[j] - expected) < 1e-10
@@ -106,7 +113,9 @@ class TestResponsePass:
         n, y = union.n, resp.y
         to_rn = union.families[0].basis if union.q == 1 else np.eye(n)
         fits = np.column_stack([A @ y for A in dense])  # n x M
-        assert np.abs(to_rn @ resp.qp_rows().T - fits).max() < 1e-10
+        M = union.member_count
+        rows = resp.as_block().qp_member_rows(np.zeros(M, dtype=int), np.arange(M))
+        assert np.abs(to_rn @ rows.T - fits).max() < 1e-10
         fit_theta = sum(t * A for t, A in zip(theta, dense)) @ y
         assert np.abs(to_rn @ resp.qp_fit(theta) - fit_theta).max() < 1e-10
         # 1/2 ||phi^T theta - target||^2 + offset is 1/2 ||A_theta y - y||^2
@@ -347,31 +356,44 @@ class TestSolver:
 
     def test_singular_face_falls_back_to_the_ridge_system(self, rng):
         # a face holding two copies of one member has a singular KKT system;
-        # small integers keep every product and sum of the system exact
+        # small integers keep every product and sum of the system exact.  It is
+        # stacked with the face of the first two members alone, its third slot
+        # pinned at zero as the kernel pins a pruned slot.
         phi = rng.integers(-3, 4, size=(3, 4)).astype(float)
         phi[2] = phi[0]
-        pt = phi @ rng.integers(-3, 4, size=4).astype(float)
-        lin = np.array([0.5, 0.25, 0.5])
+        c = phi @ rng.integers(-3, 4, size=4).astype(float) - np.array([0.5, 0.25, 0.5])
+        kkt = np.ones((2, 4, 4))
+        kkt[:, :3, :3] = phi @ phi.T
+        kkt[:, 3, 3] = 0.0
+        kkt[1, 2, :], kkt[1, :, 2], kkt[1, 2, 2] = 0.0, 0.0, 1.0
+        rhs = np.ones((2, 4))
+        rhs[:, :3] = c
+        rhs[1, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt, rhs[..., None])
         ridge = FACE_RIDGE * float(np.einsum("ij,ij->i", phi, phi).max())
-        theta, fell_back = _face_minimizer(phi, pt, lin, [0, 1, 2], ridge)
-        assert fell_back
-        assert np.all(np.isfinite(theta)) and abs(theta.sum() - 1.0) < 1e-8
-        theta, fell_back = _face_minimizer(phi, pt, lin, [0, 1], ridge)
-        assert not fell_back
+        theta, fell_back = _face_solve(kkt, rhs, lambda bad: np.full(bad.size, ridge))
+        assert fell_back.tolist() == [True, False]
+        assert np.all(np.isfinite(theta)) and np.abs(theta.sum(axis=1) - 1.0).max() < 1e-8
+        # the pinned face's weights are those of its two-member system
+        two = np.ones((3, 3))
+        two[:2, :2], two[2, 2] = phi[:2] @ phi[:2].T, 0.0
+        exact = np.linalg.solve(two, np.append(c[:2], 1.0))[:2]
+        np.testing.assert_allclose(theta[1], np.append(exact, 0.0), rtol=0, atol=1e-12)
 
     def test_fallback_solves_still_certify(self, rng, monkeypatch):
         # Active-set pivots never build a singular face from these inputs, so
-        # every exact face solve is made to fail; each face of two or more
-        # members then goes through the ridge system.
+        # every stacked exact face solve is made to return a non-finite point;
+        # each face then goes through its own ridge system.
         family = build_tikhonov_family(random_problem(rng, n=12, p=6, M=10))
         mu = 2.0 * family.basis @ (np.arange(1, family.rank + 1) ** -1.0)
         solve = np.linalg.solve
         calls = []
 
         def exact_systems_fail(a, b):
+            if a.ndim == 3:  # the kernel's stacked solve of the exact systems
+                return np.full(b.shape, np.nan)
             calls.append(a.shape[0])
-            if len(calls) % 2:  # the first solve of each face is the exact one
-                raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
         fallbacks = 0
@@ -383,14 +405,13 @@ class TestSolver:
                 patch.setattr(np.linalg, "solve", exact_systems_fail)
                 report = solve_q_aggregation(family, y, 1.0)
             assert exact.ridge_fallbacks == 0
-            assert report.ridge_fallbacks == len(calls) // 2
+            assert report.ridge_fallbacks == len(calls)
             assert report.converged
             recheck = certify_kkt(family, report.weights.theta, y, 1.0)
             assert recheck >= -1e-7 * (1.0 + abs(report.objective))
             assert abs(report.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective))
             fallbacks += report.ridge_fallbacks
         assert fallbacks > 0
-
 
     def test_stalled_pivot_is_counted(self, rng, monkeypatch):
         # A face solve that never leaves the face's first vertex makes the next
@@ -404,11 +425,7 @@ class TestSolver:
             if len(exact.support) > 1:
                 break
         assert len(exact.support) > 1
-        monkeypatch.setattr(
-            qagg.aggregate,
-            "_face_minimizer",
-            lambda phi, pt, lin, support, ridge: (np.eye(len(support))[0], False),
-        )
+        monkeypatch.setattr(qagg.aggregate, "_face_solve", first_vertex_faces)
         report = solve_q_aggregation(family, y, 1.0)
         assert report.stalled_pivots == 1
         assert not report.converged
@@ -650,29 +667,32 @@ class TestExcessBound:
 
 
 def block_matches_scalar(cands, Y, sigma):
-    """Stage counts of _block_solve on the columns of Y, each checked against the scalar solve.
+    """Stage counts of _block_solve on the columns of Y, each checked against the reference.
 
-    A column decided at the vertex must be one the scalar solve certifies
-    after one pivot, a segment column one it certifies after two, with the
-    same support, weights, objective and certificate; an undecided column
-    one that needs more pivots.
+    Every column must have the reference solve's support, pivot count,
+    convergence, ridge fallbacks and stalls, with weights, objective and
+    certificate within 1e-10.  A column decided at the vertex takes one
+    pivot, a segment column two, and an active_set column, decided by the
+    kernel's pivots, three or more.  Also returns the prune steps the
+    reference solves took.
     """
     resp = _response(cands, Y, block=True)
-    theta, objective, kkt, stage = _block_solve(resp, sigma)
+    theta, objective, kkt, stage, pivots, converged, ridge, stalls = _block_solve(resp, sigma)
     assert theta.shape == resp.resid_sq.shape
+    prunes = 0
     for b, s in enumerate(stage):
-        report = solve_q_aggregation(cands, Y[:, b], sigma)
-        assert min(report.iterations, 3) == s + 1, (b, SOLVE_STAGES[s], report.iterations)
-        if SOLVE_STAGES[s] == "active_set":
-            continue
-        assert report.converged
-        assert tuple(np.flatnonzero(theta[b] > 0)) == report.support
-        np.testing.assert_allclose(theta[b], report.weights.theta, rtol=0, atol=1e-10)
-        scale = 1.0 + abs(report.objective)
-        assert abs(objective[b] - report.objective) <= 1e-10 * scale
-        assert abs(kkt[b] - report.kkt_residual) <= 1e-10 * scale
-        assert kkt[b] >= -KKT_TOL * (1.0 + abs(objective[b]))
-    return dict(zip(SOLVE_STAGES, np.bincount(stage, minlength=len(SOLVE_STAGES)).tolist()))
+        th, obj, res, iters, conv, fell, stalled, pruned = reference_solve(cands, Y[:, b], sigma)
+        assert pivots[b] == iters, (b, SOLVE_STAGES[s], pivots[b], iters)
+        assert iters >= 3 if SOLVE_STAGES[s] == "active_set" else iters == s + 1
+        assert (converged[b], ridge[b], stalls[b]) == (conv, fell, stalled), b
+        assert tuple(np.flatnonzero(theta[b] > 0)) == tuple(np.flatnonzero(th > 0))
+        np.testing.assert_allclose(theta[b], th, rtol=0, atol=1e-10)
+        scale = 1.0 + abs(obj)
+        assert abs(objective[b] - obj) <= 1e-10 * scale
+        assert abs(kkt[b] - res) <= 1e-10 * scale
+        assert not conv or kkt[b] >= -KKT_TOL * (1.0 + abs(objective[b]))
+        prunes += pruned
+    return dict(zip(SOLVE_STAGES, np.bincount(stage, minlength=len(SOLVE_STAGES)).tolist())), prunes
 
 
 def noisy_responses(rng, X, B, noise=1.0):
@@ -682,12 +702,12 @@ def noisy_responses(rng, X, B, noise=1.0):
 
 
 class TestBlockSolve:
-    """The block's vertex and segment stages against the scalar solve."""
+    """The block's vertex and segment stages and its active-set kernel against the reference."""
 
     def test_single_family(self, rng):
         problem = random_problem(rng, 30, 12, 15, identity_penalty=True)
         family = build_tikhonov_family(problem)
-        stages = block_matches_scalar(family, noisy_responses(rng, problem.X, 40), 1.0)
+        stages, _ = block_matches_scalar(family, noisy_responses(rng, problem.X, 40), 1.0)
         assert stages["vertex"] > 0 and stages["segment"] > 0
 
     def test_union_of_three_families(self, rng):
@@ -702,8 +722,41 @@ class TestBlockSolve:
             for g in (0.0, 1.5, 3.0)
         )
         union = FamilyUnion(families=families)
-        stages = block_matches_scalar(union, noisy_responses(rng, X, 40), 1.0)
+        stages, _ = block_matches_scalar(union, noisy_responses(rng, X, 40), 1.0)
         assert min(stages.values()) > 0
+
+    def test_union_whose_kernel_columns_prune(self, rng):
+        X = rng.standard_normal((60, 30))
+        families = tuple(
+            build_tikhonov_family(
+                DesignProblem(
+                    X=X, K=np.diag(np.arange(1.0, 31.0) ** g), lambdas=np.geomspace(1e-2, 1e2, 16)
+                ),
+                family_id=f"power-{g}",
+            )
+            for g in np.linspace(0.0, 3.0, 8)
+        )
+        union = FamilyUnion(families=families)
+        stages, prunes = block_matches_scalar(union, noisy_responses(rng, X, 64), 1.0)
+        assert stages["active_set"] > 0 and prunes > 0
+
+    def test_singular_face_column_among_regular_ones(self, rng):
+        # With dyadic eigenvalues on coordinate axes every product of the solve
+        # is exact.  Column 3, the first axis, has collinear member fits, so its
+        # third pivot builds an exactly singular face; its stacked solve holds
+        # the kernel's other columns too, which must stay exact.
+        alphas = np.array([
+            [0.625, 0.875, 0.5, 0.375], [0.75, 0.25, 0.375, 1.0], [0.0, 0.25, 0.375, 0.875],
+            [1.0, 0.125, 0.875, 0.5], [0.0, 0.375, 0.375, 0.25], [0.5, 0.25, 0.875, 1.0],
+            [0.375, 0.75, 0.5, 0.5], [0.125, 0.625, 0.75, 0.875],
+        ])
+        family = SpectralFamily(basis=np.eye(8)[:, :4], sing_vals=np.ones(4), alphas=alphas)
+        Y = 1.5 * rng.standard_normal((8, 24))
+        Y[:, 3] = np.eye(8)[0]
+        stages, _ = block_matches_scalar(family, Y, 0.5)
+        _, _, _, stage, _, _, ridge, _ = _block_solve(_response(family, Y, block=True), 0.5)
+        assert stage[3] == SOLVE_STAGES.index("active_set") and stages["active_set"] >= 3
+        assert np.flatnonzero(ridge).tolist() == [3]
 
     @pytest.mark.parametrize("case", STRESS_CASES)
     def test_stress_families(self, rng, case):
@@ -711,7 +764,7 @@ class TestBlockSolve:
         family = build_tikhonov_family(DesignProblem(X=X, K=np.eye(X.shape[1]), lambdas=lambdas))
         noise = 0.0 if case == "zero-response" else 2.0
         Y = y[:, None] + noise * rng.standard_normal((y.size, 24))
-        stages = block_matches_scalar(family, Y, 2.0)
+        stages, _ = block_matches_scalar(family, Y, 2.0)
         assert stages["active_set"] == 0
         if case in ("single-member", "zero-response"):
             assert stages["vertex"] == 24
@@ -721,7 +774,7 @@ class TestBlockSolve:
         scale = float(np.mean(np.linalg.svd(X, compute_uv=False) ** 2))
         lambdas = scale * np.geomspace(0.5, 2.0, 10_000)
         family = build_tikhonov_family(DesignProblem(X=X, K=np.eye(20), lambdas=lambdas))
-        stages = block_matches_scalar(family, noisy_responses(rng, X, 8), 1.0)
+        stages, _ = block_matches_scalar(family, noisy_responses(rng, X, 8), 1.0)
         assert stages["active_set"] == 0
 
     def test_one_tolerance_for_both_stages(self, rng, monkeypatch):
@@ -733,7 +786,7 @@ class TestBlockSolve:
         vertex = SOLVE_STAGES.index("vertex")
         assert (_block_solve(_response(family, Y, block=True), 1.0)[3] != vertex).any()
         monkeypatch.setattr(qagg.aggregate, "KKT_TOL", 1e300)
-        _, _, _, stage = _block_solve(_response(family, Y, block=True), 1.0)
+        stage = _block_solve(_response(family, Y, block=True), 1.0)[3]
         assert (stage == vertex).all()
         for b in range(Y.shape[1]):
             report = solve_q_aggregation(family, Y[:, b], 1.0)

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 import qagg.bench
+from conftest import first_vertex_faces
 from qagg.aggregate import (
     SOLVE_STAGES,
+    _block_solve,
     _cp,
     _gcv_scores,
     _response,
     _softmax,
     exponential_weights,
+    member_fits,
     select_cp,
     select_gcv,
     solve_q_aggregation,
@@ -341,11 +344,11 @@ class TestRunExperiment:
             gcv_choice = _gcv_scores(block).argmin(axis=-1)
             ew_theta = _softmax(_cp(block, sigma), sigma)
             for i, y in enumerate(Y.T):
-                resp = _response(cands, y)
+                member = member_fits(cands, y)
                 fits = {
-                    "oracle": resp.member_fit(instance.oracle_member),
-                    "cp_select": resp.member_fit(select_cp(cands, y, sigma)),
-                    "gcv": resp.member_fit(select_gcv(cands, y)),
+                    "oracle": member[instance.oracle_member],
+                    "cp_select": member[select_cp(cands, y, sigma)],
+                    "gcv": member[select_gcv(cands, y)],
                     "exp_weights": exponential_weights(cands, y, sigma).fitted,
                     "q_agg": solve_q_aggregation(cands, y, sigma).weights.fitted,
                 }
@@ -357,12 +360,6 @@ class TestRunExperiment:
                     assert gcv_choice[i] == select_gcv(cands, y)
                     np.testing.assert_allclose(
                         ew_theta[i], exponential_weights(cands, y, sigma).theta, rtol=1e-10
-                    )
-                    column = solve_q_aggregation(cands, block.column(i), sigma)
-                    alone = solve_q_aggregation(cands, y, sigma)
-                    assert column.support == alone.support
-                    np.testing.assert_allclose(
-                        column.weights.theta, alone.weights.theta, rtol=1e-10, atol=1e-12
                     )
 
     def test_oracle_estimate_consistent_with_exact_risk(self):
@@ -388,38 +385,58 @@ class TestRunExperiment:
             assert sum(report.solve_stages.values()) == 60
             assert report.solve_stages["vertex"] > 0 and report.solve_stages["segment"] > 0
 
+    @staticmethod
+    def union_config():
+        # 10 of these 30 draws are left to the kernel by the vertex and segment stages
+        union = tuple(
+            FamilySpec(p=10, penalty=PenaltySpec("diag-power", g), grid=GridSpec(count=6))
+            for g in (0.0, 1.5, 3.0)
+        )
+        return small_config(replicates=30, families=union)
+
     def test_non_converged_draws_are_scored_and_counted(self, monkeypatch):
-        cfg = small_config(replicates=30)
-        calls = []
-        solve = qagg.bench.solve_q_aggregation
-        block_solve = qagg.bench._block_solve
-
-        def certify_nothing(*args, **kwargs):
-            # every draw goes on to the scalar solve
-            theta, objective, kkt, stage = block_solve(*args, **kwargs)
-            return theta, objective, kkt, np.full_like(stage, SOLVE_STAGES.index("active_set"))
-
-        def flaky_solve(*args, **kwargs):
-            # every third solve reports a failed certificate; its best
-            # iterate is still what the caller gets
-            report = solve(*args, **kwargs)
-            calls.append(report.weights.fitted)
-            return replace(report, converged=len(calls) % 3 != 0)
-
-        monkeypatch.setattr(qagg.bench, "_block_solve", certify_nothing)
+        # A kernel face solve that never leaves the face's first vertex stalls
+        # every draw left to the kernel; each is scored at the vertex it stopped at.
+        cfg = self.union_config()
+        instance = build_instance(cfg)
+        cands, mu, sigma = instance.candidates, instance.truth.mu, instance.truth.sigma
+        ys = [mu + sigma * _replicate_rng(cfg.seed, i).standard_normal(mu.size) for i in range(30)]
+        clean = [solve_q_aggregation(cands, y, sigma) for y in ys]
         with monkeypatch.context() as patch:
-            patch.setattr(qagg.bench, "solve_q_aggregation", flaky_solve)
+            patch.setattr(qagg.aggregate, "_face_solve", first_vertex_faces)
             report = run_experiment(cfg)
-        assert len(calls) == 30
+            stalled = [solve_q_aggregation(cands, y, sigma) for y in ys]
         assert report.solver_failures == 10
-        assert report.solve_stages == {"vertex": 0, "segment": 0, "active_set": 30}
-        mu = build_instance(cfg).truth.mu
-        losses = np.array([float((fit - mu) @ (fit - mu)) for fit in calls])
-        assert report.stats["q_agg"].mean_risk == float(losses.mean())
-        clean = run_experiment(cfg)
-        assert clean.solver_failures == 0
-        assert clean.stats["q_agg"].mean_risk == report.stats["q_agg"].mean_risk
-        assert clean.excess_quantiles == report.excess_quantiles
+        assert report.solve_stages["active_set"] == 10 and sum(report.solve_stages.values()) == 30
+        assert report.solver_fallbacks == {"ridge": 0, "stalled": 10}
+        fits = [
+            (s if c.iterations >= 3 else c).weights.fitted for c, s in zip(clean, stalled)
+        ]
+        assert sum(c.iterations >= 3 and not s.converged for c, s in zip(clean, stalled)) == 10
+        losses = np.array([float((fit - mu) @ (fit - mu)) for fit in fits])
+        assert abs(report.stats["q_agg"].mean_risk - losses.mean()) <= 1e-10 * losses.mean()
+        assert run_experiment(cfg).solver_failures == 0
+
+    def test_kernel_draw_left_on_one_member_is_scored_as_a_vertex(self, monkeypatch):
+        # a stalled kernel draw stops on its starting vertex; with that vertex as
+        # the oracle, its excess is exactly zero, as for a vertex-stage draw
+        cfg = self.union_config()
+        instance = build_instance(cfg)
+        mu, sigma = instance.truth.mu, instance.truth.sigma
+        Y = np.column_stack(
+            [mu + sigma * _replicate_rng(cfg.seed, i).standard_normal(mu.size) for i in range(30)]
+        )
+        monkeypatch.setattr(qagg.aggregate, "_face_solve", first_vertex_faces)
+        theta, _, _, stage, _, converged, _, _ = _block_solve(
+            _response(instance.candidates, Y, block=True), sigma
+        )
+        kernel = np.flatnonzero(stage == SOLVE_STAGES.index("active_set"))
+        assert kernel.size and not converged[kernel].any()
+        assert ((theta[kernel] > 0).sum(axis=1) == 1).all()
+        for b in kernel[:3]:
+            oracle = replace(instance, oracle_member=int(theta[b].argmax()))
+            out = _replicate_chunk(oracle, cfg, 0, 30)
+            assert out["q_excess"][b] == 0.0 and not out["q_converged"][b]
 
     def test_methods_subset_respected(self):
         cfg = small_config(methods=("cp_select", "gcv"), replicates=20)
@@ -535,6 +552,23 @@ class TestSweepSharing:
             assert len(factorizations) == builds
         assert qagg.bench._sweep_store is None
 
+    @pytest.mark.parametrize("kind", ["M", "q"])
+    def test_noise_past_the_store_cap_is_drawn_again(self, kind, monkeypatch, tmp_path):
+        _, shared = self.sweep(kind)
+        draws = []
+        rng = qagg.bench._replicate_rng
+        monkeypatch.setattr(qagg.bench, "_replicate_rng",
+                            lambda seed, index: draws.append(index) or rng(seed, index))
+        monkeypatch.setattr(qagg.bench, "NOISE_STORE_BYTES", 0)
+        _, redrawn = self.sweep(kind)
+        # every point draws every replicate again, and its report is unchanged
+        assert sorted(draws) == sorted(3 * list(range(2 * REPLICATE_BLOCK + 5)))
+        for name, reports in (("shared.csv", shared), ("redrawn.csv", redrawn)):
+            write_reports_csv(reports, tmp_path / name)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "redrawn.csv").read_bytes()
+        for a, b in zip(shared, redrawn):
+            assert replace(a, runtime_seconds=0.0) == replace(b, runtime_seconds=0.0)
+
     def test_store_is_dropped_when_a_point_fails(self, monkeypatch):
         run = qagg.bench.run_experiment
         seen = []
@@ -565,6 +599,7 @@ class TestReports:
         assert loaded["oracle_risk"] == report.oracle_risk
         assert loaded["methods"]["q_agg"]["regret"] == report.stats["q_agg"].regret
         assert loaded["solve_stages"] == report.solve_stages
+        assert loaded["solver_fallbacks"] == report.solver_fallbacks == {"ridge": 0, "stalled": 0}
         again = ExperimentConfig.from_dict(loaded["config"])
         assert again == report.config
 
@@ -574,7 +609,11 @@ class TestReports:
         write_reports_csv([report], path)
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
-        assert header[:6] == ["label", "members", "families", "seed", "replicates", "method"]
+        assert header == [
+            "label", "members", "families", "seed", "replicates", "method", "mean_risk",
+            "std_error", "oracle_risk", "regret", "ci_half_width", "excess_q50", "excess_q90",
+            "excess_q99",
+        ]
         assert len(lines) == 1 + len(report.stats)
         assert not {"solve_stages", *report.solve_stages} & set(header)
         row = dict(zip(header, lines[1].split(",")))
