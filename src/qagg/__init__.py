@@ -9,13 +9,11 @@ and ships a seeded Monte Carlo harness for regret experiments.
 from qagg.aggregate import (
     SimplexWeights,
     SolveReport,
-    certify_kkt,
     cp_values,
     excess_bound_gap,
     exponential_weights,
     q_gradient,
     q_objective,
-    q_objective_penalized,
     select_cp,
     select_gcv,
     solve_q_aggregation,
@@ -27,7 +25,6 @@ from qagg.smoother import (
     check_ordered,
     member_risks,
     oracle_index,
-    pair_distance,
 )
 from qagg.spectral import (
     DesignProblem,
@@ -52,7 +49,6 @@ __all__ = [
     "apply_member",
     "apply_weights",
     "build_tikhonov_family",
-    "certify_kkt",
     "check_ordered",
     "cp_values",
     "excess_bound_gap",
@@ -60,10 +56,8 @@ __all__ = [
     "member_matrix",
     "member_risks",
     "oracle_index",
-    "pair_distance",
     "q_gradient",
     "q_objective",
-    "q_objective_penalized",
     "recover_coefficients",
     "select_cp",
     "select_gcv",

@@ -15,20 +15,22 @@ certified by the first-order condition at the simplex vertices:
 min_k grad H(theta) . (e_k - theta) >= 0 at a global optimum, and a
 negative value bounds the suboptimality gap of any feasible point.
 
-Every member of a family is diagonal in the family's eigenbasis U, so all
-per-response quantities (fits, c_j = ||A_j y - y||^2, the criteria and
-the QP data) depend on y only through z = U^T y and ||P_perp y||^2 per
-family.  One pass computes them, and every public function accepts that
-pass in place of y.  The pass also takes a block of responses (the
-columns of an n x B matrix); per-member arrays then carry a leading block
-axis, and each criterion is written once along the trailing member axis.
-The pass alone decides the QP's coordinates: spectral for a single family,
-so a solve costs O((n + M) r) per pivot instead of anything involving
-dense n x n matrices, and R^n for a union, whose families share no basis.
-One active-set method solves the QP for all columns of a block pass at once
-(_block_solve): closed-form vertex and segment stages, then lockstep pivots
-(_active_set) on the columns they leave undecided; solve_q_aggregation runs it
-on a block of one column.
+Every member of a family is diagonal in the family's eigenbasis U_f, and
+every U_f = Q W_f lies in the span of the candidate set's one coordinate
+basis Q (FamilyUnion.coords, n x d; d = rank X for families on one design
+X).  So all per-response quantities (fits, c_j = ||A_j y - y||^2, the
+criteria and the QP data) depend on y only through t = Q^T y, the
+z_f = W_f^T t = U_f^T y and ||y||^2.  One pass computes them, and every
+public function accepts that pass in place of y.  The pass also takes a
+block of responses (the columns of an n x B matrix); per-member arrays then
+carry a leading block axis, and each criterion is written once along the
+trailing member axis.  The QP is posed in Q's d coordinates for one family
+and for a union alike, so a solve costs O((d + M) d) per pivot instead of
+anything involving dense n x n matrices.  One active-set method solves the
+QP for all columns of a block pass at once (_block_solve): closed-form
+vertex and segment stages, then lockstep pivots (_active_set) on the
+columns they leave undecided; solve_q_aggregation runs it on a block of
+one column.
 """
 
 from __future__ import annotations
@@ -49,9 +51,7 @@ __all__ = [
     "make_weights",
     "cp_values",
     "q_objective",
-    "q_objective_penalized",
     "q_gradient",
-    "certify_kkt",
     "solve_q_aggregation",
     "select_cp",
     "select_gcv",
@@ -133,21 +133,21 @@ class _Response:
 
     y is one response (n,) or a block of responses, one per column (n, B).
     Per-member arrays put the member axis last: resid_sq is (M,) or (B, M).
-    It also fixes the coordinates of the QP 1/2 ||phi^T theta - target||^2 +
-    lin . theta + offset: spectral for one shared-basis family (phi_j =
-    alpha_j * U^T y, target = U^T y, offset = ||P_perp y||^2 / 2), R^n for a
-    union (phi_j = A_j y, target = y, offset = 0).  Only _response and the
-    qp_* methods know which; the active-set solve fetches the rows phi_j it
-    pivots on through qp_member_rows.
+    The QP 1/2 ||phi^T theta - target||^2 + lin . theta + offset lives in the
+    candidates' coordinates Q (``coords``, n x d): target = Q^T y,
+    offset = ||P_Q_perp y||^2 / 2 and phi_j = W_f (alpha_j * z_f) for member
+    j of family f, with z_f = W_f^T target = U_f^T y and W_f = Q^T U_f
+    (``rotations``).  The active-set solve fetches the rows phi_j it pivots
+    on through qp_member_rows.
     """
 
     candidates: FamilyUnion
     y: np.ndarray
-    z: tuple[np.ndarray, ...]  # U^T y per family, (r,) or (r, B)
-    perp: tuple  # ||P_perp y||^2 per family, a float or (B,)
+    z: tuple[np.ndarray, ...]  # U_f^T y per family, (r_f,) or (r_f, B)
+    perp: tuple  # ||P_f_perp y||^2 per family, a float or (B,)
     resid_sq: np.ndarray  # c_j = ||A_j y - y||^2, globally indexed
-    target: np.ndarray  # the QP's target, (d,) or (d, B)
-    offset: float | np.ndarray  # the QP's constant, a float or (B,)
+    target: np.ndarray  # Q^T y, (d,) or (d, B)
+    offset: float | np.ndarray  # ||P_Q_perp y||^2 / 2, a float or (B,)
 
     def fit(self, theta: np.ndarray) -> np.ndarray:
         """Aggregated fit sum_j theta_j A_j y; for a block, theta is (B, M) and fits are columns."""
@@ -155,43 +155,36 @@ class _Response:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.resid_sq.shape:
             raise ValueError(f"expected {cands.member_count} weights, got shape {theta.shape}")
-        fit = None
-        for k, (fam, lo, hi) in enumerate(zip(cands.families, cands.offsets, cands.offsets[1:])):
-            part = fam.basis @ self.spectral_fit(k, theta[..., lo:hi])
-            fit = part if fit is None else fit + part
-        return fit
+        return cands.coords @ self.qp_fit(theta)
 
-    def spectral_fit(self, k: int, theta: np.ndarray) -> np.ndarray:
-        """U_k^T of the fit of weights theta on family k's members alone; (r,) or (r, B)."""
-        return (self.candidates.families[k].alphas.T @ theta.T) * self.z[k]
+    def _parts(self):
+        """(family, W_f, z_f, first member, end) per family."""
+        cands = self.candidates
+        return zip(cands.families, cands.rotations, self.z, cands.offsets, cands.offsets[1:])
 
     def qp_fit(self, theta: np.ndarray) -> np.ndarray:
         """phi^T theta in the QP's coordinates; for a block theta is (B, M), fits columns."""
-        if self.candidates.q == 1:
-            return self.spectral_fit(0, theta)
-        return self.fit(theta)
+        fit = None
+        for fam, W, z, lo, hi in self._parts():
+            part = W @ ((fam.alphas.T @ theta[..., lo:hi].T) * z)
+            fit = part if fit is None else fit + part
+        return fit
 
     def qp_grad(self, resid: np.ndarray, cols=slice(None)) -> np.ndarray:
         """phi resid in the QP's coordinates: (M,), or (M, B') for residuals (d, B') of cols."""
-        fams = self.candidates.families
-        if self.candidates.q == 1:
-            return fams[0].alphas @ (self.target[..., cols] * resid)
         return np.concatenate(
-            [f.alphas @ (z[..., cols] * (f.basis.T @ resid)) for f, z in zip(fams, self.z)]
+            [fam.alphas @ (z[..., cols] * (W.T @ resid)) for fam, W, z, *_ in self._parts()]
         )
 
     def qp_member_rows(self, cols: np.ndarray, members: np.ndarray) -> np.ndarray:
         """Row phi_j of block column b for each (b, j) in zip(cols, members), as (len, d)."""
         cands = self.candidates
-        if cands.q == 1:
-            return cands.families[0].alphas[members] * self.target[:, cols].T
         fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
-        rows = np.empty((members.size, cands.n))
+        rows = np.empty((members.size, cands.coords.shape[1]))
         for k in np.unique(fam_of):
             sel = np.flatnonzero(fam_of == k)
-            fam = cands.families[k]
-            alphas = fam.alphas[members[sel] - cands.offsets[k]]
-            rows[sel] = (alphas * self.z[k][:, cols[sel]].T) @ fam.basis.T
+            alphas = cands.families[k].alphas[members[sel] - cands.offsets[k]]
+            rows[sel] = (alphas * self.z[k][:, cols[sel]].T) @ cands.rotations[k].T
         return rows
 
     def as_block(self) -> "_Response":
@@ -243,8 +236,12 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
         y = np.asarray(y, dtype=float)
         if not np.all(np.isfinite(y)):
             raise ValueError("the response y must be finite")
+        if y.ndim not in (1, 2) or y.shape[0] != cands.n:
+            raise ValueError(f"expected response of length {cands.n}, got {y.shape}")
         yy = _sq_norms(y)
-        z = tuple(fam.spectral_coords(y) for fam in cands.families)
+        target = cands.coords.T @ y
+        offset = 0.5 * np.maximum(yy - _sq_norms(target), 0.0)
+        z = tuple(W.T @ target for W in cands.rotations)
         perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
         # (M_f,) per family for one response, (B, M_f) for a block
         resid_sq = np.concatenate(
@@ -254,7 +251,6 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
             ],
             axis=-1,
         )
-        target, offset = (z[0], 0.5 * perp[0]) if cands.q == 1 else (y, 0.0)
         resp = _Response(cands, y, z, perp, resid_sq, target, offset)
     if resp.y.ndim != 1 and not block:
         raise ValueError(f"expected one response of length {cands.n}, got shape {resp.y.shape}")
@@ -313,44 +309,12 @@ def q_objective(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     return float(0.5 * r @ r + lin @ theta + resp.offset)
 
 
-def q_objective_penalized(
-    family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float
-) -> float:
-    """Penalized form Cp(A_theta) + 1/2 sum_j theta_j ||(A_theta - A_j) y||^2.
-
-    Computed from member fits in R^n, independently of the spectral
-    shortcut used by :func:`q_objective`; the two must agree on the
-    simplex.
-    """
-    resp = _response(family_or_union, y)
-    _check_sigma(sigma, resp.candidates.n)
-    fits = member_fits(resp.candidates, resp)
-    theta = _check_theta(theta, fits.shape[0])
-    fit = fits.T @ theta
-    df = resp.candidates.df
-    cp_at_theta = float((fit - resp.y) @ (fit - resp.y)) + 2.0 * sigma**2 * float(df @ theta)
-    gaps = fits - fit
-    penalty = 0.5 * float(theta @ np.einsum("ij,ij->i", gaps, gaps))
-    return cp_at_theta + penalty
-
-
 def q_gradient(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     """Analytic gradient of the convex objective form."""
     resp = _response(family_or_union, y)
     lin = _qp_linear(resp, sigma)
     theta = _check_theta(theta, lin.size)
     return resp.qp_grad(resp.qp_fit(theta) - resp.target) + lin
-
-
-def certify_kkt(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """Vertex-direction optimality certificate min_k grad H(theta) . (e_k - theta).
-
-    Nonnegative at a global optimum of the convex program; a negative
-    value is a bound on how far theta is from optimal.
-    """
-    g = q_gradient(family_or_union, theta, y, sigma)
-    theta = np.asarray(theta, dtype=float)
-    return float(g.min() - g @ theta)
 
 
 def _certificate(g, theta, resid, lin):

@@ -212,9 +212,9 @@ def cmd_aggregate(args) -> int:
     family = build_tikhonov_family(problem)
 
     resp = _response(family, y)
-    report = solve_q_aggregation(family, resp, args.sigma)
+    report = solve_q_aggregation(resp.candidates, resp, args.sigma)
     df = resp.candidates.df
-    cp = cp_values(family, resp, args.sigma)
+    cp = cp_values(resp.candidates, resp, args.sigma)
     coefficients = recover_coefficients(family, report.weights)
 
     out = Path(args.output)

@@ -13,13 +13,12 @@ comparability in the positive-semidefinite order.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
-from qagg.spectral import SpectralFamily, _frozen_array
+from qagg.spectral import GRAM_TOL, RANK_TOL, SpectralFamily, _frozen_array, _orthogonality_defect
 
 __all__ = [
     "GroundTruth",
@@ -27,7 +26,6 @@ __all__ = [
     "OrderedCheckReport",
     "check_ordered",
     "member_risks",
-    "pair_distance",
     "oracle_index",
 ]
 
@@ -63,19 +61,45 @@ class GroundTruth:
         return self.mu.size
 
 
+def _union_coords(families):
+    """Q and every W_f = Q^T U_f of a union's families (see FamilyUnion)."""
+    Q = families[0].basis  # frozen by its family; not copied
+    rotations = [np.eye(Q.shape[1])]
+    for f in families[1:]:
+        W = Q.T @ f.basis
+        if not (_orthogonality_defect(W) <= GRAM_TOL
+                and np.abs(Q @ W - f.basis).max(initial=0.0) <= GRAM_TOL):
+            U, s, _ = np.linalg.svd(np.hstack([g.basis for g in families]), full_matrices=False)
+            Q = U[:, s > RANK_TOL * s.max(initial=0.0)]
+            rotations = [Q.T @ g.basis for g in families]
+            break
+        rotations.append(W)
+    for a in (Q, *rotations):
+        a.setflags(write=False)
+    return Q, tuple(rotations)
+
+
 @dataclass(frozen=True)
 class FamilyUnion:
     """Candidate set: one or more ordered families on one response space.
 
-    Each family keeps its own eigenbasis; members are indexed globally by
-    concatenating the families in order, and a single family is the union
-    of one.  ``df`` holds trace(A_j) of every member and ``offsets`` the
-    global index of each family's first member followed by the total.
+    Members are indexed globally by concatenating the families in order, and
+    a single family is the union of one.  ``df`` holds trace(A_j) of every
+    member and ``offsets`` the global index of each family's first member
+    followed by the total.  ``coords`` is one orthonormal basis Q (n x d) of
+    the span of every family's basis U_f, and ``rotations`` holds
+    W_f = Q^T U_f, so that U_f = Q W_f: Q = U_0 with W_0 = I exactly when
+    every other W_f passes max |W_f^T W_f - I| <= GRAM_TOL and
+    max |Q W_f - U_f| <= GRAM_TOL (families on one design), otherwise the
+    left singular vectors of [U_0 ... U_{q-1}] with singular value above
+    RANK_TOL times the largest.
     """
 
     families: tuple[SpectralFamily, ...]
     df: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
+    rotations: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         families = tuple(self.families)
@@ -92,6 +116,9 @@ class FamilyUnion:
         object.__setattr__(self, "df", _frozen_array(df))
         offsets = tuple(accumulate((f.member_count for f in families), initial=0))
         object.__setattr__(self, "offsets", offsets)
+        coords, rotations = _union_coords(families)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "rotations", rotations)
 
     @classmethod
     def of(cls, candidates) -> "FamilyUnion":
@@ -122,14 +149,6 @@ class FamilyUnion:
         if any(f.lambdas is None for f in self.families):
             return None
         return np.concatenate([f.lambdas for f in self.families])
-
-    def locate(self, j: int) -> tuple[int, int]:
-        """Map a global member index to (family index, local index)."""
-        j = int(j)
-        if not 0 <= j < self.member_count:
-            raise IndexError(f"member index {j} out of range for {self.member_count} members")
-        k = bisect.bisect_right(self.offsets, j) - 1
-        return k, j - self.offsets[k]
 
 
 @dataclass(frozen=True)
@@ -352,20 +371,6 @@ def member_risks(family_or_union, truth: GroundTruth) -> np.ndarray:
     return np.concatenate(
         [_risks_one_family(f, truth) for f in FamilyUnion.of(family_or_union).families]
     )
-
-
-def pair_distance(family: SpectralFamily, j: int, k: int, truth: GroundTruth) -> float:
-    """Metric d(A_j, A_k) = sqrt(sigma^2 ||A_j - A_k||_F^2 + ||(A_j - A_k) mu||^2)."""
-    M = family.member_count
-    if not (0 <= int(j) < M and 0 <= int(k) < M):
-        raise IndexError(f"member index pair ({j}, {k}) out of range")
-    if truth.n != family.n:
-        raise ValueError(
-            f"truth dimension {truth.n} does not match family dimension {family.n}"
-        )
-    delta = family.alphas[int(j)] - family.alphas[int(k)]
-    m = family.basis.T @ truth.mu
-    return float(np.sqrt(truth.sigma**2 * (delta @ delta) + delta**2 @ m**2))
 
 
 def oracle_index(family_or_union, truth: GroundTruth) -> tuple[int, float]:

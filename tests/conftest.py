@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from qagg.aggregate import FACE_RIDGE, MAX_PIVOTS, _certificate, _qp_linear, _response
+from qagg.aggregate import (
+    FACE_RIDGE,
+    MAX_PIVOTS,
+    _certificate,
+    _check_theta,
+    _qp_linear,
+    _response,
+    member_fits,
+    q_gradient,
+)
+from qagg.smoother import _check_sigma
 from qagg.spectral import DesignProblem, build_tikhonov_family
 
 
@@ -35,6 +45,49 @@ def random_problem(rng, n, p, M, identity_penalty=False, lam_range=(1e-2, 1e2)):
     scale = float(np.mean(np.linalg.svd(X, compute_uv=False) ** 2))
     lambdas = scale * np.geomspace(lam_range[0], lam_range[1], M)
     return DesignProblem(X=X, K=K, lambdas=lambdas)
+
+
+def pair_distance(family, j, k, truth):
+    """Metric d(A_j, A_k) = sqrt(sigma^2 ||A_j - A_k||_F^2 + ||(A_j - A_k) mu||^2)."""
+    M = family.member_count
+    if not (0 <= int(j) < M and 0 <= int(k) < M):
+        raise IndexError(f"member index pair ({j}, {k}) out of range")
+    if truth.n != family.n:
+        raise ValueError(
+            f"truth dimension {truth.n} does not match family dimension {family.n}"
+        )
+    delta = family.alphas[int(j)] - family.alphas[int(k)]
+    m = family.basis.T @ truth.mu
+    return float(np.sqrt(truth.sigma**2 * (delta @ delta) + delta**2 @ m**2))
+
+
+def q_objective_penalized(family_or_union, theta, y, sigma):
+    """Penalized form Cp(A_theta) + 1/2 sum_j theta_j ||(A_theta - A_j) y||^2.
+
+    Computed from member fits in R^n, independently of the QP coordinates
+    used by q_objective; the two must agree on the simplex.
+    """
+    resp = _response(family_or_union, y)
+    _check_sigma(sigma, resp.candidates.n)
+    fits = member_fits(resp.candidates, resp)
+    theta = _check_theta(theta, fits.shape[0])
+    fit = fits.T @ theta
+    df = resp.candidates.df
+    cp_at_theta = float((fit - resp.y) @ (fit - resp.y)) + 2.0 * sigma**2 * float(df @ theta)
+    gaps = fits - fit
+    penalty = 0.5 * float(theta @ np.einsum("ij,ij->i", gaps, gaps))
+    return cp_at_theta + penalty
+
+
+def certify_kkt(family_or_union, theta, y, sigma):
+    """Vertex-direction optimality certificate min_k grad H(theta) . (e_k - theta).
+
+    Nonnegative at a global optimum of the convex program; a negative
+    value is a bound on how far theta is from optimal.
+    """
+    g = q_gradient(family_or_union, theta, y, sigma)
+    theta = np.asarray(theta, dtype=float)
+    return float(g.min() - g @ theta)
 
 
 STRESS_CASES = (

@@ -12,14 +12,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dense_smoother, random_problem, random_spd
+from conftest import (
+    certify_kkt,
+    dense_smoother,
+    pair_distance,
+    q_objective_penalized,
+    random_problem,
+    random_spd,
+)
 
 from qagg.aggregate import (
-    certify_kkt,
     cp_values,
     q_gradient,
     q_objective,
-    q_objective_penalized,
     solve_q_aggregation,
 )
 from qagg.bench import (
@@ -34,7 +39,7 @@ from qagg.bench import (
     run_experiment,
 )
 from qagg.cli import main
-from qagg.smoother import FamilyUnion, GroundTruth, check_ordered, member_risks, pair_distance
+from qagg.smoother import FamilyUnion, GroundTruth, check_ordered, member_risks
 from qagg.spectral import (
     DesignProblem,
     apply_member,

@@ -9,9 +9,13 @@ import qagg.aggregate
 
 from conftest import (
     STRESS_CASES,
+    _solve_simplex_qp,
+    certify_kkt,
     dense_smoother,
     first_vertex_faces,
+    q_objective_penalized,
     random_problem,
+    random_spd,
     reference_solve,
     stress_problem,
 )
@@ -24,14 +28,12 @@ from qagg.aggregate import (
     _block_solve,
     _face_solve,
     _response,
-    certify_kkt,
     cp_values,
     excess_bound_gap,
     exponential_weights,
     member_fits,
     q_gradient,
     q_objective,
-    q_objective_penalized,
     select_cp,
     select_gcv,
     solve_q_aggregation,
@@ -91,7 +93,7 @@ class TestResponsePass:
     def test_union_quantities_match_dense(self, rng):
         f1 = build_tikhonov_family(random_problem(rng, 8, 3, 3), family_id="a")
         f2 = build_tikhonov_family(random_problem(rng, 8, 5, 2), family_id="b")
-        # a single family (spectral QP coordinates) and a union (R^n)
+        # a single family and a union of two designs (Q from the SVD of [U_1 U_2])
         for union in (FamilyUnion(families=(f1,)), FamilyUnion(families=(f1, f2))):
             dense = [member_matrix(f, j) for f in union.families for j in range(f.member_count)]
             y = rng.standard_normal(8)
@@ -110,8 +112,7 @@ class TestResponsePass:
     @staticmethod
     def check_qp_view(rng, union, dense, resp, theta):
         """The pass's QP coordinates, mapped back to R^n, against dense member matrices."""
-        n, y = union.n, resp.y
-        to_rn = union.families[0].basis if union.q == 1 else np.eye(n)
+        n, y, to_rn = union.n, resp.y, union.coords
         fits = np.column_stack([A @ y for A in dense])  # n x M
         M = union.member_count
         rows = resp.as_block().qp_member_rows(np.zeros(M, dtype=int), np.arange(M))
@@ -134,6 +135,67 @@ class TestResponsePass:
             assert abs(block.member_losses(members, mean)[b] - expected) < 1e-10
             expected = np.sum((sum(t * A for t, A in zip(th, dense)) @ Y[:, b] - mu) ** 2)
             assert abs(block.weight_losses(Theta, mean)[b] - expected) < 1e-10
+
+
+class TestCoordinates:
+    """Every candidate set's QP lives in one basis Q = coords, with U_f = Q W_f."""
+
+    @staticmethod
+    def check_against_dense(rng, union, sigma=0.8):
+        """Q, the W_f, the pass (check_qp_view) and the solve against member_matrix (AC-1)."""
+        Q = union.coords
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-8
+        for fam, W in zip(union.families, union.rotations):
+            assert np.abs(Q @ W - fam.basis).max() < 1e-8
+        dense = [member_matrix(f, j) for f in union.families for j in range(f.member_count)]
+        y = rng.standard_normal(union.n)
+        resp = _response(union, y)
+        TestResponsePass.check_qp_view(
+            rng, union, dense, resp, random_interior_theta(rng, union.member_count)
+        )
+        # the same QP posed in R^n on the dense fits
+        fits = np.column_stack([A @ y for A in dense])
+        c = np.sum((fits - y[:, None]) ** 2, axis=0)
+        lin = 2 * sigma**2 * np.array([np.trace(A) for A in dense]) + 0.5 * c
+        _, fval, *_ = _solve_simplex_qp(fits.T, y, lin)
+        report = solve_q_aggregation(union, y, sigma)
+        assert report.converged
+        assert abs(report.objective - fval) < 1e-8 * (1 + abs(fval))
+
+    def test_one_design_takes_the_first_basis(self, rng):
+        X = rng.standard_normal((12, 5))
+        families = tuple(
+            build_tikhonov_family(DesignProblem(X=X, K=K, lambdas=[0.1, 1.0, 10.0]), f"k{i}")
+            for i, K in enumerate((np.eye(5), random_spd(rng, 5), np.diag([1.0, 4, 9, 16, 25])))
+        )
+        union = FamilyUnion(families=families)
+        assert union.coords is families[0].basis
+        np.testing.assert_array_equal(union.rotations[0], np.eye(5))
+        self.check_against_dense(rng, union)
+
+    @pytest.mark.parametrize("shapes", [((9, 3), (9, 4)), ((6, 4), (6, 5))])
+    def test_two_designs_take_the_svd(self, rng, shapes):
+        families = tuple(
+            build_tikhonov_family(random_problem(rng, n, p, 3), f"d{i}")
+            for i, (n, p) in enumerate(shapes)
+        )
+        union = FamilyUnion(families=families)
+        assert union.coords is not families[0].basis
+        # the span of both designs: 3 + 4 = 7 of 9 dimensions, or all 6
+        assert union.coords.shape[1] == min(shapes[0][0], shapes[0][1] + shapes[1][1])
+        self.check_against_dense(rng, union)
+
+    def test_single_family_pass_is_spectral(self, rng):
+        family = build_tikhonov_family(random_problem(rng, 10, 4, 3))
+        union = FamilyUnion.of(family)
+        assert union.coords is family.basis
+        np.testing.assert_array_equal(union.rotations[0], np.eye(4))
+        Y = rng.standard_normal((10, 3))
+        for y, block in ((Y[:, 0], False), (Y, True)):
+            resp = _response(family, y, block=block)
+            assert resp.target.tobytes() == family.spectral_coords(y).tobytes()
+            assert resp.z[0].tobytes() == resp.target.tobytes()
+        self.check_against_dense(rng, union)
 
 
 class TestSimplexWeights:

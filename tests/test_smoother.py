@@ -1,9 +1,11 @@
 """Axiom checks, exact risks and the risk metric."""
 
+import bisect
+
 import numpy as np
 import pytest
 
-from conftest import dense_smoother, random_problem, random_spd
+from conftest import dense_smoother, pair_distance, random_problem, random_spd
 
 from qagg.smoother import (
     FamilyUnion,
@@ -12,7 +14,6 @@ from qagg.smoother import (
     check_ordered,
     member_risks,
     oracle_index,
-    pair_distance,
 )
 from qagg.spectral import (
     DesignProblem,
@@ -47,6 +48,15 @@ class TestGroundTruth:
         assert GroundTruth(mu=np.zeros(4), sigma=1.0).n == 4
 
 
+def locate(union, j):
+    """Map a global member index of a union to (family index, local index)."""
+    j = int(j)
+    if not 0 <= j < union.member_count:
+        raise IndexError(f"member index {j} out of range for {union.member_count} members")
+    k = bisect.bisect_right(union.offsets, j) - 1
+    return k, j - union.offsets[k]
+
+
 class TestFamilyUnion:
     def test_duplicate_ids_rejected(self, rng):
         fam = build_tikhonov_family(random_problem(rng, 5, 3, 2))
@@ -59,11 +69,11 @@ class TestFamilyUnion:
         union = FamilyUnion(families=(f1, f2))
         assert union.q == 2
         assert union.member_count == 5
-        k, local = union.locate(3)
+        k, local = locate(union, 3)
         assert union.families[k] is f2 and local == 1
         assert union.offsets == (0, 2, 5)
         with pytest.raises(IndexError):
-            union.locate(5)
+            locate(union, 5)
 
 
 class TestCheckOrdered:
