@@ -456,15 +456,15 @@ def _active_set(resp: _Response, lin, cols, support, g, out):
     return pivots, converged, fallbacks, stalls
 
 
-def _block_solve(resp: _Response, sigma: float, segment: bool = True):
+def _block_solve(resp: _Response, sigma: float):
     """The aggregation solve on every column of a block pass at once.
 
-    Column b is tested with the certificate at its best vertex j0, then (with
-    ``segment``) at the exact minimum on the segment toward the vertex of
-    least gradient, the active-set method's second face; each test is one
-    GEMM on the block.  The columns left undecided go on together through
-    _active_set.  Returns (theta (B, M), objective, kkt_residual, stage,
-    pivots, converged, ridge fallbacks, stalls) per column (SOLVE_STAGES).
+    Column b is tested with the certificate at its best vertex j0, then at the
+    exact minimum on the segment toward the vertex of least gradient, the
+    active-set method's second face; each test is one GEMM on the block.  The
+    columns left undecided go on together through _active_set.  Returns
+    (theta (B, M), objective, kkt_residual, stage, pivots, converged, ridge
+    fallbacks, stalls) per column (SOLVE_STAGES).
     """
     cands = resp.candidates
     lin = _qp_linear(resp, sigma)
@@ -481,7 +481,7 @@ def _block_solve(resp: _Response, sigma: float, segment: bool = True):
     g, fval, res, at_vertex = _certify(resp, lin, theta, resid)
     stage = np.where(at_vertex, VERTEX, ACTIVE_SET)
     face = [j0]  # the members of the face each column has reached, in order
-    if segment and not at_vertex.all():
+    if not at_vertex.all():
         # along e_jadd - e_j0 the slope at j0 is g_jadd - g_j0 = res < 0 and the
         # curvature ||phi_jadd - phi_j0||^2; as e_j0 is the best vertex, the
         # minimum lies at t <= 1/2.  Certified columns stay put (t = 0).
@@ -511,14 +511,14 @@ def _block_solve(resp: _Response, sigma: float, segment: bool = True):
 def solve_q_aggregation(family_or_union, y: np.ndarray, sigma: float) -> SolveReport:
     """Solve the aggregation program and certify the result.
 
-    The active-set method of _active_set, from the best vertex.  Convergence
+    The staged solve of _block_solve on a block of one column.  Convergence
     means kkt_residual >= -KKT_TOL * (1 + |objective|); on non-convergence
     within min(3 M + 100, MAX_PIVOTS) pivots the best iterate is returned
     with ``converged=False``.
     """
     resp = _response(family_or_union, y)
     theta, objective, kkt, _, pivots, converged, fallbacks, stalls = (
-        a[0] for a in _block_solve(resp.as_block(), sigma, segment=False)
+        a[0] for a in _block_solve(resp.as_block(), sigma)
     )
     weights = make_weights(resp.candidates, theta, resp)
     support = tuple(int(j) for j in np.flatnonzero(weights.theta > 0))

@@ -19,9 +19,10 @@ of the block, so no draw gets a solve of its own.  ``solve_stages`` counts
 the draws decided at each stage.
 
 All randomness flows from the config seed: the design matrix uses the
-(seed, 0) stream and replicate i the (seed, 1, i) stream.  Blocks start
-at multiples of REPLICATE_BLOCK and are never split between worker
-processes, so serial and parallel executions agree bit for bit.
+(seed, 0) stream and replicate i the (seed, 1, i) stream.  The block is
+the unit of work handed to worker processes: blocks start at multiples of
+REPLICATE_BLOCK and are never split, so serial and parallel runs agree bit
+for bit.
 
 The points of one M or q sweep share each (X, K)'s factorization and each
 block's standard normals, up to NOISE_STORE_BYTES, while the sweep runs
@@ -41,8 +42,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from qagg.aggregate import (
-    ACTIVE_SET,
-    SEGMENT,
     SOLVE_STAGES,
     _block_solve,
     _cp,
@@ -86,7 +85,7 @@ CI_Z = 1.96
 
 # Replicates per block of the Monte Carlo engine.  A column's arithmetic
 # depends on the width of its block, so blocks are fixed, aligned to global
-# replicate indices and handed to worker processes whole.  The block solve
+# replicate indices and are the unit of work of worker processes.  The block solve
 # costs a few GEMMs per block: widths 8, 16, 32 and 64 took 0.113, 0.086,
 # 0.073 and 0.069 s per AC-2 sweep (2-core VM, single-threaded BLAS).
 REPLICATE_BLOCK = 32
@@ -544,61 +543,38 @@ def _block_losses(instance: Instance, resp, methods, mean) -> dict[str, np.ndarr
     return out
 
 
-def _replicate_chunk(instance: Instance, config: ExperimentConfig, lo: int, hi: int) -> dict:
-    """Run replicates [lo, hi) block by block and return per-draw arrays (fixed order).
+def _replicate_block(instance: Instance, config: ExperimentConfig, mean, start: int) -> dict:
+    """Per-draw arrays of the block of replicates from start, a multiple of REPLICATE_BLOCK.
 
-    lo must be a multiple of REPLICATE_BLOCK and hi one too, or the
-    replicate count, so that every block is the one a serial run forms.
+    Each method's loss under its name and, with q_agg, its excess over the
+    oracle member, solve stage, convergence, ridge fallbacks, stalls and, with
+    lemma_check, lemma gap.  mean is the pass of mu.
     """
-    count = hi - lo
-    mu = instance.truth.mu
-    sigma = instance.truth.sigma
-    candidates = instance.candidates
-    losses = {name: np.empty(count) for name in config.methods}
-    q_excess = np.full(count, np.nan)
-    q_converged = np.ones(count, dtype=bool)
-    lemma_gap = np.full(count, -np.inf)
-    stages = np.zeros(len(SOLVE_STAGES), dtype=int)
-    fallbacks = np.zeros(2, dtype=int)  # ridge fallbacks, stalls
-    mean = _response(candidates, mu)
-    for start in range(lo, hi, REPLICATE_BLOCK):
-        stop = min(start + REPLICATE_BLOCK, hi)
-        draws = _noise(config.seed, mu.size, start, stop) * sigma
-        draws += mu  # row b is the draw y = mu + sigma * eps of replicate start + b
-        resp = _response(candidates, draws.T, block=True)
-        block = slice(start - lo, stop - lo)
-        for name, values in _block_losses(instance, resp, config.methods, mean).items():
-            losses[name][block] = values
-        if "q_agg" not in config.methods:
-            continue
-        theta, objective, kkt, stage, _, converged, ridge, stalls = _block_solve(resp, sigma)
-        stages += np.bincount(stage, minlength=len(SOLVE_STAGES))
-        # a draw left on one member is scored by the function that scores the
-        # oracle, so a draw at the oracle vertex has an excess of exactly zero
-        q_loss = resp.member_losses(theta.argmax(axis=1), mean)
-        mixed, kernel = stage == SEGMENT, stage == ACTIVE_SET
-        if kernel.any():  # only the kernel's draws can stall, fall back or fail
-            mixed[kernel] = (theta[kernel] > 0).sum(axis=1) > 1
-            fallbacks += [ridge.sum(), stalls.sum()]
-            q_converged[block] = converged
-        if mixed.any():
-            q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
-        losses["q_agg"][block] = q_loss
-        oracle = np.full_like(stage, instance.oracle_member)
-        q_excess[block] = q_loss - resp.member_losses(oracle, mean)
-        if config.lemma_check:
-            for b in range(stop - start):
-                gap = excess_bound_gap(candidates, theta[b], draws[b], sigma, mu)
-                slack = max(0.0, -kkt[b]) + 1e-9 * (1.0 + abs(objective[b]))
-                lemma_gap[block.start + b] = gap - slack
-    return {
-        "losses": losses,
-        "q_excess": q_excess,
-        "q_converged": q_converged,
-        "lemma_gap": lemma_gap,
-        "stages": stages,
-        "fallbacks": fallbacks,
-    }
+    mu, sigma, candidates = instance.truth.mu, instance.truth.sigma, instance.candidates
+    stop = min(start + REPLICATE_BLOCK, config.replicates)
+    draws = _noise(config.seed, mu.size, start, stop) * sigma
+    draws += mu  # row b is the draw y = mu + sigma * eps of replicate start + b
+    resp = _response(candidates, draws.T, block=True)
+    out = _block_losses(instance, resp, config.methods, mean)
+    if "q_agg" not in config.methods:
+        return out
+    theta, objective, kkt, stage, _, converged, ridge, stalled = _block_solve(resp, sigma)
+    # a draw left on one member is scored by the function that scores the
+    # oracle, so a draw at the oracle vertex has an excess of exactly zero
+    q_loss = resp.member_losses(theta.argmax(axis=1), mean)
+    mixed = (theta > 0).sum(axis=1) > 1
+    if mixed.any():
+        q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
+    oracle = np.full_like(stage, instance.oracle_member)
+    out.update(q_agg=q_loss, excess=q_loss - resp.member_losses(oracle, mean), stage=stage,
+               converged=converged, ridge=ridge, stalled=stalled)
+    if config.lemma_check:
+        out["lemma_gap"] = np.array([
+            excess_bound_gap(candidates, theta[b], draws[b], sigma, mu)
+            - (max(0.0, -kkt[b]) + 1e-9 * (1.0 + abs(objective[b])))  # gap - slack
+            for b in range(stop - start)
+        ])
+    return out
 
 
 @dataclass(frozen=True)
@@ -653,46 +629,32 @@ def run_experiment(
 ) -> RegretReport:
     """Run all replicates of a config and aggregate into a report.
 
-    Replicates are independent; with threads > 1 they are distributed
-    over worker processes in contiguous chunks of whole blocks.  The
-    per-replicate generators depend only on (seed, replicate index) and
-    the blocks only on the replicate count, so the result is identical
-    for any thread count.
+    The replicate block is the unit of work: with threads > 1 the blocks are
+    handed to worker processes, each worker taking one contiguous run of
+    them.  The per-replicate generators depend only on (seed, replicate
+    index) and the blocks only on the replicate count, so the result is
+    identical for any thread count.
     """
     t0 = time.perf_counter()
     instance = build_instance(config, mu_override=mu_override)
-    R = config.replicates
-    blocks = -(-R // REPLICATE_BLOCK)
-    if threads > 1 and blocks >= 2:
-        workers = min(threads, blocks)
-        edges = np.linspace(0, blocks, workers + 1, dtype=int) * REPLICATE_BLOCK
-        bounds = np.minimum(edges, R)
-        tasks = [
-            (instance, config, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+    mu_pass = _response(instance.candidates, instance.truth.mu)  # one pass for every block
+    block = functools.partial(_replicate_block, instance, config, mu_pass)
+    starts = range(0, config.replicates, REPLICATE_BLOCK)
+    workers = min(threads, len(starts))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_replicate_chunk, *zip(*tasks)))
+            parts = list(pool.map(block, starts, chunksize=-(-len(starts) // workers)))
     else:
-        chunks = [_replicate_chunk(instance, config, 0, R)]
-
-    losses = {
-        name: np.concatenate([c["losses"][name] for c in chunks]) for name in config.methods
-    }
-    q_excess = np.concatenate([c["q_excess"] for c in chunks])
-    q_converged = np.concatenate([c["q_converged"] for c in chunks])
-    lemma_gap = np.concatenate([c["lemma_gap"] for c in chunks])
-    stages = sum(c["stages"] for c in chunks)
-    fallbacks = sum(c["fallbacks"] for c in chunks)
+        parts = [block(start) for start in starts]
+    draws = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
     # every draw is scored, non-converged solves with the best iterate they
     # return; solver_failures counts those draws separately
     stats: dict[str, MethodStats] = {}
     for name in config.methods:
-        vals = losses[name]
+        vals = draws[name]
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
         stats[name] = MethodStats(
@@ -704,30 +666,33 @@ def run_experiment(
         )
 
     excess_quantiles: dict[str, float] = {}
+    stages, failures = np.zeros(len(SOLVE_STAGES), dtype=int), 0
+    fallbacks = {"ridge": 0, "stalled": 0}
     if "q_agg" in config.methods:
-        qs = np.quantile(q_excess, EXCESS_QUANTILES)
+        qs = np.quantile(draws["excess"], EXCESS_QUANTILES)
         excess_quantiles = {f"q{int(100 * q)}": float(v) for q, v in zip(EXCESS_QUANTILES, qs)}
-    solver_failures = int((~q_converged).sum()) if "q_agg" in config.methods else 0
+        stages = np.bincount(draws["stage"], minlength=len(SOLVE_STAGES))
+        fallbacks = {key: int(draws[key].sum()) for key in fallbacks}
+        failures = int((~draws["converged"]).sum())
 
-    lemma_violations = None
-    lemma_worst = None
+    lemma_violations = lemma_worst = None
     if config.lemma_check:
-        lemma_violations = int((lemma_gap > 0.0).sum())
-        lemma_worst = float(lemma_gap.max())
+        lemma_violations = int((draws["lemma_gap"] > 0.0).sum())
+        lemma_worst = float(draws["lemma_gap"].max())
 
     return RegretReport(
         label=config.label,
         member_total=instance.candidates.member_count,
         family_total=instance.candidates.q,
         seed=config.seed,
-        replicates=R,
+        replicates=config.replicates,
         oracle_member=instance.oracle_member,
         oracle_risk=instance.oracle_risk,
         stats=stats,
         excess_quantiles=excess_quantiles,
-        solver_failures=solver_failures,
+        solver_failures=failures,
         solve_stages={name: int(k) for name, k in zip(SOLVE_STAGES, stages)},
-        solver_fallbacks=dict(zip(("ridge", "stalled"), fallbacks.tolist())),
+        solver_fallbacks=fallbacks,
         lemma_violations=lemma_violations,
         lemma_worst_gap=lemma_worst,
         runtime_seconds=time.perf_counter() - t0,

@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +28,6 @@ from qagg.aggregate import _response, cp_values, solve_q_aggregation
 from qagg.bench import (
     ConfigError,
     ExperimentConfig,
-    _dump,
     regret_vs_M_sweep,
     regret_vs_q_sweep,
     run_experiment,
@@ -38,27 +37,11 @@ from qagg.bench import (
 from qagg.smoother import _check_sigma, check_ordered
 from qagg.spectral import DesignProblem, build_tikhonov_family, recover_coefficients
 
-__all__ = ["InputError", "RunManifest", "main", "entry"]
+__all__ = ["InputError", "main", "entry"]
 
 
 class InputError(Exception):
     """Malformed user input; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Inventory of one bench invocation: inputs, outputs and checksums."""
-
-    config_path: str
-    output_dir: str
-    tool_version: str
-    seed: int
-    started_at: str
-    finished_at: str
-    files: dict[str, str]
-
-    def to_dict(self) -> dict:
-        return _dump(self)
 
 
 def _sha256(path: Path) -> str:
@@ -317,17 +300,17 @@ def cmd_bench(args) -> int:
     write_reports_csv(reports, out / "reports.csv")
     written.append("reports.csv")
 
-    manifest = RunManifest(
-        config_path=str(config_path),
-        output_dir=str(out),
-        tool_version=qagg.__version__,
-        seed=config.seed,
-        started_at=started,
-        finished_at=_utcnow(),
-        files={name: _sha256(out / name) for name in written},
-    )
+    manifest = {
+        "config_path": str(config_path),
+        "output_dir": str(out),
+        "tool_version": qagg.__version__,
+        "seed": config.seed,
+        "started_at": started,
+        "finished_at": _utcnow(),
+        "files": {name: _sha256(out / name) for name in written},
+    }
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     for report in reports:
@@ -395,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_bench.add_argument(
-        "--threads", type=int, default=1, help="max worker processes for replicates"
+        "--threads", type=int, default=1, help="max worker processes for replicate blocks"
     )
     p_bench.set_defaults(func=cmd_bench, inputs="--config")
 

@@ -446,7 +446,9 @@ class TestSolver:
     def test_fallback_solves_still_certify(self, rng, monkeypatch):
         # Active-set pivots never build a singular face from these inputs, so
         # every stacked exact face solve is made to return a non-finite point;
-        # each face then goes through its own ridge system.
+        # each face then goes through its own ridge system.  Only responses
+        # whose optimum needs three or more pivots reach a face solve: the
+        # vertex and segment stages decide the others in closed form.
         family = build_tikhonov_family(random_problem(rng, n=12, p=6, M=10))
         mu = 2.0 * family.basis @ (np.arange(1, family.rank + 1) ** -1.0)
         solve = np.linalg.solve
@@ -458,40 +460,44 @@ class TestSolver:
             calls.append(a.shape[0])
             return solve(a, b)
 
-        fallbacks = 0
-        for _ in range(10):
+        checked = 0
+        for _ in range(200):
             y = mu + rng.standard_normal(12)
             exact = solve_q_aggregation(family, y, 1.0)
+            if exact.iterations < 3:
+                continue
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "solve", exact_systems_fail)
                 report = solve_q_aggregation(family, y, 1.0)
             assert exact.ridge_fallbacks == 0
-            assert report.ridge_fallbacks == len(calls)
+            assert report.ridge_fallbacks == len(calls) > 0
             assert report.converged
             recheck = certify_kkt(family, report.weights.theta, y, 1.0)
             assert recheck >= -1e-7 * (1.0 + abs(report.objective))
             assert abs(report.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective))
-            fallbacks += report.ridge_fallbacks
-        assert fallbacks > 0
+            checked += 1
+            if checked == 10:
+                break
+        assert checked == 10
 
     def test_stalled_pivot_is_counted(self, rng, monkeypatch):
         # A face solve that never leaves the face's first vertex makes the next
         # pivot pick a member already in the support, which stops the solve.
         family = build_tikhonov_family(random_problem(rng, n=12, p=6, M=10))
         mu = 2.0 * family.basis @ (np.arange(1, family.rank + 1) ** -1.0)
-        for _ in range(20):  # a response whose optimum is not a vertex
+        for _ in range(100):  # a response whose optimum needs the kernel's pivots
             y = mu + rng.standard_normal(12)
             exact = solve_q_aggregation(family, y, 1.0)
             assert exact.converged and exact.stalled_pivots == 0
-            if len(exact.support) > 1:
+            if exact.iterations >= 3:
                 break
-        assert len(exact.support) > 1
+        assert exact.iterations >= 3
         monkeypatch.setattr(qagg.aggregate, "_face_solve", first_vertex_faces)
         report = solve_q_aggregation(family, y, 1.0)
         assert report.stalled_pivots == 1
         assert not report.converged
-        assert report.iterations == 2 and len(report.support) == 1
+        assert report.iterations == 3 and len(report.support) == 1
 
 
 @pytest.mark.parametrize("case", STRESS_CASES)

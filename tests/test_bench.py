@@ -39,7 +39,7 @@ from qagg.bench import (
     _calibrate_mean,
     _design_rng,
     _mean_unit,
-    _replicate_chunk,
+    _replicate_block,
     _replicate_rng,
     build_instance,
     regret_vs_M_sweep,
@@ -308,18 +308,20 @@ class TestRunExperiment:
         b = run_experiment(small_config(seed=2, replicates=30))
         assert a.stats["q_agg"].mean_risk != b.stats["q_agg"].mean_risk
 
-    def test_parallel_matches_serial_bitwise(self):
-        # the second config spans several blocks and a partial tail, on a union
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_parallel_matches_serial_bitwise(self, threads):
+        # the second config spans five blocks, the last one partial, on a union;
+        # its blocks split unevenly over 2 workers (3 + 2) and over 3 (2 + 2 + 1)
         union = (
             FamilySpec(p=10, grid=GridSpec(count=6)),
             FamilySpec(p=10, penalty=PenaltySpec("diag-power", 2.0), grid=GridSpec(count=5)),
         )
         for cfg in (
             small_config(replicates=30),
-            small_config(replicates=2 * REPLICATE_BLOCK + 5, families=union),
+            small_config(replicates=4 * REPLICATE_BLOCK + 5, families=union),
         ):
             serial = run_experiment(cfg, threads=1).to_dict()
-            parallel = run_experiment(cfg, threads=2).to_dict()
+            parallel = run_experiment(cfg, threads=threads).to_dict()
             serial.pop("runtime_seconds")
             parallel.pop("runtime_seconds")
             assert serial == parallel
@@ -334,7 +336,9 @@ class TestRunExperiment:
             cfg = small_config(families=families, replicates=REPLICATE_BLOCK + 7)
             instance = build_instance(cfg)
             cands, mu, sigma = instance.candidates, instance.truth.mu, instance.truth.sigma
-            engine = _replicate_chunk(instance, cfg, 0, cfg.replicates)["losses"]
+            mean = _response(cands, mu)
+            blocks = [_replicate_block(instance, cfg, mean, s) for s in (0, REPLICATE_BLOCK)]
+            engine = {name: np.concatenate([b[name] for b in blocks]) for name in cfg.methods}
             Y = np.column_stack([
                 mu + sigma * _replicate_rng(cfg.seed, i).standard_normal(mu.size)
                 for i in range(cfg.replicates)
@@ -435,14 +439,17 @@ class TestRunExperiment:
         assert ((theta[kernel] > 0).sum(axis=1) == 1).all()
         for b in kernel[:3]:
             oracle = replace(instance, oracle_member=int(theta[b].argmax()))
-            out = _replicate_chunk(oracle, cfg, 0, 30)
-            assert out["q_excess"][b] == 0.0 and not out["q_converged"][b]
+            out = _replicate_block(oracle, cfg, _response(instance.candidates, mu), 0)
+            assert out["excess"][b] == 0.0 and not out["converged"][b]
 
     def test_methods_subset_respected(self):
         cfg = small_config(methods=("cp_select", "gcv"), replicates=20)
         report = run_experiment(cfg)
         assert set(report.stats) == {"cp_select", "gcv"}
         assert report.excess_quantiles == {}
+        assert report.solve_stages == dict.fromkeys(SOLVE_STAGES, 0)
+        assert report.solver_fallbacks == {"ridge": 0, "stalled": 0}
+        assert report.solver_failures == 0
 
 
 class TestSweeps:
