@@ -181,7 +181,8 @@ class _Response:
         cands = self.candidates
         fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
         rows = np.empty((members.size, cands.coords.shape[1]))
-        for k in np.unique(fam_of):
+        # the families present; np.unique would import numpy.ma (10 ms, 0.5 MiB) on first use
+        for k in np.flatnonzero(np.bincount(fam_of, minlength=cands.q)):
             sel = np.flatnonzero(fam_of == k)
             alphas = cands.families[k].alphas[members[sel] - cands.offsets[k]]
             rows[sel] = (alphas * self.z[k][:, cols[sel]].T) @ cands.rotations[k].T
@@ -204,11 +205,11 @@ class _Response:
         cands = self.candidates
         fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
         out = np.empty(members.size)
-        for k, (fam, z, m, mu_perp) in enumerate(zip(cands.families, self.z, mean.z, mean.perp)):
+        for k in np.flatnonzero(np.bincount(fam_of, minlength=cands.q)):  # as in qp_member_rows
             cols = np.flatnonzero(fam_of == k)
-            if cols.size:
-                d = fam.alphas[members[cols] - cands.offsets[k]] * z[:, cols].T - m
-                out[cols] = np.einsum("ij,ij->i", d, d) + mu_perp
+            d = cands.families[k].alphas[members[cols] - cands.offsets[k]] * self.z[k][:, cols].T
+            d -= mean.z[k]
+            out[cols] = np.einsum("ij,ij->i", d, d) + mean.perp[k]
         return out
 
     def weight_losses(self, theta: np.ndarray, mean: "_Response") -> np.ndarray:
@@ -354,12 +355,13 @@ def _face_solve(kkt: np.ndarray, rhs: np.ndarray, ridge):
                 sol[i] = np.linalg.solve(kkt[i], rhs[i])
     bad = ~np.isfinite(sol).all(axis=1)
     k = rhs.shape[1] - 1
-    for i, r in zip(np.flatnonzero(bad), ridge(np.flatnonzero(bad))):
-        a = kkt[i] + np.diag(np.append(np.full(k, r), 0.0))
-        try:
-            sol[i] = np.linalg.solve(a, rhs[i])
-        except np.linalg.LinAlgError:
-            sol[i] = np.linalg.lstsq(a, rhs[i], rcond=None)[0]
+    if bad.any():  # the ridge scale costs a pass over every family
+        for i, r in zip(np.flatnonzero(bad), ridge(np.flatnonzero(bad))):
+            a = kkt[i] + np.diag(np.append(np.full(k, r), 0.0))
+            try:
+                sol[i] = np.linalg.solve(a, rhs[i])
+            except np.linalg.LinAlgError:
+                sol[i] = np.linalg.lstsq(a, rhs[i], rcond=None)[0]
     return sol[:, :k], bad
 
 
@@ -459,40 +461,37 @@ def _active_set(resp: _Response, lin, cols, support, g, out):
 def _block_solve(resp: _Response, sigma: float):
     """The aggregation solve on every column of a block pass at once.
 
-    Column b is tested with the certificate at its best vertex j0, then at the
-    exact minimum on the segment toward the vertex of least gradient, the
-    active-set method's second face; each test is one GEMM on the block.  The
-    columns left undecided go on together through _active_set.  Returns
-    (theta (B, M), objective, kkt_residual, stage, pivots, converged, ridge
-    fallbacks, stalls) per column (SOLVE_STAGES).
+    Column b is tested with the certificate at its best vertex j0, the Cp
+    choice (the vertex value 1/2 ||phi_j||^2 - phi_j . target + lin_j equals
+    Cp_j - ||y||^2 / 2), then at the exact minimum on the segment toward the
+    vertex of least gradient, the active-set method's second face; each test
+    is one GEMM on the block.  The columns left undecided go on together
+    through _active_set.  Returns (theta (B, M), objective, kkt_residual,
+    stage, pivots, converged, ridge fallbacks, stalls) per column
+    (SOLVE_STAGES).
     """
-    cands = resp.candidates
     lin = _qp_linear(resp, sigma)
     B, M = lin.shape
     rows = np.arange(B)
-    # vertex values 1/2 ||phi_j||^2 - phi_j . target + lin_j
-    start = lin + np.hstack(
-        [((0.5 * f.alphas**2 - f.alphas) @ z**2).T for f, z in zip(cands.families, resp.z)]
-    )
-    j0 = start.argmin(axis=1)
+    j0 = _cp(resp, sigma).argmin(axis=1)
     theta = np.zeros((B, M))
     theta[rows, j0] = 1.0
-    resid = resp.qp_fit(theta) - resp.target
+    vertex = resp.qp_member_rows(rows, j0).T
+    resid = vertex - resp.target
     g, fval, res, at_vertex = _certify(resp, lin, theta, resid)
     stage = np.where(at_vertex, VERTEX, ACTIVE_SET)
     face = [j0]  # the members of the face each column has reached, in order
     if not at_vertex.all():
         # along e_jadd - e_j0 the slope at j0 is g_jadd - g_j0 = res < 0 and the
         # curvature ||phi_jadd - phi_j0||^2; as e_j0 is the best vertex, the
-        # minimum lies at t <= 1/2.  Certified columns stay put (t = 0).
+        # minimum lies at t <= 1/2 (clipped to [0, 1] against rounding ties in
+        # j0).  Certified columns stay put (t = 0).
         moved = ~at_vertex
         jadd = g.argmin(axis=1)
-        step = np.zeros((B, M))
-        step[rows, jadd] += 1.0
-        step[rows, j0] -= 1.0
-        d = resp.qp_fit(step)
-        t = np.divide(-res, _sq_norms(d), out=np.zeros(B), where=moved)
-        theta += t[:, None] * step
+        d = resp.qp_member_rows(rows, jadd).T - vertex
+        t = np.clip(np.divide(-res, _sq_norms(d), out=np.zeros(B), where=moved), 0.0, 1.0)
+        theta[rows, jadd] += t
+        theta[rows, j0] -= t
         g, fval_t, res_t, ok = _certify(resp, lin, theta, resid + t * d)
         fval[moved], res[moved] = fval_t[moved], res_t[moved]
         stage[moved & ok] = SEGMENT

@@ -9,23 +9,24 @@ index), runs every configured method, and records the realized loss
 member.  Regrets are reported against the analytic oracle risk R*, not
 a simulated one.
 
-Replicates run in blocks of REPLICATE_BLOCK responses.  One pass per
-block gives the spectral coordinates of every draw; the selection
-baselines, the exponential weights, the member losses and the whole
-aggregation solve are evaluated for the block in those coordinates.  The
-solve's vertex and segment stages decide most draws in closed form; the
-draws they leave undecided go on together through the active-set pivots
-of the block, so no draw gets a solve of its own.  ``solve_stages`` counts
-the draws decided at each stage.
+Replicates run in blocks whose width the config sets (_block_width): as
+many replicates as keep a block's per-member arrays within BLOCK_ENTRIES
+entries, and at least 32.  One pass per block gives the spectral
+coordinates of every draw; the selection baselines, the exponential
+weights, the member losses and the whole aggregation solve are evaluated
+for the block in those coordinates.  The solve's vertex and segment stages
+decide most draws in closed form; the draws they leave undecided go on
+together through the active-set pivots of the block, so no draw gets a
+solve of its own.  ``solve_stages`` counts the draws decided at each stage.
 
 All randomness flows from the config seed: the design matrix uses the
 (seed, 0) stream and replicate i the (seed, 1, i) stream.  The block is
 the unit of work handed to worker processes: blocks start at multiples of
-REPLICATE_BLOCK and are never split, so serial and parallel runs agree bit
-for bit.
+the width and are never split, so serial and parallel runs agree bit for
+bit.
 
 The points of one M or q sweep share each (X, K)'s factorization and each
-block's standard normals, up to NOISE_STORE_BYTES, while the sweep runs
+replicate's standard normals, up to NOISE_STORE_BYTES, while the sweep runs
 (``_sweep_store``).  A point does the arithmetic of a run of its own on the
 same inputs, so its report is byte-identical to that run's.
 """
@@ -83,12 +84,14 @@ EXCESS_QUANTILES = (0.5, 0.9, 0.99)
 # z-value for the >= 95% confidence half-widths in the reports
 CI_Z = 1.96
 
-# Replicates per block of the Monte Carlo engine.  A column's arithmetic
-# depends on the width of its block, so blocks are fixed, aligned to global
-# replicate indices and are the unit of work of worker processes.  The block solve
-# costs a few GEMMs per block: widths 8, 16, 32 and 64 took 0.113, 0.086,
-# 0.073 and 0.069 s per AC-2 sweep (2-core VM, single-threaded BLAS).
-REPLICATE_BLOCK = 32
+# Budget, in (replicate, member) entries, of one block's per-member arrays
+# (see _block_width).  Each block pays a fixed dispatch cost, so a point runs
+# in as few blocks as this allows.  Per point on the AC-3 union sweep at 200
+# replicates (2-core VM, single-threaded BLAS): q = 4 (M = 64) took 15.2 ms in
+# blocks of 32 and 6.2 ms in one block of 200; q = 16 (M = 256) 37.2 ms at 32
+# and 19.5 ms at 100.  At M = 1000 (AC-2) a width of 200 was slower than 32,
+# 13.2 against 9.7 ms.
+BLOCK_ENTRIES = 25_600
 
 # Longest file name, in bytes, that common file systems accept.
 NAME_MAX = 255
@@ -395,25 +398,31 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, index)))
 
 
-# Factorizations and noise blocks shared by the points of the running sweep, else None.
+# Factorizations and noise rows shared by the points of the running sweep, else None.
 _sweep_store: dict | None = None
 
-# Most bytes of noise blocks a sweep keeps; a block past it is drawn again at
+# Most bytes of noise rows a sweep keeps; a row past it is drawn again at
 # every point.  The benchmark sweeps keep 200 x 100 draws, 160 KiB.
 NOISE_STORE_BYTES = 64 * 2**20
 
 
 def _noise(seed: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Standard normals of replicates [start, stop), one row each; drawn once per sweep."""
+    """Standard normals of replicates [start, stop), one row each; each drawn once per sweep.
+
+    Rows are kept by replicate, so points whose blocks differ in width share them.
+    """
     store = {} if _sweep_store is None else _sweep_store
-    key = ("noise", seed, n, start, stop)
-    if key in store:
-        return store[key]
-    noise = np.stack([_replicate_rng(seed, i).standard_normal(n) for i in range(start, stop)])
     kept = sum(v.nbytes for k, v in store.items() if k[0] == "noise")
-    if kept + noise.nbytes <= NOISE_STORE_BYTES:
-        store[key] = noise
-    return noise
+    rows = []
+    for i in range(start, stop):
+        key = ("noise", seed, n, i)
+        row = store.get(key)
+        if row is None:
+            row = _replicate_rng(seed, i).standard_normal(n)
+            if kept + row.nbytes <= NOISE_STORE_BYTES:
+                store[key], kept = row, kept + row.nbytes
+        rows.append(row)
+    return np.stack(rows)
 
 
 def _tikhonov_family(key: tuple, problem: DesignProblem, family_id: str) -> SpectralFamily:
@@ -543,15 +552,25 @@ def _block_losses(instance: Instance, resp, methods, mean) -> dict[str, np.ndarr
     return out
 
 
+def _block_width(config: ExperimentConfig) -> int:
+    """Replicates per block of a config: max(32, min(replicates, BLOCK_ENTRIES // M)).
+
+    It depends on the config alone, never on the thread count, since a
+    column's arithmetic depends on the width of its block.
+    """
+    members = sum(spec.grid.count for spec in config.families)
+    return max(32, min(config.replicates, BLOCK_ENTRIES // members))
+
+
 def _replicate_block(instance: Instance, config: ExperimentConfig, mean, start: int) -> dict:
-    """Per-draw arrays of the block of replicates from start, a multiple of REPLICATE_BLOCK.
+    """Per-draw arrays of the block of replicates from start, a multiple of _block_width.
 
     Each method's loss under its name and, with q_agg, its excess over the
     oracle member, solve stage, convergence, ridge fallbacks, stalls and, with
     lemma_check, lemma gap.  mean is the pass of mu.
     """
     mu, sigma, candidates = instance.truth.mu, instance.truth.sigma, instance.candidates
-    stop = min(start + REPLICATE_BLOCK, config.replicates)
+    stop = min(start + _block_width(config), config.replicates)
     draws = _noise(config.seed, mu.size, start, stop) * sigma
     draws += mu  # row b is the draw y = mu + sigma * eps of replicate start + b
     resp = _response(candidates, draws.T, block=True)
@@ -565,8 +584,10 @@ def _replicate_block(instance: Instance, config: ExperimentConfig, mean, start: 
     mixed = (theta > 0).sum(axis=1) > 1
     if mixed.any():
         q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
-    oracle = np.full_like(stage, instance.oracle_member)
-    out.update(q_agg=q_loss, excess=q_loss - resp.member_losses(oracle, mean), stage=stage,
+    oracle = out.get("oracle")
+    if oracle is None:
+        oracle = resp.member_losses(np.full_like(stage, instance.oracle_member), mean)
+    out.update(q_agg=q_loss, excess=q_loss - oracle, stage=stage,
                converged=converged, ridge=ridge, stalled=stalled)
     if config.lemma_check:
         out["lemma_gap"] = np.array([
@@ -621,6 +642,19 @@ class RegretReport:
         return _dump(self)
 
 
+# In a worker process of run_experiment, the block function of the run it serves.
+_worker_run = None
+
+
+def _start_worker(block) -> None:
+    global _worker_run
+    _worker_run = block
+
+
+def _worker_block(start: int) -> dict:
+    return _worker_run(start)
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -631,21 +665,22 @@ def run_experiment(
 
     The replicate block is the unit of work: with threads > 1 the blocks are
     handed to worker processes, each worker taking one contiguous run of
-    them.  The per-replicate generators depend only on (seed, replicate
-    index) and the blocks only on the replicate count, so the result is
+    them.  Each worker receives the instance once, when it starts, and then
+    only block starts.  The per-replicate generators depend only on (seed,
+    replicate index) and the blocks only on the config, so the result is
     identical for any thread count.
     """
     t0 = time.perf_counter()
     instance = build_instance(config, mu_override=mu_override)
     mu_pass = _response(instance.candidates, instance.truth.mu)  # one pass for every block
     block = functools.partial(_replicate_block, instance, config, mu_pass)
-    starts = range(0, config.replicates, REPLICATE_BLOCK)
+    starts = range(0, config.replicates, _block_width(config))
     workers = min(threads, len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block, starts, chunksize=-(-len(starts) // workers)))
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
+            parts = list(pool.map(_worker_block, starts, chunksize=-(-len(starts) // workers)))
     else:
         parts = [block(start) for start in starts]
     draws = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -27,7 +27,7 @@ from qagg.aggregate import (
     solve_q_aggregation,
 )
 from qagg.bench import (
-    REPLICATE_BLOCK,
+    BLOCK_ENTRIES,
     ConfigError,
     ExperimentConfig,
     FamilySpec,
@@ -35,6 +35,7 @@ from qagg.bench import (
     MeanSpec,
     PenaltySpec,
     ScenarioSpec,
+    _block_width,
     _build_families,
     _calibrate_mean,
     _design_rng,
@@ -310,16 +311,18 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_parallel_matches_serial_bitwise(self, threads):
-        # the second config spans five blocks, the last one partial, on a union;
-        # its blocks split unevenly over 2 workers (3 + 2) and over 3 (2 + 2 + 1)
+        # the second config spans five blocks, the last one partial, on a union
+        # wide enough for the narrowest blocks; its blocks split unevenly over
+        # 2 workers (3 + 2) and over 3 (2 + 2 + 1)
         union = (
-            FamilySpec(p=10, grid=GridSpec(count=6)),
-            FamilySpec(p=10, penalty=PenaltySpec("diag-power", 2.0), grid=GridSpec(count=5)),
+            FamilySpec(p=10, grid=GridSpec(count=BLOCK_ENTRIES // 64)),
+            FamilySpec(p=10, penalty=PenaltySpec("diag-power", 2.0),
+                       grid=GridSpec(count=BLOCK_ENTRIES // 64)),
         )
-        for cfg in (
-            small_config(replicates=30),
-            small_config(replicates=4 * REPLICATE_BLOCK + 5, families=union),
-        ):
+        width = _block_width(small_config(families=union))
+        wide = small_config(replicates=4 * width + 5, families=union)
+        assert width == 32 and len(range(0, wide.replicates, _block_width(wide))) == 5
+        for cfg in (small_config(replicates=30), wide):
             serial = run_experiment(cfg, threads=1).to_dict()
             parallel = run_experiment(cfg, threads=threads).to_dict()
             serial.pop("runtime_seconds")
@@ -327,23 +330,28 @@ class TestRunExperiment:
             assert serial == parallel
 
     def test_block_engine_matches_per_response_functions(self):
-        single = (FamilySpec(p=10, grid=GridSpec(count=12)),)
+        # grids wide enough for the narrowest blocks, so the draws span two blocks
+        single = (FamilySpec(p=10, grid=GridSpec(count=BLOCK_ENTRIES // 32)),)
         union = tuple(
-            FamilySpec(p=10, penalty=PenaltySpec("diag-power", g), grid=GridSpec(count=5))
+            FamilySpec(p=10, penalty=PenaltySpec("diag-power", g),
+                       grid=GridSpec(count=BLOCK_ENTRIES // 96 + 1))
             for g in (0.0, 1.5, 3.0)
         )
         for families in (single, union):
-            cfg = small_config(families=families, replicates=REPLICATE_BLOCK + 7)
+            cfg = small_config(families=families, replicates=39)
             instance = build_instance(cfg)
             cands, mu, sigma = instance.candidates, instance.truth.mu, instance.truth.sigma
             mean = _response(cands, mu)
-            blocks = [_replicate_block(instance, cfg, mean, s) for s in (0, REPLICATE_BLOCK)]
+            width = _block_width(cfg)
+            starts = range(0, cfg.replicates, width)
+            assert width == 32 and len(starts) == 2
+            blocks = [_replicate_block(instance, cfg, mean, s) for s in starts]
             engine = {name: np.concatenate([b[name] for b in blocks]) for name in cfg.methods}
             Y = np.column_stack([
                 mu + sigma * _replicate_rng(cfg.seed, i).standard_normal(mu.size)
                 for i in range(cfg.replicates)
             ])
-            block = _response(cands, Y[:, :REPLICATE_BLOCK], block=True)
+            block = _response(cands, Y[:, :width], block=True)
             cp_choice = _cp(block, sigma).argmin(axis=-1)
             gcv_choice = _gcv_scores(block).argmin(axis=-1)
             ew_theta = _softmax(_cp(block, sigma), sigma)
@@ -359,12 +367,25 @@ class TestRunExperiment:
                 for name, fit in fits.items():
                     expected = float((fit - mu) @ (fit - mu))
                     assert abs(engine[name][i] - expected) <= 1e-10 * expected, (name, i)
-                if i < REPLICATE_BLOCK:
+                if i < width:
                     assert cp_choice[i] == select_cp(cands, y, sigma)
                     assert gcv_choice[i] == select_gcv(cands, y)
                     np.testing.assert_allclose(
                         ew_theta[i], exponential_weights(cands, y, sigma).theta, rtol=1e-10
                     )
+
+    def test_block_width_follows_the_config_alone(self):
+        # (members, replicates, width): wide blocks up to BLOCK_ENTRIES entries, at least 32
+        for counts, replicates, width in [
+            ((2,), 200, 200), ((16,) * 4, 200, 200), ((16,) * 16, 200, 100),
+            ((1000,), 200, 32), ((1000,), 5000, 32), ((30_000,), 40, 32), ((6, 5), 40, 40),
+        ]:
+            families = tuple(FamilySpec(p=10, grid=GridSpec(count=c)) for c in counts)
+            cfg = small_config(families=families, replicates=replicates)
+            got = _block_width(cfg)
+            assert got == width and 32 <= got <= replicates
+            again = ExperimentConfig.from_dict(replace(cfg, seed=7, label="other").to_dict())
+            assert _block_width(again) == width
 
     def test_oracle_estimate_consistent_with_exact_risk(self):
         cfg = small_config(replicates=400, methods=("oracle",))
@@ -518,16 +539,24 @@ class TestSweeps:
 class TestSweepSharing:
     """A sweep's points share noise draws and factorizations, and nothing outlives it."""
 
+    REPLICATES = 69
+
     @staticmethod
     def sweep(kind, threads=1):
-        # three blocks, the last one partial, so that two workers split the replicates
-        cfg = small_config(replicates=2 * REPLICATE_BLOCK + 5, members_per_family=3)
+        # the points run in blocks of different widths; the widest point is one
+        # block, and the last runs in three, the last one partial, so that two
+        # workers split its replicates
+        cfg = small_config(replicates=TestSweepSharing.REPLICATES, members_per_family=225)
         if kind == "M":
             base = cfg.families[0]
-            ref = replace(cfg, families=(replace(base, grid=replace(base.grid, count=9)),))
-            return ref, regret_vs_M_sweep(cfg, [2, 5, 9], threads=threads)
-        ref = replace(cfg, families=qagg.bench._q_sweep_families(cfg.families[0], 1, 3))
-        return ref, regret_vs_q_sweep(cfg, [1, 2, 4], threads=threads)
+            ref = replace(cfg, families=(replace(base, grid=replace(base.grid, count=900)),))
+            reports = regret_vs_M_sweep(cfg, [2, 450, 900], threads=threads)
+        else:
+            ref = replace(cfg, families=qagg.bench._q_sweep_families(cfg.families[0], 1, 225))
+            reports = regret_vs_q_sweep(cfg, [1, 2, 4], threads=threads)
+        widths = [_block_width(r.config) for r in reports]
+        assert widths[0] == TestSweepSharing.REPLICATES > widths[1] > widths[2] == 32
+        return ref, reports
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["M", "q"])
@@ -550,7 +579,7 @@ class TestSweepSharing:
                             lambda seed, index: draws.append(index) or rng(seed, index))
         monkeypatch.setattr(qagg.bench, "build_tikhonov_family",
                             lambda *args: factorizations.append(1) or build(*args))
-        replicates = 2 * REPLICATE_BLOCK + 5
+        replicates = self.REPLICATES
         for _ in range(2):  # back to back: the second sweep draws everything again
             draws.clear()
             factorizations.clear()
@@ -568,8 +597,9 @@ class TestSweepSharing:
                             lambda seed, index: draws.append(index) or rng(seed, index))
         monkeypatch.setattr(qagg.bench, "NOISE_STORE_BYTES", 0)
         _, redrawn = self.sweep(kind)
-        # every point draws every replicate again, and its report is unchanged
-        assert sorted(draws) == sorted(3 * list(range(2 * REPLICATE_BLOCK + 5)))
+        # every point draws every replicate again, each block only its own rows,
+        # and its report is unchanged
+        assert sorted(draws) == sorted(3 * list(range(self.REPLICATES)))
         for name, reports in (("shared.csv", shared), ("redrawn.csv", redrawn)):
             write_reports_csv(reports, tmp_path / name)
         assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "redrawn.csv").read_bytes()
