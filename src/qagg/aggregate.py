@@ -176,16 +176,21 @@ class _Response:
             [fam.alphas @ (z[..., cols] * (W.T @ resid)) for fam, W, z, *_ in self._parts()]
         )
 
-    def qp_member_rows(self, cols: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """Row phi_j of block column b for each (b, j) in zip(cols, members), as (len, d)."""
+    def _member_groups(self, cols: np.ndarray, members: np.ndarray):
+        """(k, positions i, rows alpha_j * z_k[:, cols[i]]) per family k holding some members[i]."""
         cands = self.candidates
         fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
-        rows = np.empty((members.size, cands.coords.shape[1]))
         # the families present; np.unique would import numpy.ma (10 ms, 0.5 MiB) on first use
         for k in np.flatnonzero(np.bincount(fam_of, minlength=cands.q)):
             sel = np.flatnonzero(fam_of == k)
             alphas = cands.families[k].alphas[members[sel] - cands.offsets[k]]
-            rows[sel] = (alphas * self.z[k][:, cols[sel]].T) @ cands.rotations[k].T
+            yield k, sel, alphas * self.z[k][:, cols[sel]].T
+
+    def qp_member_rows(self, cols: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Row phi_j of block column b for each (b, j) in zip(cols, members), as (len, d)."""
+        rows = np.empty((members.size, self.candidates.coords.shape[1]))
+        for k, sel, spectral in self._member_groups(cols, members):
+            rows[sel] = spectral @ self.candidates.rotations[k].T
         return rows
 
     def as_block(self) -> "_Response":
@@ -202,12 +207,8 @@ class _Response:
         Evaluated in spectral coordinates as ||alpha_j * z_f - m_f||^2 + ||P_f_perp mu||^2,
         with m_f = U_f^T mu and ||P_f_perp mu||^2 read from ``mean``, the pass of mu.
         """
-        cands = self.candidates
-        fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
         out = np.empty(members.size)
-        for k in np.flatnonzero(np.bincount(fam_of, minlength=cands.q)):  # as in qp_member_rows
-            cols = np.flatnonzero(fam_of == k)
-            d = cands.families[k].alphas[members[cols] - cands.offsets[k]] * self.z[k][:, cols].T
+        for k, cols, d in self._member_groups(np.arange(members.size), members):
             d -= mean.z[k]
             out[cols] = np.einsum("ij,ij->i", d, d) + mean.perp[k]
         return out
@@ -267,9 +268,11 @@ def member_fits(family_or_union, y: np.ndarray) -> np.ndarray:
 
 
 def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWeights:
-    """Bundle a weight vector with the fit it induces on response y."""
+    """Bundle a weight vector, clipped and renormalized, with the fit it induces on response y."""
     resp = _response(family_or_union, y)
-    return SimplexWeights(theta=theta, fitted=resp.fit(theta), response=resp.y)
+    weights = SimplexWeights(theta=theta, fitted=(), response=resp.y)
+    object.__setattr__(weights, "fitted", _frozen_array(resp.fit(weights.theta)))
+    return weights
 
 
 def _qp_linear(resp: _Response, sigma: float) -> np.ndarray:
@@ -590,24 +593,19 @@ def excess_bound_gap(
     this is at most -kkt_residual up to rounding.
     """
     resp = _response(family_or_union, y)
-    fits = member_fits(resp.candidates, resp)
-    theta = _check_theta(theta, fits.shape[0])
+    cands = resp.candidates
+    theta = _check_theta(theta, cands.member_count)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != resp.y.shape or not np.all(np.isfinite(mu)):
         raise ValueError(f"mu must be a finite vector of length {resp.y.size}, got {mu.shape}")
-    eps = resp.y - mu
-    fit = fits.T @ theta
-    df = resp.candidates.df
-    loss_theta = float((fit - mu) @ (fit - mu))
-    diffs = fits - mu
-    losses = np.einsum("ij,ij->i", diffs, diffs)
-    proj = fits @ eps
-    gram = fits @ fits.T
-    sq = np.diag(gram)
-    pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
-    # a[j, k] = 2 eps.(f_j - f_k) - 2 sigma^2 (df_j - df_k) - ||f_j - f_k||^2 / 2
-    row = proj - sigma**2 * df
-    a = 2.0 * (row[:, None] - row[None, :]) - 0.5 * pair_sq
-    bound = a.max(axis=0)
-    excess = loss_theta - losses
-    return float((excess - bound).max())
+    phi = resp.as_block().qp_member_rows(np.zeros(cands.member_count, int),
+                                          np.arange(cands.member_count))
+    m = cands.coords.T @ mu
+    sq = _sq_norms(phi.T)
+    excess = _sq_norms(phi.T @ theta - m) - _sq_norms((phi - m).T)  # the ||P_Q_perp mu||^2 cancel
+    # bound_k = max_j a[j, k] with a[j, k] = 2 eps.(f_j - f_k) - 2 sigma^2 (df_j - df_k)
+    # - ||f_j - f_k||^2 / 2, eps.f_j = phi_j.(t - m) and f_j.f_k = phi_j.phi_k
+    r = 2.0 * (phi @ (resp.target - m) - sigma**2 * cands.df) - 0.5 * sq
+    gram = phi @ phi.T  # the one M x M array
+    gram += r[:, None]
+    return float((excess - (gram.max(axis=0) - r - sq)).max())

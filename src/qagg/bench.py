@@ -352,6 +352,10 @@ class ExperimentConfig:
             raise ConfigError("key 'methods' must name at least one method")
         if self.lemma_check and "q_agg" not in self.methods:
             raise ConfigError("key 'lemma_check' requires the 'q_agg' method")
+        if self.members_per_family < 1:
+            raise ConfigError(
+                f"key 'sweep.members_per_family' must be >= 1, got {self.members_per_family}"
+            )
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -704,7 +708,7 @@ def run_experiment(
     stages, failures = np.zeros(len(SOLVE_STAGES), dtype=int), 0
     fallbacks = {"ridge": 0, "stalled": 0}
     if "q_agg" in config.methods:
-        qs = np.quantile(draws["excess"], EXCESS_QUANTILES)
+        qs = _quantiles(draws["excess"], EXCESS_QUANTILES)
         excess_quantiles = {f"q{int(100 * q)}": float(v) for q, v in zip(EXCESS_QUANTILES, qs)}
         stages = np.bincount(draws["stage"], minlength=len(SOLVE_STAGES))
         fallbacks = {key: int(draws[key].sum()) for key in fallbacks}
@@ -733,6 +737,22 @@ def run_experiment(
         runtime_seconds=time.perf_counter() - t0,
         config=config,
     )
+
+
+def _quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """np.quantile(values, qs) by its default linear rule, from one sort.
+
+    np.quantile calls np.unique, whose first use in a process imports numpy.ma
+    (about 10 ms).  Quantile q lies at position (n - 1) q of the sorted values,
+    between a and b = a + d with fraction g: a + d g when g < 1/2, else
+    b - d (1 - g), as numpy interpolates.
+    """
+    s = np.sort(values)
+    pos = (s.size - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(pos).astype(int)
+    a, b, g = s[lo], s[np.minimum(lo + 1, s.size - 1)], pos - lo
+    d = b - a
+    return np.where(g < 0.5, a + d * g, b - d * (1.0 - g))
 
 
 def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> list[RegretReport]:
@@ -769,8 +789,8 @@ def regret_vs_M_sweep(
     m_values = [int(m) for m in m_values]
     if not m_values or any(m < 1 for m in m_values):
         raise ConfigError(f"key 'sweep.M' must list positive grid sizes, got {m_values}")
-    if sorted(m_values) != m_values:
-        raise ConfigError("key 'sweep.M' must be ascending")
+    if any(a >= b for a, b in zip(m_values, m_values[1:])):
+        raise ConfigError(f"key 'sweep.M' must be strictly ascending, got {m_values}")
     if len(config.families) != 1:
         raise ConfigError("an M sweep needs a single-family config")
     base = config.families[0]
@@ -800,6 +820,8 @@ def regret_vs_q_sweep(
     q_values = [int(q) for q in q_values]
     if not q_values or any(q < 1 for q in q_values):
         raise ConfigError(f"key 'sweep.q' must list positive family counts, got {q_values}")
+    if len(set(q_values)) != len(q_values):
+        raise ConfigError(f"key 'sweep.q' must list distinct family counts, got {q_values}")
     base = config.families[0]
     points = [(f"q{q}", _q_sweep_families(base, q, config.members_per_family)) for q in q_values]
     return _sweep(config, _q_sweep_families(base, 1, config.members_per_family), points, threads)

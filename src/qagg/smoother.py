@@ -354,23 +354,16 @@ def _check_ordered_pairwise(matrices, tol: float) -> OrderedCheckReport:
     )
 
 
-def _risks_one_family(family: SpectralFamily, truth: GroundTruth) -> np.ndarray:
-    if truth.n != family.n:
-        raise ValueError(
-            f"truth dimension {truth.n} does not match family dimension {family.n}"
-        )
-    m = family.basis.T @ truth.mu
-    perp = float(truth.mu @ truth.mu - m @ m)
-    variance = truth.sigma**2 * (family.alphas**2).sum(axis=1)
-    bias = (family.alphas - 1.0) ** 2 @ m**2 + max(perp, 0.0)
-    return variance + bias
-
-
 def member_risks(family_or_union, truth: GroundTruth) -> np.ndarray:
-    """Exact risks E ||A_j y - mu||^2 of every member, globally indexed."""
-    return np.concatenate(
-        [_risks_one_family(f, truth) for f in FamilyUnion.of(family_or_union).families]
-    )
+    """Exact risks E ||A_j y - mu||^2 of every member, globally indexed.
+
+    The bias ||A_j mu - mu||^2 is the residual c_j of the per-response pass of mu.
+    """
+    from qagg.aggregate import _response  # aggregate imports this module
+
+    cands = FamilyUnion.of(family_or_union)
+    frobenius = np.concatenate([(f.alphas**2).sum(axis=1) for f in cands.families])
+    return truth.sigma**2 * frobenius + _response(cands, truth.mu).resid_sq
 
 
 def oracle_index(family_or_union, truth: GroundTruth) -> tuple[int, float]:

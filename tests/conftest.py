@@ -13,7 +13,7 @@ from qagg.aggregate import (
     member_fits,
     q_gradient,
 )
-from qagg.smoother import _check_sigma
+from qagg.smoother import FamilyUnion, _check_sigma
 from qagg.spectral import DesignProblem, build_tikhonov_family
 
 
@@ -29,6 +29,39 @@ def dense_smoother(X, K, lam):
     if lam == 0.0:
         return X @ np.linalg.pinv(G) @ X.T
     return X @ np.linalg.solve(G, X.T)
+
+
+def union_and_dense(rng, designs: int):
+    """A two-family union and the dense smoother matrices of its members, in global order.
+
+    With one design both families share X (different penalties), so the union's
+    coordinates are the first family's basis; with two the designs differ and the
+    coordinates come from the SVD of both bases.
+    """
+    X = rng.standard_normal((9, 4))
+    problems = [
+        DesignProblem(X=X, K=np.eye(4), lambdas=[0.1, 1.0, 10.0]),
+        DesignProblem(X=X if designs == 1 else rng.standard_normal((9, 3)),
+                      K=random_spd(rng, 4 if designs == 1 else 3), lambdas=[0.3, 3.0]),
+    ]
+    families = tuple(build_tikhonov_family(pr, f"f{i}") for i, pr in enumerate(problems))
+    mats = [dense_smoother(pr.X, pr.K, lam) for pr in problems for lam in pr.lambdas]
+    return FamilyUnion(families=families), mats
+
+
+def dense_excess_bound_gap(mats, theta, y, sigma, mu):
+    """excess_bound_gap from dense member matrices, with fits, losses and Gram in R^n."""
+    fits = np.array([A @ y for A in mats])
+    df = np.array([np.trace(A) for A in mats])
+    eps = y - mu
+    fit = fits.T @ theta
+    losses = np.array([(f - mu) @ (f - mu) for f in fits])
+    gram = fits @ fits.T
+    sq = np.diag(gram)
+    pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
+    row = fits @ eps - sigma**2 * df
+    a = 2.0 * (row[:, None] - row[None, :]) - 0.5 * pair_sq
+    return float(((fit - mu) @ (fit - mu) - losses - a.max(axis=0)).max())
 
 
 def random_spd(rng, p, cond=10.0):

@@ -11,6 +11,7 @@ from conftest import (
     STRESS_CASES,
     _solve_simplex_qp,
     certify_kkt,
+    dense_excess_bound_gap,
     dense_smoother,
     first_vertex_faces,
     q_objective_penalized,
@@ -18,6 +19,7 @@ from conftest import (
     random_spd,
     reference_solve,
     stress_problem,
+    union_and_dense,
 )
 
 from qagg.aggregate import (
@@ -725,6 +727,19 @@ class TestExcessBound:
             theta[0] = 1.0  # smallest lambda: heavy overfit when mu = 0
             worst = max(worst, excess_bound_gap(family, theta, y, 1.0, mu))
         assert worst > 0.0
+
+    @pytest.mark.parametrize("designs", [1, 2])
+    def test_union_matches_dense(self, rng, designs):
+        union, mats = union_and_dense(rng, designs)
+        mu = 2.0 * union.families[1].basis[:, 0] + 0.5 * rng.standard_normal(union.n)
+        for _ in range(10):
+            y = mu + rng.standard_normal(union.n)
+            for theta in (solve_q_aggregation(union, y, 1.0).weights.theta,
+                          rng.dirichlet(np.ones(union.member_count))):
+                want = dense_excess_bound_gap(mats, theta, y, 1.0, mu)
+                got = excess_bound_gap(union, theta, y, 1.0, mu)
+                # relative to the size of its terms: the gap is 0 at a vertex
+                assert abs(got - want) <= 1e-10 * (y @ y)
 
     def test_rejects_a_mean_that_is_not_a_finite_length_n_vector(self, small_family):
         _, family = small_family

@@ -40,6 +40,7 @@ from qagg.bench import (
     _calibrate_mean,
     _design_rng,
     _mean_unit,
+    _quantiles,
     _replicate_block,
     _replicate_rng,
     build_instance,
@@ -120,6 +121,13 @@ class TestConfigParsing:
         data = small_config().to_dict()
         del data["replicates"]
         with pytest.raises(ConfigError, match="replicates"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_members_per_family_below_1_named(self, count):
+        data = small_config().to_dict()
+        data["sweep"] = {"q": [1, 2], "members_per_family": count}
+        with pytest.raises(ConfigError, match=r"'sweep\.members_per_family' must be >= 1"):
             ExperimentConfig.from_dict(data)
 
     def test_unknown_method_rejected(self):
@@ -295,6 +303,15 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.family_total == 2
         assert report.excess_quantiles["q99"] <= 1e-12
+
+    def test_excess_quantiles_match_numpy_bitwise(self, rng):
+        # the sort-based rule must give np.quantile's bits, or reports.csv would move
+        qs = (0.5, 0.9, 0.99)
+        for n in (1, 2, 3, 7, 199, 200, 201, 1000):
+            for values in (rng.standard_normal(n), np.round(rng.exponential(size=n), 1),
+                           np.where(rng.random(n) < 0.5, 0.0, rng.exponential(size=n))):
+                want = np.quantile(values, qs)
+                assert _quantiles(values, qs).tobytes() == want.tobytes(), n
 
     def test_seed_determinism(self):
         cfg = small_config(replicates=40)
@@ -514,6 +531,16 @@ class TestSweeps:
     def test_m_sweep_requires_sorted_values(self):
         with pytest.raises(ConfigError, match="ascending"):
             regret_vs_M_sweep(small_config(), [10, 2])
+
+    @pytest.mark.parametrize("m_values", [[4, 4], [2, 6, 6], [2, 6, 4]])
+    def test_m_sweep_requires_strictly_ascending_values(self, m_values):
+        with pytest.raises(ConfigError, match="'sweep.M' must be strictly ascending"):
+            regret_vs_M_sweep(small_config(replicates=5), m_values)
+
+    @pytest.mark.parametrize("q_values", [[2, 2], [1, 2, 1]])
+    def test_q_sweep_requires_distinct_values(self, q_values):
+        with pytest.raises(ConfigError, match="'sweep.q' must list distinct"):
+            regret_vs_q_sweep(small_config(replicates=5, members_per_family=2), q_values)
 
     def test_q_sweep_counts(self):
         cfg = small_config(replicates=15, members_per_family=3)

@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, file formats, golden outputs."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import STRESS_CASES, stress_problem
 
+import qagg
 from qagg.aggregate import cp_values, solve_q_aggregation
 from qagg.cli import main
 from qagg.smoother import FamilyUnion
@@ -470,6 +475,30 @@ class TestBenchCommand:
         assert report["family_total"] == 2
         assert report["member_total"] == 6
 
+    @pytest.mark.parametrize(
+        "sweep, overrides",
+        [("M", {"M": [4, 4]}), ("M", {"M": [2, 5, 5]}),
+         ("q", {"q": [2, 2]}), ("q", {"q": [1, 2, 1], "members_per_family": 3})],
+    )
+    def test_sweep_repeating_a_point_exit_2(self, tmp_path, capsys, sweep, overrides):
+        config = bench_config(tmp_path, sweep=overrides)
+        out = tmp_path / "run"
+        code = main(["bench", "--config", str(config), "--output", str(out), "--sweep", sweep])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"'sweep.{sweep}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", [None, "q"])
+    def test_members_per_family_below_1_exit_2(self, tmp_path, capsys, sweep):
+        config = bench_config(tmp_path, sweep={"q": [1, 2], "members_per_family": 0})
+        argv = ["bench", "--config", str(config), "--output", str(tmp_path / "o")]
+        code = main(argv + (["--sweep", sweep] if sweep else []))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'sweep.members_per_family'" in err
+        assert "grid.count" not in err
+
     def test_sweep_without_values_exit_2(self, tmp_path, capsys):
         config = bench_config(tmp_path)
         code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o"),
@@ -609,3 +638,43 @@ class TestBenchCommand:
         for name, stats in report["methods"].items():
             assert stats["mean_risk"] == rerun.stats[name].mean_risk
             assert stats["regret"] == rerun.stats[name].regret
+
+
+def test_commands_load_only_numpy_and_the_standard_library(tmp_path, rng):
+    # runtime dependency: numpy only.  In a fresh interpreter, every module that
+    # aggregate, validate and a lemma-checked q sweep load must be stdlib, numpy,
+    # qagg or built in (no __file__: numpy.random registers Cython's runtime
+    # modules); numpy.ma, which np.quantile pulls in through np.unique, is not
+    X = rng.standard_normal((8, 3))
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", X @ [1.0, -1.0, 0.5] + rng.standard_normal(8), delimiter=",")
+    np.save(tmp_path / "stack.npy", np.stack([np.eye(4) * a for a in (0.2, 0.5, 1.0)]))
+    config = bench_config(tmp_path, sweep={"q": [1, 2], "members_per_family": 3},
+                          replicates=4, methods=["q_agg", "oracle"], lemma_check=True)
+    commands = [
+        ["aggregate", "--design", "X.csv", "--response", "y.csv", "--lambdas", "0.5,2",
+         "--sigma", "1", "--output", "agg"],
+        ["validate", "--matrices", "stack.npy"],
+        ["bench", "--config", str(config), "--output", "bench", "--sweep", "q"],
+    ]
+    code = (
+        "import json, sys; start = set(sys.modules); from qagg.cli import main; "
+        f"codes = [main(argv) for argv in {commands!r}]; "
+        "new = {name: getattr(sys.modules[name], '__file__', None) "
+        "for name in set(sys.modules) - start}; "
+        "print(json.dumps([codes, new, sorted(sys.stdlib_module_names)]))"
+    )
+    src = str(Path(qagg.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, stdlib = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert "numpy.ma" not in loaded
+    others = sorted(
+        name for name, file in loaded.items()
+        if file is not None and name.partition(".")[0] not in {*stdlib, "numpy", "qagg"}
+    )
+    assert others == []

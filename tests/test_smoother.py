@@ -5,7 +5,7 @@ import bisect
 import numpy as np
 import pytest
 
-from conftest import dense_smoother, pair_distance, random_problem, random_spd
+from conftest import dense_smoother, pair_distance, random_problem, random_spd, union_and_dense
 
 from qagg.smoother import (
     FamilyUnion,
@@ -311,6 +311,17 @@ class TestExactRisk:
         risk_in = member_risks(family, GroundTruth(mu=mu_in, sigma=1.0))[0]
         risk_both = member_risks(family, GroundTruth(mu=mu_in + mu_out, sigma=1.0))[0]
         assert abs(risk_both - risk_in - mu_out @ mu_out) < 1e-10
+
+
+    @pytest.mark.parametrize("designs", [1, 2])
+    def test_union_matches_dense(self, rng, designs):
+        union, mats = union_and_dense(rng, designs)
+        assert (union.coords is union.families[0].basis) == (designs == 1)
+        truth = GroundTruth(mu=rng.standard_normal(union.n), sigma=0.7)
+        want = [
+            truth.sigma**2 * np.sum(A**2) + np.sum((A @ truth.mu - truth.mu) ** 2) for A in mats
+        ]
+        np.testing.assert_allclose(member_risks(union, truth), want, rtol=1e-10, atol=0)
 
 
 class TestPairDistance:

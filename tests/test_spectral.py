@@ -6,7 +6,7 @@ import pytest
 from conftest import STRESS_CASES, dense_smoother, random_problem, random_spd, stress_problem
 
 from qagg import spectral
-from qagg.aggregate import make_weights
+from qagg.aggregate import make_weights, member_fits
 from qagg.smoother import FamilyUnion
 from qagg.spectral import (
     GRAM_TOL,
@@ -297,6 +297,19 @@ class TestRecoverCoefficients:
         weights = make_weights(family, theta, y)
         w_tilde = recover_coefficients(family, weights)
         assert np.linalg.norm(problem.X @ w_tilde - apply_weights(family, theta, y)) < 1e-10
+
+    def test_weights_off_the_simplex_fit_as_renormalized(self, rng):
+        X = rng.standard_normal((8, 3))
+        problem = DesignProblem(X=X, K=np.eye(3), lambdas=[0.1, 1.0, 10.0])
+        family = build_tikhonov_family(problem)
+        y = rng.standard_normal(8)
+        weights = make_weights(family, np.array([0.5, 0.4, 0.0]), y)
+        theta = np.array([5.0, 4.0, 0.0]) / 9.0
+        np.testing.assert_allclose(weights.theta, theta, rtol=1e-15)
+        want = member_fits(family, y).T @ theta
+        np.testing.assert_allclose(weights.fitted, want, rtol=1e-12, atol=1e-14)
+        coefficients = recover_coefficients(family, weights)
+        np.testing.assert_allclose(X @ coefficients, want, rtol=1e-10, atol=1e-12)
 
     def test_synthetic_family_has_no_coefficient_factor(self):
         family = SpectralFamily(basis=np.eye(2), sing_vals=[1.0, 1.0], alphas=[[0.5, 0.5]])
