@@ -594,6 +594,7 @@ def excess_bound_gap(
     """
     resp = _response(family_or_union, y)
     cands = resp.candidates
+    _check_sigma(sigma, cands.n)
     theta = _check_theta(theta, cands.member_count)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != resp.y.shape or not np.all(np.isfinite(mu)):

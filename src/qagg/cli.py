@@ -80,6 +80,10 @@ def _read_rows(path: Path, field: str) -> tuple[np.ndarray, tuple[int, ...] | No
         raise InputError(f"{field}: could not parse {path}: {exc}") from exc
     if not np.all(np.isfinite(data)):
         raise InputError(f"{field}: {path} contains a non-finite value (nan or inf)")
+    array = data
+    while isinstance(array, np.ndarray):  # frozen in place, so the library keeps it uncopied
+        array.setflags(write=False)
+        array = array.base
     return data, declared
 
 

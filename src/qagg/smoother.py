@@ -188,7 +188,7 @@ def check_ordered(matrices, tol: float = 1e-8) -> OrderedCheckReport:
     The members of an ordered family commute, so one basis diagonalizes
     them all.  The check first tries to prove the three axioms in the
     eigenbasis of one positive combination of the members, at the cost
-    of one eigh plus two matrix products per member.  Only when that
+    of one eigh plus one matrix product per member.  Only when that
     proof fails does the pairwise check run (an eigvalsh and a commutator
     per pair); it alone reports failures.
     """
@@ -233,11 +233,17 @@ def _shared_basis_certificate(mats, tol):
 
     Returns (whether the proof holds, largest off-diagonal mass).  With
     S_j and N_j the symmetric and antisymmetric parts of A_j and Q the
-    eigenvectors of sum_j c_j S_j, T_j = Q^T S_j Q splits into its
-    diagonal d_j and off-diagonal mass eps_j.  Then
-    rho_j = eps_j + delta_j bounds ||W^T S_j W - diag(d_j)||_F, where W
-    is the orthogonal polar factor of Q and delta_j covers the loss of
-    orthogonality of Q and the rounding of the two products.  So:
+    eigenvectors of sum_j c_j S_j, one product P_j = S_j Q gives d_j =
+    diag(Q^T S_j Q), the column sums of Q o P_j, and the off-diagonal mass
+    eps_j = ||P_j - Q diag(d_j)||_F.  With Q = W H its polar decomposition
+    and eta >= ||Q^T Q - I||_2, S_j W - W D_j = (S_j Q - Q D_j) H^{-1}
+    + Q [D_j, H^{-1} - I], where ||H^{-1}||_2 <= 1 / (1 - eta), ||H^{-1} - I||_2
+    <= eta / ((2 - eta)(1 - eta)) and ||Q||_2^2, ||D_j||_F / ||S_j||_F <= 1 + eta.
+    So rho_j = eps_j / (1 - eta) + delta_j bounds ||W^T S_j W - diag(d_j)||_F:
+    delta_j = 4 (eta + sqrt(n) gamma) ||S_j||_F is at least 1.8 times the
+    basis term (<= 2.2 eta ||S_j||_F) plus the product's rounding (<= 1.5
+    sqrt(n) gamma ||S_j||_F) while eta < 0.25, covering the certificate's
+    own rounding.  So:
 
     (i)   (Weyl) every eigenvalue of S_j lies in
           [min d_j - rho_j, max d_j + rho_j];
@@ -260,8 +266,6 @@ def _shared_basis_certificate(mats, tol):
         return False, None
     # eta >= ||Q^T Q - I||_2: the computed norm plus the rounding of Q^T Q
     eta = float(np.linalg.norm(Q.T @ Q - np.eye(n))) + n * gamma
-    # delta_j / ||S_j||_F: 2 eta + eta^2 for the basis and 2 sqrt(n) gamma (1 + eta)
-    # for the two products, doubled to cover the certificate's own rounding
     margin = 4.0 * (eta + np.sqrt(n) * gamma)
 
     d = np.empty((count, n))
@@ -271,18 +275,18 @@ def _shared_basis_certificate(mats, tol):
     asym = np.empty(count)
     for j, A in enumerate(mats):
         skew = A - A.T
-        asym[j] = np.abs(skew).max()
+        asym[j] = skew.max()  # max |A - A^T|: its entries come in pairs s, -s
         nu[j] = 0.5 * np.linalg.norm(skew)
-        S = 0.5 * (A + A.T)
-        T = Q.T @ (S @ Q)
-        d[j] = np.diagonal(T)
-        np.fill_diagonal(T, 0.0)  # the mass itself, not ||T||^2 - ||d||^2, which cancels
-        eps[j] = np.linalg.norm(T)
+        S = A if asym[j] == 0.0 else 0.5 * (A + A.T)  # 0.5 (a + a) = a exactly
+        P = S @ Q
+        d[j] = np.einsum("ij,ij->j", Q, P)
+        P -= Q * d[j]  # the mass itself, not ||Q^T S Q||^2 - ||d||^2, which cancels
+        eps[j] = np.linalg.norm(P)
         delta[j] = margin * np.linalg.norm(S)
     off_diagonal = float(eps.max())
     if not eta < 0.25:  # not even close to orthogonal (or not finite)
         return False, off_diagonal
-    rho = eps + delta
+    rho = eps / (1.0 - eta) + delta
     lo, hi = d.min(axis=1), d.max(axis=1)
     if not np.all((asym <= tol) & (lo - rho >= -tol) & (hi + rho <= 1.0 + tol)):
         return False, off_diagonal

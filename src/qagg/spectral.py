@@ -38,6 +38,13 @@ GRAM_TOL = 1e-10  # the Gram route's screen on mu_min^2 / mu_max^2 and bound on 
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
+    """a as a read-only C-contiguous array: a itself when no array in its base chain
+    can be written (so nothing can change it), otherwise a read-only copy."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None and a.dtype == dtype and a.flags.c_contiguous:
+        return a
     arr = np.array(a, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
@@ -95,6 +102,8 @@ class DesignProblem:
         if np.any(np.diff(lambdas) == 0):
             dup = float(lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]])
             raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
+        for a in (K, L, lambdas):  # made here: frozen in place, not copied
+            a.setflags(write=False)
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "K", _frozen_array(K))
         object.__setattr__(self, "lambdas", _frozen_array(lambdas))
@@ -148,6 +157,7 @@ class SpectralFamily:
                 f"[{alphas.min():.3e}, {alphas.max():.3e}]"
             )
         alphas = np.clip(alphas, 0.0, 1.0)
+        alphas.setflags(write=False)
         defect = vars(self).get("orthogonality_defect")  # set before __init__ only by _family
         if defect is None:
             defect = _orthogonality_defect(basis)
@@ -224,10 +234,14 @@ def build_tikhonov_family(
         keep = s > RANK_TOL * s.max(initial=0.0)
         U, s, Vt = U[:, keep], s[keep], Vt[keep]
         defect = _orthogonality_defect(U)
+    del B  # only U is needed from here: free B before the family is built
     signs = np.where(U.max(axis=0, initial=0.0) >= -U.min(axis=0, initial=0.0), 1.0, -1.0)
     U *= signs  # flipping columns leaves max |U^T U - I| as it is
     Vt *= signs[:, None]
-    factor = _Factorization(U, s, Vt @ L_inv, "gram" if gram else "svd", defect)
+    right = Vt @ L_inv
+    for a in (U, right):  # made here: the family keeps them without a copy
+        a.setflags(write=False)
+    factor = _Factorization(U, s, right, "gram" if gram else "svd", defect)
     return _family(factor, problem.lambdas, family_id)
 
 

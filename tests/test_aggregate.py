@@ -748,6 +748,13 @@ class TestExcessBound:
             with pytest.raises(ValueError, match="mu"):
                 excess_bound_gap(family, theta, np.ones(5), 1.0, mu)
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_a_noise_level_outside_the_sigma_rule(self, small_family, sigma):
+        _, family = small_family
+        theta = np.full(3, 1.0 / 3.0)
+        with pytest.raises(ValueError, match="sigma"):
+            excess_bound_gap(family, theta, np.ones(5), sigma, np.zeros(5))
+
 
 def block_matches_scalar(cands, Y, sigma):
     """Stage counts of _block_solve on the columns of Y, each checked against the reference.

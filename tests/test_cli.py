@@ -14,7 +14,7 @@ from conftest import STRESS_CASES, stress_problem
 
 import qagg
 from qagg.aggregate import cp_values, solve_q_aggregation
-from qagg.cli import main
+from qagg.cli import _load_matrix, main
 from qagg.smoother import FamilyUnion
 from qagg.spectral import (
     DesignProblem,
@@ -323,6 +323,18 @@ class TestAggregateCommand:
         assert payload["factorization"] == family.factorization == "gram"
         assert payload["orthogonality_defect"] == family.orthogonality_defect
         assert 0.0 <= payload["orthogonality_defect"] <= 1e-10
+
+    @pytest.mark.parametrize("suffix", [".npy", ".csv"])
+    def test_loaded_design_is_read_only_and_kept_uncopied(self, tmp_path, rng, suffix):
+        X = rng.standard_normal((6, 3))
+        path = tmp_path / f"X{suffix}"
+        if suffix == ".npy":
+            np.save(path, X)
+        else:
+            np.savetxt(path, X, delimiter=",")
+        loaded = _load_matrix(path, "--design")
+        assert not loaded.flags.writeable
+        assert np.shares_memory(DesignProblem(X=loaded, K=np.eye(3), lambdas=[1.0]).X, loaded)
 
     @pytest.mark.parametrize("case", STRESS_CASES)
     def test_stress_families_exit_0_and_certify(self, tmp_path, rng, case):

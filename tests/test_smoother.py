@@ -226,6 +226,32 @@ class TestCheckOrderedMatchesPairwise:
         report = same_as_pairwise([A, G @ B @ G.T], 1e-8)
         assert report.shrinkage_ok and report.comparable_ok and not report.commute_ok
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_nearly_commuting_sweep(self, rng, tol):
+        # the same construction turned by 1e-10 ... 1e-4: the certificate passes only
+        # what the pairwise check passes, and decides the smallest turn itself
+        A, B = rotated(rng, [0.9, 0.6, 0.4, 0.2], [0.8, 0.5, 0.3, 0.1])
+        methods = []
+        for angle in np.geomspace(1e-10, 1e-4, 13):
+            c, s = np.cos(angle), np.sin(angle)
+            G = np.eye(4)
+            G[np.ix_([0, 3], [0, 3])] = [[c, -s], [s, c]]
+            report = same_as_pairwise([A, G @ B @ G.T], tol)
+            methods.append(report.method)
+        assert methods[0] == "shared-basis" and methods[-1] == "pairwise"
+
+    def test_exactly_symmetric_stack_and_a_skewed_copy(self, rng):
+        # an exactly symmetric member is its own symmetric part; a 1e-13 skew is symmetrized
+        mats = [0.5 * (A + A.T) for A in tikhonov_stack(rng, 12, 5, [0.0, 0.3, 3.0, 30.0])]
+        skew = rng.standard_normal((12, 12))
+        skewed = list(mats)
+        skewed[2] = mats[2] + 1e-13 * (skew - skew.T)
+        reports = [same_as_pairwise(stack, 1e-8) for stack in (mats, skewed)]
+        for report in reports:
+            assert report.passed and report.method == "shared-basis"
+        assert abs(reports[0].off_diagonal - reports[1].off_diagonal) < 1e-12
+        assert not same_as_pairwise(skewed, 1e-13).shrinkage_ok
+
     @pytest.mark.parametrize(
         "n, size, flags",
         [(6, 3e-9, (True, True)), (6, 3e-8, (False, False)), (60, 3e-9, (True, False))],

@@ -1,5 +1,7 @@
 """Spectral representation against dense linear-algebra oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,25 @@ class TestDesignProblem:
         problem = DesignProblem(X=np.eye(2), K=np.eye(2), lambdas=[1.0])
         with pytest.raises(ValueError):
             problem.X[0, 0] = 5.0
+
+    def test_writeable_design_is_copied(self, rng):
+        X = rng.standard_normal((6, 3))
+        problem = DesignProblem(X=X, K=np.eye(3), lambdas=[1.0])
+        kept = problem.X.copy()
+        X[0, 0] += 1.0
+        assert np.array_equal(problem.X, kept)
+        assert not np.shares_memory(problem.X, X)
+
+    def test_read_only_design_is_shared(self, rng):
+        X = rng.standard_normal((6, 3))
+        X.setflags(write=False)
+        assert np.shares_memory(DesignProblem(X=X, K=np.eye(3), lambdas=[1.0]).X, X)
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self, rng):
+        base = rng.standard_normal(18)
+        X = base.reshape(6, 3)
+        X.setflags(write=False)
+        assert not np.shares_memory(DesignProblem(X=X, K=np.eye(3), lambdas=[1.0]).X, base)
 
 
 class TestBuildTikhonovFamily:
@@ -232,6 +253,22 @@ class TestFactorizationRoutes:
             assert np.array_equal(getattr(regrid, name), getattr(fresh, name)), name
         assert regrid.orthogonality_defect == fresh.orthogonality_defect
         assert (regrid.factorization, regrid.family_id) == (fresh.factorization, "f")
+        assert regrid.basis is factor.basis and regrid.right_factor is factor.right_factor
+
+    def test_build_holds_at_most_two_design_sized_arrays(self, rng):
+        # B = X L^{-T} and U; the read-only X is kept, not copied, and U is not copied again
+        n, p = 600, 150
+        X = rng.standard_normal((n, p))
+        X.setflags(write=False)
+        K, lambdas = random_spd(rng, p), np.geomspace(1e-2, 1e2, 20)
+        tracemalloc.start()
+        try:
+            family = build_tikhonov_family(DesignProblem(X=X, K=K, lambdas=lambdas))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert family.factorization == "gram"
+        assert peak <= 2 * X.nbytes + 10 * p * p * 8, peak / X.nbytes
 
 
 class TestApplyMember:
