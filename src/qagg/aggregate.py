@@ -21,16 +21,16 @@ basis Q (FamilyUnion.coords, n x d; d = rank X for families on one design
 X).  So all per-response quantities (fits, c_j = ||A_j y - y||^2, the
 criteria and the QP data) depend on y only through t = Q^T y, the
 z_f = W_f^T t = U_f^T y and ||y||^2.  One pass computes them, and every
-public function accepts that pass in place of y.  The pass also takes a
-block of responses (the columns of an n x B matrix); per-member arrays then
-carry a leading block axis, and each criterion is written once along the
-trailing member axis.  The QP is posed in Q's d coordinates for one family
+public function accepts that pass in place of y.  A pass is always a block
+of responses, the columns of an n x B matrix, and one response is a block of
+one column: per-member arrays carry a leading block axis, each criterion is
+written once along the trailing member axis, and the public one-response
+functions read column 0.  The QP is posed in Q's d coordinates for one family
 and for a union alike, so a solve costs O((d + M) d) per pivot instead of
 anything involving dense n x n matrices.  One active-set method solves the
-QP for all columns of a block pass at once (_block_solve): closed-form
-vertex and segment stages, then lockstep pivots (_active_set) on the
-columns they leave undecided; solve_q_aggregation runs it on a block of
-one column.
+QP for all columns of a pass at once (_block_solve): closed-form vertex and
+segment stages, then lockstep pivots (_active_set) on the columns they
+leave undecided; solve_q_aggregation runs it on its pass of one column.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class SolveReport:
 class _Response:
     """The quantities of a response y that every method reads, computed once.
 
-    y is one response (n,) or a block of responses, one per column (n, B).
-    Per-member arrays put the member axis last: resid_sq is (M,) or (B, M).
+    y is a block of responses, one per column (n, B); one response is a block
+    of one column.  Per-member arrays put the member axis last: resid_sq is (B, M).
     The QP 1/2 ||phi^T theta - target||^2 + lin . theta + offset lives in the
     candidates' coordinates Q (``coords``, n x d): target = Q^T y,
     offset = ||P_Q_perp y||^2 / 2 and phi_j = W_f (alpha_j * z_f) for member
@@ -142,20 +142,19 @@ class _Response:
     """
 
     candidates: FamilyUnion
-    y: np.ndarray
-    z: tuple[np.ndarray, ...]  # U_f^T y per family, (r_f,) or (r_f, B)
-    perp: tuple  # ||P_f_perp y||^2 per family, a float or (B,)
+    y: np.ndarray  # (n, B)
+    z: tuple[np.ndarray, ...]  # U_f^T y per family, (r_f, B)
+    perp: tuple[np.ndarray, ...]  # ||P_f_perp y||^2 per family, (B,)
     resid_sq: np.ndarray  # c_j = ||A_j y - y||^2, globally indexed
-    target: np.ndarray  # Q^T y, (d,) or (d, B)
-    offset: float | np.ndarray  # ||P_Q_perp y||^2 / 2, a float or (B,)
+    target: np.ndarray  # Q^T y, (d, B)
+    offset: np.ndarray  # ||P_Q_perp y||^2 / 2, (B,)
 
     def fit(self, theta: np.ndarray) -> np.ndarray:
-        """Aggregated fit sum_j theta_j A_j y; for a block, theta is (B, M) and fits are columns."""
-        cands = self.candidates
+        """Aggregated fits sum_j theta[b, j] A_j y_b of theta (B, M), one column per b."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.resid_sq.shape:
-            raise ValueError(f"expected {cands.member_count} weights, got shape {theta.shape}")
-        return cands.coords @ self.qp_fit(theta)
+            raise ValueError(f"expected weights of shape {self.resid_sq.shape}, got {theta.shape}")
+        return self.candidates.coords @ self.qp_fit(theta)
 
     def _parts(self):
         """(family, W_f, z_f, first member, end) per family."""
@@ -163,17 +162,17 @@ class _Response:
         return zip(cands.families, cands.rotations, self.z, cands.offsets, cands.offsets[1:])
 
     def qp_fit(self, theta: np.ndarray) -> np.ndarray:
-        """phi^T theta in the QP's coordinates; for a block theta is (B, M), fits columns."""
+        """phi^T theta[b] in the QP's coordinates for theta (B, M), one column per b."""
         fit = None
         for fam, W, z, lo, hi in self._parts():
-            part = W @ ((fam.alphas.T @ theta[..., lo:hi].T) * z)
+            part = W @ ((fam.alphas.T @ theta[:, lo:hi].T) * z)
             fit = part if fit is None else fit + part
         return fit
 
     def qp_grad(self, resid: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """phi resid in the QP's coordinates: (M,), or (M, B') for residuals (d, B') of cols."""
+        """phi resid in the QP's coordinates, (M, B'), for residuals (d, B') of columns cols."""
         return np.concatenate(
-            [fam.alphas @ (z[..., cols] * (W.T @ resid)) for fam, W, z, *_ in self._parts()]
+            [fam.alphas @ (z[:, cols] * (W.T @ resid)) for fam, W, z, *_ in self._parts()]
         )
 
     def _member_groups(self, cols: np.ndarray, members: np.ndarray):
@@ -193,68 +192,58 @@ class _Response:
             rows[sel] = spectral @ self.candidates.rotations[k].T
         return rows
 
-    def as_block(self) -> "_Response":
-        """A one-response pass as the pass of a block of one column."""
-        return _Response(
-            self.candidates, self.y[:, None], tuple(z[:, None] for z in self.z),
-            tuple(np.reshape(p, 1) for p in self.perp), self.resid_sq[None],
-            self.target[:, None], np.reshape(self.offset, 1),
-        )
-
     def member_losses(self, members: np.ndarray, mean: "_Response") -> np.ndarray:
-        """||A_j y_b - mu||^2 of member j = members[b] on every column b of a block pass.
+        """||A_j y_b - mu||^2 of member j = members[b] on every column b of the pass.
 
         Evaluated in spectral coordinates as ||alpha_j * z_f - m_f||^2 + ||P_f_perp mu||^2,
         with m_f = U_f^T mu and ||P_f_perp mu||^2 read from ``mean``, the pass of mu.
         """
         out = np.empty(members.size)
         for k, cols, d in self._member_groups(np.arange(members.size), members):
-            d -= mean.z[k]
+            d -= mean.z[k].T
             out[cols] = np.einsum("ij,ij->i", d, d) + mean.perp[k]
         return out
 
     def weight_losses(self, theta: np.ndarray, mean: "_Response") -> np.ndarray:
         """||A_theta y_b - mu||^2 per column b: ||phi^T theta[b] - m||^2 + 2 offset of mu's pass."""
-        return _sq_norms(self.qp_fit(theta) - mean.target[:, None]) + 2.0 * mean.offset
+        return _sq_norms(self.qp_fit(theta) - mean.target) + 2.0 * mean.offset
 
 
-def _sq_norms(v: np.ndarray):
-    """Squared norm of a vector, or of every column of a matrix."""
-    return v @ v if v.ndim == 1 else np.einsum("ib,ib->b", v, v)
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared norm of every column of a matrix."""
+    return np.einsum("ib,ib->b", v, v)
 
 
 def _response(family_or_union, y, *, block: bool = False) -> _Response:
     """The pass of y; a pass given as y must belong to these candidates.
 
-    Only with ``block`` may y be an (n, B) block of responses.
+    Only with ``block`` may y be an (n, B) block of responses; one response
+    (n,) is passed as a block of one column.
     """
     cands = FamilyUnion.of(family_or_union)
     if isinstance(y, _Response):
         theirs = y.candidates.families
         if len(theirs) != cands.q or any(a is not b for a, b in zip(theirs, cands.families)):
             raise ValueError("the per-response pass was computed for different candidates")
-        resp = y
+        resp, wide = y, y.y.shape[1] != 1
     else:
         y = np.asarray(y, dtype=float)
         if not np.all(np.isfinite(y)):
             raise ValueError("the response y must be finite")
         if y.ndim not in (1, 2) or y.shape[0] != cands.n:
             raise ValueError(f"expected response of length {cands.n}, got {y.shape}")
-        yy = _sq_norms(y)
-        target = cands.coords.T @ y
+        wide = y.ndim == 2
+        Y = y if wide else y[:, None]  # one response is a block of one column
+        yy = _sq_norms(Y)
+        target = cands.coords.T @ Y
         offset = 0.5 * np.maximum(yy - _sq_norms(target), 0.0)
         z = tuple(W.T @ target for W in cands.rotations)
         perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
-        # (M_f,) per family for one response, (B, M_f) for a block
-        resid_sq = np.concatenate(
-            [
-                ((fam.alphas - 1.0) ** 2 @ zf**2 + pf).T
-                for fam, zf, pf in zip(cands.families, z, perp)
-            ],
-            axis=-1,
+        resid_sq = np.hstack(
+            [((f.alphas - 1.0) ** 2 @ zf**2 + pf).T for f, zf, pf in zip(cands.families, z, perp)]
         )
-        resp = _Response(cands, y, z, perp, resid_sq, target, offset)
-    if resp.y.ndim != 1 and not block:
+        resp = _Response(cands, Y, z, perp, resid_sq, target, offset)
+    if wide and not block:
         raise ValueError(f"expected one response of length {cands.n}, got shape {resp.y.shape}")
     return resp
 
@@ -262,16 +251,15 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
 def member_fits(family_or_union, y: np.ndarray) -> np.ndarray:
     """Stacked member fits A_j y as an (M, n) matrix, globally indexed."""
     resp = _response(family_or_union, y)
-    return np.vstack(
-        [(fam.alphas * z) @ fam.basis.T for fam, z in zip(resp.candidates.families, resp.z)]
-    )
+    M = resp.candidates.member_count
+    return resp.qp_member_rows(np.zeros(M, dtype=int), np.arange(M)) @ resp.candidates.coords.T
 
 
 def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWeights:
     """Bundle a weight vector, clipped and renormalized, with the fit it induces on response y."""
     resp = _response(family_or_union, y)
-    weights = SimplexWeights(theta=theta, fitted=(), response=resp.y)
-    object.__setattr__(weights, "fitted", _frozen_array(resp.fit(weights.theta)))
+    weights = SimplexWeights(theta=theta, fitted=(), response=resp.y[:, 0])
+    object.__setattr__(weights, "fitted", _frozen_array(resp.fit(weights.theta[None])[:, 0]))
     return weights
 
 
@@ -288,7 +276,7 @@ def _cp(resp: _Response, sigma: float) -> np.ndarray:
 
 def cp_values(family_or_union, y: np.ndarray, sigma: float) -> np.ndarray:
     """Unbiased-risk criterion ||A_j y - y||^2 + 2 sigma^2 trace(A_j) per member."""
-    return _cp(_response(family_or_union, y), sigma)
+    return _cp(_response(family_or_union, y), sigma)[0]
 
 
 def _check_theta(theta, count: int) -> np.ndarray:
@@ -307,29 +295,28 @@ def q_objective(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float)
     finite-difference gradient checks differentiate.
     """
     resp = _response(family_or_union, y)
-    lin = _qp_linear(resp, sigma)
+    lin = _qp_linear(resp, sigma)[0]
     theta = _check_theta(theta, lin.size)
-    r = resp.qp_fit(theta) - resp.target
-    return float(0.5 * r @ r + lin @ theta + resp.offset)
+    r = (resp.qp_fit(theta[None]) - resp.target)[:, 0]
+    return float(0.5 * r @ r + lin @ theta + resp.offset[0])
 
 
 def q_gradient(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
     """Analytic gradient of the convex objective form."""
     resp = _response(family_or_union, y)
-    lin = _qp_linear(resp, sigma)
+    lin = _qp_linear(resp, sigma)[0]
     theta = _check_theta(theta, lin.size)
-    return resp.qp_grad(resp.qp_fit(theta) - resp.target) + lin
+    return resp.qp_grad(resp.qp_fit(theta[None]) - resp.target)[:, 0] + lin
 
 
 def _certificate(g, theta, resid, lin):
     """Objective less its offset, certificate min_k g_k - g . theta, and the KKT test.
 
-    g is the gradient at theta and resid = phi^T theta - target.  With theta
-    of shape (M,) each value is a scalar; with theta of shape (B, M) (resid
-    (r, B)) there is one per row.
+    g is the gradient at theta and resid = phi^T theta - target, with one
+    value per row of theta (B, M) (column of resid (d, B)).
     """
-    fval = 0.5 * _sq_norms(resid) + np.einsum("...j,...j->...", lin, theta)
-    res = g.min(axis=-1) - np.einsum("...j,...j->...", g, theta)
+    fval = 0.5 * _sq_norms(resid) + np.einsum("bj,bj->b", lin, theta)
+    res = g.min(axis=1) - np.einsum("bj,bj->b", g, theta)
     return fval, res, res >= -KKT_TOL * (1.0 + np.abs(fval))
 
 
@@ -369,7 +356,7 @@ def _face_solve(kkt: np.ndarray, rhs: np.ndarray, ridge):
 
 
 def _active_set(resp: _Response, lin, cols, support, g, out):
-    """The active-set method on the columns ``cols`` of a block pass, in lockstep.
+    """The active-set method on the columns ``cols`` of a pass, in lockstep.
 
     Column i, uncertified after k pivots, starts on the face support[i] (its k
     members in pivot order) at its weights in out = (theta, objective less
@@ -462,7 +449,7 @@ def _active_set(resp: _Response, lin, cols, support, g, out):
 
 
 def _block_solve(resp: _Response, sigma: float):
-    """The aggregation solve on every column of a block pass at once.
+    """The aggregation solve on every column of a pass at once.
 
     Column b is tested with the certificate at its best vertex j0, the Cp
     choice (the vertex value 1/2 ||phi_j||^2 - phi_j . target + lin_j equals
@@ -513,14 +500,14 @@ def _block_solve(resp: _Response, sigma: float):
 def solve_q_aggregation(family_or_union, y: np.ndarray, sigma: float) -> SolveReport:
     """Solve the aggregation program and certify the result.
 
-    The staged solve of _block_solve on a block of one column.  Convergence
+    The staged solve of _block_solve on the pass of y, a block of one column.  Convergence
     means kkt_residual >= -KKT_TOL * (1 + |objective|); on non-convergence
     within min(3 M + 100, MAX_PIVOTS) pivots the best iterate is returned
     with ``converged=False``.
     """
     resp = _response(family_or_union, y)
     theta, objective, kkt, _, pivots, converged, fallbacks, stalls = (
-        a[0] for a in _block_solve(resp.as_block(), sigma)
+        a[0] for a in _block_solve(resp, sigma)
     )
     weights = make_weights(resp.candidates, theta, resp)
     support = tuple(int(j) for j in np.flatnonzero(weights.theta > 0))
@@ -548,7 +535,7 @@ def _gcv_scores(resp: _Response) -> np.ndarray:
         raise ValueError("every member has trace within 1e-8 n of n; GCV is undefined")
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = resp.resid_sq / (n - df) ** 2
-    scores[..., degenerate] = np.inf
+    scores[:, degenerate] = np.inf
     return scores
 
 
@@ -559,13 +546,13 @@ def select_gcv(family_or_union, y: np.ndarray) -> int:
     comes within 1e-8 n of n are excluded with a warning because the
     denominator degenerates.
     """
-    return int(np.argmin(_gcv_scores(_response(family_or_union, y))))
+    return int(np.argmin(_gcv_scores(_response(family_or_union, y))[0]))
 
 
 def _softmax(cp: np.ndarray, sigma: float) -> np.ndarray:
     """Weights proportional to exp(-cp / (4 sigma^2)) along the member axis."""
-    w = np.exp(-(cp - cp.min(axis=-1, keepdims=True)) / (4.0 * sigma**2))
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.exp(-(cp - cp.min(axis=1, keepdims=True)) / (4.0 * sigma**2))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def exponential_weights(family_or_union, y: np.ndarray, sigma: float) -> SimplexWeights:
@@ -576,7 +563,7 @@ def exponential_weights(family_or_union, y: np.ndarray, sigma: float) -> Simplex
     subtracting the best criterion value before exponentiating.
     """
     resp = _response(family_or_union, y)
-    theta = _softmax(_cp(resp, sigma), sigma)
+    theta = _softmax(_cp(resp, sigma), sigma)[0]
     return make_weights(resp.candidates, theta, resp)
 
 
@@ -597,16 +584,16 @@ def excess_bound_gap(
     _check_sigma(sigma, cands.n)
     theta = _check_theta(theta, cands.member_count)
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != resp.y.shape or not np.all(np.isfinite(mu)):
-        raise ValueError(f"mu must be a finite vector of length {resp.y.size}, got {mu.shape}")
-    phi = resp.as_block().qp_member_rows(np.zeros(cands.member_count, int),
-                                          np.arange(cands.member_count))
+    if mu.shape != (cands.n,) or not np.all(np.isfinite(mu)):
+        raise ValueError(f"mu must be a finite vector of length {cands.n}, got {mu.shape}")
+    phi = resp.qp_member_rows(np.zeros(cands.member_count, int), np.arange(cands.member_count))
     m = cands.coords.T @ mu
     sq = _sq_norms(phi.T)
-    excess = _sq_norms(phi.T @ theta - m) - _sq_norms((phi - m).T)  # the ||P_Q_perp mu||^2 cancel
+    fit = phi.T @ theta - m
+    excess = fit @ fit - _sq_norms((phi - m).T)  # the ||P_Q_perp mu||^2 cancel
     # bound_k = max_j a[j, k] with a[j, k] = 2 eps.(f_j - f_k) - 2 sigma^2 (df_j - df_k)
     # - ||f_j - f_k||^2 / 2, eps.f_j = phi_j.(t - m) and f_j.f_k = phi_j.phi_k
-    r = 2.0 * (phi @ (resp.target - m) - sigma**2 * cands.df) - 0.5 * sq
+    r = 2.0 * (phi @ (resp.target[:, 0] - m) - sigma**2 * cands.df) - 0.5 * sq
     gram = phi @ phi.T  # the one M x M array
     gram += r[:, None]
     return float((excess - (gram.max(axis=0) - r - sq)).max())

@@ -219,6 +219,10 @@ class MeanSpec:
             )
         if self.shape == "explicit" and self.values is None:
             raise ConfigError("key 'scenario.mean.values' is required for explicit means")
+        if self.shape != "explicit" and self.values is not None:
+            raise ConfigError(
+                f"key 'scenario.mean.values' needs the explicit mean shape, got {self.shape!r}"
+            )
         if self.target_risk is not None and self.shape in ("zero", "explicit"):
             raise ConfigError(
                 "key 'scenario.mean.target_risk' needs a spectral mean shape"
@@ -822,6 +826,8 @@ def regret_vs_q_sweep(
         raise ConfigError(f"key 'sweep.q' must list positive family counts, got {q_values}")
     if len(set(q_values)) != len(q_values):
         raise ConfigError(f"key 'sweep.q' must list distinct family counts, got {q_values}")
+    if len(config.families) != 1:
+        raise ConfigError("a q sweep needs a single-family config")
     base = config.families[0]
     points = [(f"q{q}", _q_sweep_families(base, q, config.members_per_family)) for q in q_values]
     return _sweep(config, _q_sweep_families(base, 1, config.members_per_family), points, threads)

@@ -13,6 +13,7 @@ non-convergence (partial output is still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -99,8 +100,12 @@ def _load_matrix(path: Path, field: str) -> np.ndarray:
 
 
 def _load_vector(path: Path, field: str) -> np.ndarray:
-    data, _ = _read_rows(path, field)
-    data = np.asarray(data, dtype=float)
+    """A vector: a column, a row or a 1-d .npy; a shape header reads 'n' or the data's shape."""
+    data, declared = _read_rows(path, field)
+    if declared is not None and declared not in ((data.size,), data.shape):
+        raise InputError(
+            f"{field}: shape header {declared} does not match data shape {data.shape}"
+        )
     if data.ndim == 2 and 1 in data.shape:
         data = data.ravel()
     if data.ndim != 1:
@@ -174,9 +179,22 @@ def _write_column_csv(path: Path, values: np.ndarray) -> None:
 # subcommands
 
 
+@contextlib.contextmanager
+def _reported(field: str):
+    """Report a library ValueError as malformed input under field; main reports a LinAlgError."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"{field}: {exc}") from exc
+
+
 def cmd_aggregate(args) -> int:
     X = _load_matrix(Path(args.design), "--design")
     y = _load_vector(Path(args.response), "--response")
+    if X.size == 0:
+        raise InputError(f"--design: the design in {args.design} is empty (shape {X.shape})")
     if y.size != X.shape[0]:
         raise InputError(
             f"--response: length {y.size} does not match design rows {X.shape[0]}"
@@ -186,17 +204,12 @@ def cmd_aggregate(args) -> int:
     else:
         K = _load_matrix(Path(args.penalty), "--penalty")
     lambdas = _parse_lambdas(args.lambdas)
-    try:
+    with _reported("--sigma"):
         _check_sigma(args.sigma, X.shape[0])
-    except ValueError as exc:
-        raise InputError(f"--sigma: {exc}") from None
-    try:
+    with _reported("--penalty/--lambdas"):
         problem = DesignProblem(X=X, K=K, lambdas=lambdas)
-    except np.linalg.LinAlgError:  # reported by main, naming every input
-        raise
-    except ValueError as exc:
-        raise InputError(f"--penalty/--lambdas: {exc}") from exc
-    family = build_tikhonov_family(problem)
+    with _reported("--design, --penalty"):  # e.g. member eigenvalues that overflow
+        family = build_tikhonov_family(problem)
 
     resp = _response(family, y)
     report = solve_q_aggregation(resp.candidates, resp, args.sigma)

@@ -367,7 +367,7 @@ def member_risks(family_or_union, truth: GroundTruth) -> np.ndarray:
 
     cands = FamilyUnion.of(family_or_union)
     frobenius = np.concatenate([(f.alphas**2).sum(axis=1) for f in cands.families])
-    return truth.sigma**2 * frobenius + _response(cands, truth.mu).resid_sq
+    return truth.sigma**2 * frobenius + _response(cands, truth.mu).resid_sq[0]
 
 
 def oracle_index(family_or_union, truth: GroundTruth) -> tuple[int, float]:

@@ -54,11 +54,12 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 class DesignProblem:
     """Design matrix, positive-definite penalty and tuning grid.
 
-    The penalty is symmetrized as (K + K^T)/2 on construction; grossly
-    asymmetric or non-positive-definite penalties are rejected.  The
-    grid is sorted ascending and must be nonempty, finite, nonnegative
-    and free of duplicates.  ``penalty_factor`` is the Cholesky factor L
-    (K = L L^T), which both checks definiteness and whitens the build.
+    The design needs a row and a column.  The penalty is symmetrized as
+    (K + K^T)/2 on construction; grossly asymmetric or non-positive-definite
+    penalties are rejected.  The grid is sorted ascending and must be
+    nonempty, finite, nonnegative and free of duplicates.  ``penalty_factor``
+    is the Cholesky factor L (K = L L^T), which both checks definiteness and
+    whitens the build.
     """
 
     X: np.ndarray
@@ -71,6 +72,8 @@ class DesignProblem:
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
         if X.ndim != 2:
             raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
+        if X.size == 0:
+            raise ValueError(f"design matrix must have a row and a column, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("design matrix entries must be finite")
         p = X.shape[1]
@@ -151,6 +154,9 @@ class SpectralFamily:
                 f"inconsistent spectral shapes: basis {basis.shape}, "
                 f"alphas {alphas.shape}, sing_vals {sing_vals.shape}"
             )
+        for name, a in (("member eigenvalues", alphas), ("singular values", sing_vals)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if alphas.size and (alphas.min() < -1e-10 or alphas.max() > 1.0 + 1e-10):
             raise ValueError(
                 "member eigenvalues must lie in [0, 1], got range "
@@ -222,12 +228,17 @@ def build_tikhonov_family(
     B = problem.X @ L_inv.T
     defect = np.inf
     if problem.n >= problem.p:  # otherwise B^T B is singular
-        mu2, V = np.linalg.eigh(B.T @ B)
-        if mu2[0] > GRAM_TOL * mu2[-1]:
-            s, Vt = np.sqrt(mu2[::-1]), V[:, ::-1].T
-            U = B @ Vt.T
-            U /= s
-            defect = _orthogonality_defect(U)
+        with np.errstate(over="ignore"):
+            gram_matrix = B.T @ B
+        # where B^T B overflows so does mu^2: the SVD route finds mu and _family rejects it
+        if np.isfinite(gram_matrix).all():
+            mu2, V = np.linalg.eigh(gram_matrix)
+            del gram_matrix  # freed before U is formed
+            if mu2[0] > GRAM_TOL * mu2[-1]:
+                s, Vt = np.sqrt(mu2[::-1]), V[:, ::-1].T
+                U = B @ Vt.T
+                U /= s
+                defect = _orthogonality_defect(U)
     gram = defect <= GRAM_TOL
     if not gram:
         U, s, Vt = np.linalg.svd(B, full_matrices=False)
@@ -257,9 +268,11 @@ class _Factorization(NamedTuple):
 
 def _family(factor: _Factorization, lambdas: np.ndarray, family_id: str) -> SpectralFamily:
     """The family of one grid on a factorization; U's defect is taken from it, not re-measured."""
-    mu2 = factor.sing_vals**2
-    # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly.
-    alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
+    # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly; an
+    # overflowing mu^2 gives alpha = nan, which SpectralFamily rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu2 = factor.sing_vals**2
+        alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
     family = object.__new__(SpectralFamily)
     object.__setattr__(family, "orthogonality_defect", factor.defect)
     family.__init__(factor.basis, factor.sing_vals, alphas, factor.right_factor,

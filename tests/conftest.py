@@ -97,16 +97,16 @@ def pair_distance(family, j, k, truth):
 def q_objective_penalized(family_or_union, theta, y, sigma):
     """Penalized form Cp(A_theta) + 1/2 sum_j theta_j ||(A_theta - A_j) y||^2.
 
-    Computed from member fits in R^n, independently of the QP coordinates
-    used by q_objective; the two must agree on the simplex.
+    Computed from member fits in R^n, not from q_objective's convex form in
+    the QP coordinates; the two must agree on the simplex.
     """
     resp = _response(family_or_union, y)
     _check_sigma(sigma, resp.candidates.n)
     fits = member_fits(resp.candidates, resp)
     theta = _check_theta(theta, fits.shape[0])
     fit = fits.T @ theta
-    df = resp.candidates.df
-    cp_at_theta = float((fit - resp.y) @ (fit - resp.y)) + 2.0 * sigma**2 * float(df @ theta)
+    df, y = resp.candidates.df, resp.y[:, 0]
+    cp_at_theta = float((fit - y) @ (fit - y)) + 2.0 * sigma**2 * float(df @ theta)
     gaps = fits - fit
     penalty = 0.5 * float(theta @ np.einsum("ij,ij->i", gaps, gaps))
     return cp_at_theta + penalty
@@ -251,7 +251,9 @@ def _solve_simplex_qp(phi, target, lin):
         theta[support] = theta_s
         resid = phi[support].T @ theta_s - target
         g = phi @ resid + lin
-        fval, res, converged = _certificate(g, theta, resid, lin)
+        fval, res, converged = (
+            a[0] for a in _certificate(g[None], theta[None], resid[:, None], lin[None])
+        )
         if converged:
             break
         jadd = int(np.argmin(g))
@@ -276,9 +278,9 @@ def reference_solve(cands, y, sigma):
     converged, ridge fallbacks, stalled pivots, prune steps), objective with its offset."""
     resp = _response(cands, y)
     M = resp.resid_sq.size
-    phi = resp.as_block().qp_member_rows(np.zeros(M, dtype=int), np.arange(M))
-    theta, fval, *rest = _solve_simplex_qp(phi, resp.target, _qp_linear(resp, sigma))
-    return (theta, float(fval + resp.offset), *rest)
+    phi = resp.qp_member_rows(np.zeros(M, dtype=int), np.arange(M))
+    theta, fval, *rest = _solve_simplex_qp(phi, resp.target[:, 0], _qp_linear(resp, sigma)[0])
+    return (theta, float(fval + resp.offset[0]), *rest)
 
 
 @pytest.fixture

@@ -92,6 +92,19 @@ class TestResponsePass:
         # a pass of one family serves the union of that family alone
         assert cp_values(FamilyUnion(families=(f1,)), _response(f1, y), 1.0).shape == (2,)
 
+    def test_one_response_functions_reject_a_block(self, rng):
+        family = build_tikhonov_family(random_problem(rng, 6, 3, 2))
+        Y = rng.standard_normal((6, 2))
+        # a 2-d y, even of one column, and a pass of two columns
+        for y in (Y[:, :1], Y, _response(family, Y, block=True)):
+            with pytest.raises(ValueError, match="expected one response of length 6"):
+                cp_values(family, y, 1.0)
+        # one response is a block of one column, and the function reads column 0
+        single = _response(family, Y[:, 0])
+        assert single.y.shape == (6, 1) and single.resid_sq.shape == (1, 2)
+        expected = single.resid_sq[0] + 2.0 * FamilyUnion.of(family).df
+        np.testing.assert_array_equal(cp_values(family, single, 1.0), expected)
+
     def test_union_quantities_match_dense(self, rng):
         f1 = build_tikhonov_family(random_problem(rng, 8, 3, 3), family_id="a")
         f2 = build_tikhonov_family(random_problem(rng, 8, 5, 2), family_id="b")
@@ -108,24 +121,24 @@ class TestResponsePass:
                 assert abs(cp[j] - expected) < 1e-10
             theta = random_interior_theta(rng, union.member_count)
             expected = sum(t * A for t, A in zip(theta, dense)) @ y
-            assert np.abs(resp.fit(theta) - expected).max() < 1e-10
+            assert np.abs(resp.fit(theta[None])[:, 0] - expected).max() < 1e-10
             self.check_qp_view(rng, union, dense, resp, theta)
 
     @staticmethod
     def check_qp_view(rng, union, dense, resp, theta):
         """The pass's QP coordinates, mapped back to R^n, against dense member matrices."""
-        n, y, to_rn = union.n, resp.y, union.coords
+        n, y, to_rn = union.n, resp.y[:, 0], union.coords
         fits = np.column_stack([A @ y for A in dense])  # n x M
         M = union.member_count
-        rows = resp.as_block().qp_member_rows(np.zeros(M, dtype=int), np.arange(M))
+        rows = resp.qp_member_rows(np.zeros(M, dtype=int), np.arange(M))
         assert np.abs(to_rn @ rows.T - fits).max() < 1e-10
         fit_theta = sum(t * A for t, A in zip(theta, dense)) @ y
-        assert np.abs(to_rn @ resp.qp_fit(theta) - fit_theta).max() < 1e-10
+        assert np.abs(to_rn @ resp.qp_fit(theta[None])[:, 0] - fit_theta).max() < 1e-10
         # 1/2 ||phi^T theta - target||^2 + offset is 1/2 ||A_theta y - y||^2
-        r = resp.qp_fit(theta) - resp.target
+        r = (resp.qp_fit(theta[None]) - resp.target)[:, 0]
         expected = 0.5 * np.sum((fit_theta - y) ** 2)
-        assert abs(0.5 * r @ r + resp.offset - expected) < 1e-10
-        assert np.abs(resp.qp_grad(r) - fits.T @ (to_rn @ r)).max() < 1e-10
+        assert abs(0.5 * r @ r + resp.offset[0] - expected) < 1e-10
+        assert np.abs(resp.qp_grad(r[:, None])[:, 0] - fits.T @ (to_rn @ r)).max() < 1e-10
         # losses against a mean off every family's range, on a block of responses
         mu = rng.standard_normal(n)
         Y = mu[:, None] + rng.standard_normal((n, 3))

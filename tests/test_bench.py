@@ -148,6 +148,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="target_risk"):
             MeanSpec(shape="zero", target_risk=5.0)
 
+    @pytest.mark.parametrize("shape", ["zero", "spectral-decay", "single-spike"])
+    def test_mean_values_need_the_explicit_shape(self, shape):
+        with pytest.raises(ConfigError, match=f"'scenario.mean.values' needs .*'{shape}'"):
+            MeanSpec(shape=shape, values=(1.0,) * 24)
+        data = small_config().to_dict()
+        data["scenario"]["mean"] = {"shape": shape, "values": [1.0] * 24}
+        with pytest.raises(ConfigError, match="'scenario.mean.values' needs the explicit"):
+            ExperimentConfig.from_dict(data)
+
     def test_explicit_mean_length_checked(self):
         cfg = small_config(
             scenario=ScenarioSpec(n=24, sigma=1.0, mean=MeanSpec(shape="explicit", values=(1.0,)))
@@ -541,6 +550,12 @@ class TestSweeps:
     def test_q_sweep_requires_distinct_values(self, q_values):
         with pytest.raises(ConfigError, match="'sweep.q' must list distinct"):
             regret_vs_q_sweep(small_config(replicates=5, members_per_family=2), q_values)
+
+    def test_q_sweep_requires_a_single_family(self):
+        # every point's union is built from the one configured family's size and grid
+        two = (FamilySpec(p=10), FamilySpec(p=10, penalty=PenaltySpec(exponent=2.0)))
+        with pytest.raises(ConfigError, match="a q sweep needs a single-family config"):
+            regret_vs_q_sweep(small_config(replicates=5, families=two, members_per_family=2), [1])
 
     def test_q_sweep_counts(self):
         cfg = small_config(replicates=15, members_per_family=3)

@@ -177,6 +177,60 @@ class TestAggregateCommand:
         assert main(flat) == 2
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [(0, 3), (6, 0)])
+    def test_empty_design_exit_2_naming_the_design(self, tmp_path, capsys, shape):
+        design, response = tmp_path / "X.npy", tmp_path / "y.npy"
+        np.save(design, np.zeros(shape))
+        np.save(response, np.zeros(shape[0]))
+        out = tmp_path / "out"
+        code = main(["aggregate", "--design", str(design), "--response", str(response),
+                     "--lambdas", "1.0,2.0", "--sigma", "1.0", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --design:") and f"shape {shape}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape, scale", [((3, 6), 1e200), ((6, 3), 1e160)])
+    def test_overflowing_member_eigenvalues_exit_2(self, tmp_path, rng, capsys, shape, scale):
+        # a finite design whose mu^2 overflows, so alpha = mu^2 / (mu^2 + lambda) is nan
+        design, response = tmp_path / "X.npy", tmp_path / "y.npy"
+        np.save(design, scale * rng.standard_normal(shape))
+        np.save(response, rng.standard_normal(shape[0]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["aggregate", "--design", str(design), "--response", str(response),
+                         "--lambdas", "1.0,2.0", "--sigma", "1.0", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --design, --penalty: member eigenvalues must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, column, ok",
+        [("# 5", True, True), ("# 5", False, True), ("# 5 1", True, True),
+         ("# 1 5", False, True), ("# 7", True, False), ("# 1 5", True, False),
+         ("# 5 1", False, False), ("# 5 5", True, False), ("# 1 1 5", False, False)],
+    )
+    def test_response_shape_header_checked(
+        self, tmp_path, toy_inputs, capsys, header, column, ok
+    ):
+        _, y, design, _ = toy_inputs
+        response = tmp_path / "y_header.csv"
+        body = ("\n" if column else ",").join(map(repr, y.tolist()))
+        response.write_text(f"{header}\n{body}\n")
+        out = tmp_path / "out"
+        code = main(["aggregate", "--design", str(design), "--response", str(response),
+                     "--lambdas", "1.0,2.0", "--sigma", "1.0", "--output", str(out)])
+        err = capsys.readouterr().err
+        if ok:
+            assert code == 0, err
+            assert json.loads((out / "aggregate.json").read_text())["converged"]
+        else:
+            assert code == 2
+            assert err.startswith("error: --response: shape header")
+            assert not out.exists()
+
     def test_large_admitted_sigma_solves(self, tmp_path, toy_inputs):
         # 4 n sigma^2 = 2e307 on 5 points: admitted, and every output is finite
         _, _, design, response = toy_inputs
@@ -486,6 +540,19 @@ class TestBenchCommand:
         report = json.loads((out / "report_cli-q2.json").read_text())
         assert report["family_total"] == 2
         assert report["member_total"] == 6
+
+    def test_sweep_q_of_two_families_exit_2(self, tmp_path, capsys):
+        families = [{"p": 6, "penalty": "identity", "grid": {"count": 4}},
+                    {"p": 6, "penalty": {"kind": "diag-power", "exponent": 2.0},
+                     "grid": {"count": 4}}]
+        config = bench_config(tmp_path, families=families,
+                              sweep={"q": [1, 2], "members_per_family": 3})
+        out = tmp_path / "run"
+        code = main(["bench", "--config", str(config), "--output", str(out), "--sweep", "q"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --config: a q sweep needs a single-family config")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "sweep, overrides",

@@ -1,6 +1,7 @@
 """Spectral representation against dense linear-algebra oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ class TestDesignProblem:
         L = DesignProblem(X=np.eye(5), K=K, lambdas=[1.0]).penalty_factor
         assert np.array_equal(L, np.tril(L))
         assert np.abs(L @ L.T - K).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(0, 3), (6, 0)])
+    def test_empty_design_rejected_before_the_penalty(self, shape):
+        # K = eye(3) does not match a 6 x 0 design: the design is reported first
+        with pytest.raises(ValueError, match=rf"a row and a column, got shape \({shape[0]}, "):
+            DesignProblem(X=np.zeros(shape), K=np.eye(3), lambdas=[1.0])
 
     def test_penalty_shape_must_match_design(self):
         with pytest.raises(ValueError, match="penalty matrix must be"):
@@ -220,6 +227,26 @@ class TestFactorizationRoutes:
         family = SpectralFamily(basis=np.eye(3)[:, :2], sing_vals=[1.0, 1.0], alphas=[[0.5, 0.5]])
         assert family.orthogonality_defect == 0.0
         assert family.factorization is None
+
+    @pytest.mark.parametrize("name", ["alphas", "sing_vals"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum_rejected(self, name, bad):
+        spectrum = {"alphas": np.array([[0.5, 0.5]]), "sing_vals": np.ones(2)}
+        spectrum[name].flat[1] = bad
+        what = "member eigenvalues" if name == "alphas" else "singular values"
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            SpectralFamily(basis=np.eye(3)[:, :2], **spectrum)
+
+    @pytest.mark.parametrize("shape, scale", [((3, 6), 1e200), ((6, 3), 1e160)])
+    def test_overflowing_squares_rejected_without_warnings(self, rng, shape, scale):
+        # mu^2 overflows, so every alpha = mu^2 / (mu^2 + lambda) is nan: on the SVD route
+        # (n < p) and where B^T B itself overflows (n >= p)
+        X = scale * rng.standard_normal(shape)
+        problem = DesignProblem(X=X, K=np.eye(shape[1]), lambdas=[1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="member eigenvalues must be finite"):
+                build_tikhonov_family(problem)
 
     def test_caller_cannot_set_the_defect(self):
         basis = [[1.0, 0.9], [0.0, 0.5], [0.0, 0.0]]
