@@ -25,10 +25,14 @@ the unit of work handed to worker processes: blocks start at multiples of
 the width and are never split, so serial and parallel runs agree bit for
 bit.
 
-The points of one M or q sweep share each (X, K)'s factorization and each
-replicate's standard normals, up to NOISE_STORE_BYTES, while the sweep runs
-(``_sweep_store``).  A point does the arithmetic of a run of its own on the
-same inputs, so its report is byte-identical to that run's.
+The points of one M or q sweep share ``_sweep_store`` while it runs.  It keeps
+only what varies within the sweep, whose points share seed, n, p and so X:
+under "noise" each replicate's standard normals by replicate index, up to
+NOISE_STORE_BYTES, and under a penalty diagonal's bytes the first family
+built on it, which later grids on that diagonal regrid.  A pool worker draws
+its blocks' rows into its forked copy of the store, never the parent's.  A
+point does the arithmetic of a run of its own on the same inputs, so its
+report is byte-identical to that run's.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ from qagg.aggregate import (
     excess_bound_gap,
 )
 from qagg.smoother import FamilyUnion, GroundTruth, _check_sigma, member_risks, oracle_index
-from qagg.spectral import DesignProblem, SpectralFamily, _Factorization, _family
-from qagg.spectral import build_tikhonov_family
+from qagg.spectral import DesignProblem, SpectralFamily, _regrid, build_tikhonov_family
 
 __all__ = [
     "ConfigError",
@@ -406,7 +409,7 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, index)))
 
 
-# Factorizations and noise rows shared by the points of the running sweep, else None.
+# What the points of the running sweep share (see the module doc), else None.
 _sweep_store: dict | None = None
 
 # Most bytes of noise rows a sweep keeps; a row past it is drawn again at
@@ -419,29 +422,16 @@ def _noise(seed: int, n: int, start: int, stop: int) -> np.ndarray:
 
     Rows are kept by replicate, so points whose blocks differ in width share them.
     """
-    store = {} if _sweep_store is None else _sweep_store
-    kept = sum(v.nbytes for k, v in store.items() if k[0] == "noise")
+    kept = {} if _sweep_store is None else _sweep_store["noise"]
     rows = []
     for i in range(start, stop):
-        key = ("noise", seed, n, i)
-        row = store.get(key)
+        row = kept.get(i)
         if row is None:
             row = _replicate_rng(seed, i).standard_normal(n)
-            if kept + row.nbytes <= NOISE_STORE_BYTES:
-                store[key], kept = row, kept + row.nbytes
+            if (len(kept) + 1) * row.nbytes <= NOISE_STORE_BYTES:
+                kept[i] = row
         rows.append(row)
     return np.stack(rows)
-
-
-def _tikhonov_family(key: tuple, problem: DesignProblem, family_id: str) -> SpectralFamily:
-    """build_tikhonov_family, factorizing once per sweep the (X, K) that key names."""
-    store = {} if _sweep_store is None else _sweep_store
-    if key in store:
-        return _family(store[key], problem.lambdas, family_id)
-    f = build_tikhonov_family(problem, family_id)
-    store[key] = _Factorization(f.basis, f.sing_vals, f.right_factor, f.factorization,
-                                f.orthogonality_defect)
-    return f
 
 
 def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
@@ -453,6 +443,7 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
     """
     n, p = config.scenario.n, config.families[0].p
     X = _design_rng(config.seed).standard_normal((n, p))
+    store = {} if _sweep_store is None else _sweep_store
     families = []
     for idx, spec in enumerate(config.families):
         key = f"families[{idx}]"
@@ -468,9 +459,12 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
             problem = DesignProblem(X=X, K=np.diag(d), lambdas=spec.grid.build(scale))
         except ValueError as exc:
             raise ConfigError(f"key '{key}.grid': {exc}") from None
-        # X is the (seed, 0) stream's n x p draw and K = diag(d)
-        problem_key = ("factor", config.seed, n, p, d.tobytes())
-        families.append(_tikhonov_family(problem_key, problem, f"family-{idx}"))
+        family = store.get(d.tobytes())  # the first family built on X and K = diag(d)
+        if family is None:
+            family = store[d.tobytes()] = build_tikhonov_family(problem, f"family-{idx}")
+        else:
+            family = _regrid(family, problem.lambdas, f"family-{idx}")
+        families.append(family)
     return families
 
 
@@ -765,7 +759,7 @@ def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> l
     The points share ``_sweep_store`` until the sweep returns or raises (see the module doc).
     """
     global _sweep_store
-    _sweep_store = {}
+    _sweep_store = {"noise": {}}
     try:
         mu = build_instance(replace(config, families=reference)).truth.mu
         return [
@@ -796,7 +790,8 @@ def regret_vs_M_sweep(
     if any(a >= b for a, b in zip(m_values, m_values[1:])):
         raise ConfigError(f"key 'sweep.M' must be strictly ascending, got {m_values}")
     if len(config.families) != 1:
-        raise ConfigError("an M sweep needs a single-family config")
+        raise ConfigError(f"an M sweep needs a single-family config, but key 'families' "
+                          f"lists {len(config.families)}")
     base = config.families[0]
     points = [(f"M{m}", (replace(base, grid=replace(base.grid, count=m)),)) for m in m_values]
     return _sweep(config, points[-1][1], points, threads)  # calibrated on the densest grid
@@ -818,7 +813,8 @@ def regret_vs_q_sweep(
 
     Family m uses the penalty diag(i^exponent_m) with exponents spread
     over [0, 3] and a fresh copy of the base grid with
-    ``members_per_family`` points.  The ground truth is calibrated on
+    ``members_per_family`` points, so the config's one family must have the
+    default identity penalty.  The ground truth is calibrated on
     the q = 1 candidate set and held fixed across q.
     """
     q_values = [int(q) for q in q_values]
@@ -827,8 +823,13 @@ def regret_vs_q_sweep(
     if len(set(q_values)) != len(q_values):
         raise ConfigError(f"key 'sweep.q' must list distinct family counts, got {q_values}")
     if len(config.families) != 1:
-        raise ConfigError("a q sweep needs a single-family config")
+        raise ConfigError(f"a q sweep needs a single-family config, but key 'families' "
+                          f"lists {len(config.families)}")
     base = config.families[0]
+    if base.penalty != PenaltySpec():  # the sweep sets every family's penalty itself
+        raise ConfigError(
+            f"key 'families[0].penalty' must be the identity for a q sweep, got {base.penalty}"
+        )
     points = [(f"q{q}", _q_sweep_families(base, q, config.members_per_family)) for q in q_values]
     return _sweep(config, _q_sweep_families(base, 1, config.members_per_family), points, threads)
 

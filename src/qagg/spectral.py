@@ -12,7 +12,7 @@ vector computation instead of M dense linear solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -252,31 +252,26 @@ def build_tikhonov_family(
     right = Vt @ L_inv
     for a in (U, right):  # made here: the family keeps them without a copy
         a.setflags(write=False)
-    factor = _Factorization(U, s, right, "gram" if gram else "svd", defect)
-    return _family(factor, problem.lambdas, family_id)
+    return _family(U, s, right, "gram" if gram else "svd", defect, problem.lambdas, family_id)
 
 
-class _Factorization(NamedTuple):
-    """What every tuning grid on one (X, K) shares: U, mu, the right factor and U's defect."""
-
-    basis: np.ndarray
-    sing_vals: np.ndarray
-    right_factor: np.ndarray
-    kind: str
-    defect: float
+def _regrid(family: SpectralFamily, lambdas: np.ndarray, family_id: str) -> SpectralFamily:
+    """The family of another grid on the same (X, K): family's factorization, new alphas."""
+    return _family(family.basis, family.sing_vals, family.right_factor, family.factorization,
+                   family.orthogonality_defect, lambdas, family_id)
 
 
-def _family(factor: _Factorization, lambdas: np.ndarray, family_id: str) -> SpectralFamily:
-    """The family of one grid on a factorization; U's defect is taken from it, not re-measured."""
+def _family(U, mu, right, kind: str, defect: float, lambdas: np.ndarray,
+            family_id: str) -> SpectralFamily:
+    """The family of one grid on a factorization; U's defect is given, not re-measured."""
     # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly; an
     # overflowing mu^2 gives alpha = nan, which SpectralFamily rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        mu2 = factor.sing_vals**2
+        mu2 = mu**2
         alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
     family = object.__new__(SpectralFamily)
-    object.__setattr__(family, "orthogonality_defect", factor.defect)
-    family.__init__(factor.basis, factor.sing_vals, alphas, factor.right_factor,
-                    family_id, lambdas, factor.kind)
+    object.__setattr__(family, "orthogonality_defect", defect)
+    family.__init__(U, mu, alphas, right, family_id, lambdas, kind)
     return family
 
 

@@ -458,6 +458,18 @@ class TestSolver:
         exact = np.linalg.solve(two, np.append(c[:2], 1.0))[:2]
         np.testing.assert_allclose(theta[1], np.append(exact, 0.0), rtol=0, atol=1e-12)
 
+    def test_face_singular_after_the_ridge_falls_back_to_least_squares(self):
+        # the constraint row is zero, so no ridge on the Gram diagonal makes the
+        # system regular
+        kkt = np.zeros((1, 3, 3))
+        kkt[0, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+        rhs = np.ones((1, 3))
+        theta, fell_back = _face_solve(kkt, rhs, lambda bad: np.full(bad.size, FACE_RIDGE))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt[0] + FACE_RIDGE * np.diag([1.0, 1.0, 0.0]), rhs[0])
+        assert fell_back.tolist() == [True]
+        np.testing.assert_allclose(theta, [[1.0 / (3.0 + FACE_RIDGE)] * 2], rtol=1e-12)
+
     def test_fallback_solves_still_certify(self, rng, monkeypatch):
         # Active-set pivots never build a singular face from these inputs, so
         # every stacked exact face solve is made to return a non-finite point;

@@ -557,6 +557,13 @@ class TestSweeps:
         with pytest.raises(ConfigError, match="a q sweep needs a single-family config"):
             regret_vs_q_sweep(small_config(replicates=5, families=two, members_per_family=2), [1])
 
+    def test_q_sweep_requires_the_identity_penalty(self):
+        # every point sets its families' penalties, so another one would be ignored
+        fam = FamilySpec(p=10, penalty=PenaltySpec("diag-power", 2.5))
+        cfg = small_config(replicates=5, families=(fam,), members_per_family=2)
+        with pytest.raises(ConfigError, match=r"'families\[0\]\.penalty' must be the identity"):
+            regret_vs_q_sweep(cfg, [1, 2])
+
     def test_q_sweep_counts(self):
         cfg = small_config(replicates=15, members_per_family=3)
         reports = regret_vs_q_sweep(cfg, [1, 2, 4])
@@ -648,6 +655,32 @@ class TestSweepSharing:
         for a, b in zip(shared, redrawn):
             assert replace(a, runtime_seconds=0.0) == replace(b, runtime_seconds=0.0)
 
+    @pytest.mark.parametrize("kind", ["M", "q"])
+    def test_a_cap_of_k_rows_keeps_the_first_k_replicates(self, kind, monkeypatch, tmp_path):
+        _, shared = self.sweep(kind)
+        k, n = 40, small_config().scenario.n
+        draws, kept = [], []
+        rng, run = qagg.bench._replicate_rng, qagg.bench.run_experiment
+
+        def run_and_look(cfg, **kwargs):
+            report = run(cfg, **kwargs)
+            kept.append(sorted(qagg.bench._sweep_store["noise"]))
+            return report
+
+        monkeypatch.setattr(qagg.bench, "_replicate_rng",
+                            lambda seed, index: draws.append(index) or rng(seed, index))
+        monkeypatch.setattr(qagg.bench, "run_experiment", run_and_look)
+        monkeypatch.setattr(qagg.bench, "NOISE_STORE_BYTES", k * n * 8)
+        _, capped = self.sweep(kind)
+        # replicates 0..k-1 are kept from the first point on; the two later points
+        # draw again only the rows from k on, and every report is unchanged
+        assert kept == 3 * [list(range(k))]
+        redrawn = list(range(k, self.REPLICATES))
+        assert sorted(draws) == sorted([*range(self.REPLICATES), *redrawn, *redrawn])
+        for name, reports in (("shared.csv", shared), ("capped.csv", capped)):
+            write_reports_csv(reports, tmp_path / name)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "capped.csv").read_bytes()
+
     def test_store_is_dropped_when_a_point_fails(self, monkeypatch):
         run = qagg.bench.run_experiment
         seen = []
@@ -655,13 +688,15 @@ class TestSweepSharing:
         def fail_second(cfg, *, threads=1, mu_override=None):
             if seen:
                 raise ConfigError("key 'scenario': failed on purpose")
-            seen.append(sorted(key[0] for key in qagg.bench._sweep_store))
+            store = qagg.bench._sweep_store
+            seen.append((sorted(key for key in store if key != "noise"), len(store["noise"])))
             return run(cfg, threads=threads, mu_override=mu_override)
 
         monkeypatch.setattr(qagg.bench, "run_experiment", fail_second)
         with pytest.raises(ConfigError, match="on purpose"):
             regret_vs_M_sweep(small_config(replicates=5), [2, 4])
-        assert seen == [["factor"]]  # the reference grid's factorization was shared
+        # the reference grid's family, on the identity penalty, was shared; no noise yet
+        assert seen == [([np.ones(10).tobytes()], 0)]
         assert qagg.bench._sweep_store is None
 
     def test_a_single_run_keeps_nothing(self):

@@ -407,6 +407,35 @@ class TestAggregateCommand:
         assert payload["kkt_residual"] >= -1e-7 * (1.0 + abs(payload["objective"]))
         assert payload["stalled_pivots"] == 0
 
+    def test_non_convergence_exits_3_with_the_best_iterate(self, tmp_path, rng, capsys,
+                                                             monkeypatch):
+        X = rng.standard_normal((12, 6))
+        lambdas = np.geomspace(0.05, 500.0, 10).tolist()
+        family = build_tikhonov_family(DesignProblem(X=X, K=np.eye(6), lambdas=lambdas))
+        mu = 2.0 * family.basis @ (np.arange(1, family.rank + 1) ** -1.0)
+        for _ in range(100):  # a response whose optimum needs the active-set pivots
+            y = mu + rng.standard_normal(12)
+            exact = solve_q_aggregation(family, y, 1.0)
+            if exact.iterations >= 3:
+                break
+        assert exact.converged and exact.iterations >= 3
+        np.save(tmp_path / "X.npy", X)
+        np.save(tmp_path / "y.npy", y)
+        # the vertex and segment stages leave two members on the face: a cap of 2
+        # stops the active-set method before its first pivot
+        monkeypatch.setattr(qagg.aggregate, "MAX_PIVOTS", 2)
+        out = tmp_path / "out"
+        code = main(["aggregate", "--design", str(tmp_path / "X.npy"),
+                     "--response", str(tmp_path / "y.npy"),
+                     "--lambdas", ",".join(map(repr, lambdas)), "--sigma", "1",
+                     "--output", str(out)])
+        assert code == 3
+        assert "warning: solver did not converge" in capsys.readouterr().err
+        payload = json.loads((out / "aggregate.json").read_text())
+        assert payload["converged"] is False
+        assert payload["iterations"] == 2
+        assert abs(sum(payload["theta"]) - 1.0) < 1e-12
+
 
 class TestValidateCommand:
     def test_identity_and_zero_pass(self, tmp_path):
@@ -585,6 +614,40 @@ class TestBenchCommand:
         assert code == 2
         assert "sweep" in capsys.readouterr().err
 
+    def test_sweep_q_without_values_exit_2(self, tmp_path, capsys):
+        config = bench_config(tmp_path, sweep={"M": [2]})
+        out = tmp_path / "o"
+        code = main(["bench", "--config", str(config), "--output", str(out), "--sweep", "q"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --sweep q: the config has no 'sweep.q'")
+        assert not out.exists()
+
+    def test_toml_config_matches_json(self, tmp_path):
+        json_config = bench_config(tmp_path, sweep={"M": [2, 5]})
+        toml_config = tmp_path / "config.toml"
+        toml_config.write_text(
+            'label = "cli"\nreplicates = 25\nseed = 3\n'
+            '[scenario]\nn = 16\nsigma = 1.0\n'
+            '[scenario.mean]\nshape = "spectral-decay"\nrate = 1.0\nscale = 2.0\n'
+            '[[families]]\np = 6\npenalty = "identity"\n[families.grid]\ncount = 4\n'
+            '[sweep]\nM = [2, 5]\n'
+        )
+        for config in (json_config, toml_config):
+            out = tmp_path / config.suffix[1:]
+            assert main(["bench", "--config", str(config), "--output", str(out),
+                         "--sweep", "M"]) == 0
+        csv = [(tmp_path / kind / "reports.csv").read_bytes() for kind in ("json", "toml")]
+        assert csv[0] == csv[1]
+
+    def test_invalid_toml_exits_2_naming_config(self, tmp_path, capsys):
+        config = tmp_path / "config.toml"
+        config.write_text("label = \n")
+        out = tmp_path / "o"
+        code = main(["bench", "--config", str(config), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --config: invalid TOML")
+        assert not out.exists()
+
     def test_bad_config_key_named(self, tmp_path, capsys):
         config = bench_config(tmp_path, bogus=1)
         code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o")])
@@ -678,6 +741,49 @@ class TestBenchCommand:
                          *extra])
             assert code == 2
             assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, sweep, key",
+        [
+            ({"scenario": {"n": 16, "mean": {"shape": "bogus"}}}, None, "scenario.mean.shape"),
+            ({"scenario": {"n": 16, "mean": {"shape": "explicit"}}}, None,
+             "scenario.mean.values"),
+            ({"families": [{"p": 6, "penalty": {"kind": "bogus"}}]}, None, "penalty.kind"),
+            ({"families": [{"p": 6, "grid": {"count": 0}}]}, None, "grid.count"),
+            ({"families": [{"p": 6, "grid": {"min": 0.0}}]}, None, "grid.min"),
+            ({"families": [{"p": 6, "grid": {"min": 2.0, "max": 1.0}}]}, None, "grid.min"),
+            ({"families": [{"p": 6, "grid": {"min": 1.0, "max": 1.0, "count": 3}}]}, None,
+             "grid.count"),
+            ({"families": [{"p": 0}]}, None, "families[].p"),
+            ({"scenario": {"n": 0}}, None, "scenario.n"),
+            ({"replicates": 0}, None, "replicates"),
+            ({"families": []}, None, "families"),
+            ({"methods": []}, None, "methods"),
+            # the mean's spectral coordinates are those of the rank min(n, p) = 6
+            ({"scenario": {"n": 16, "mean": {"shape": "single-spike", "coordinate": 6}}}, None,
+             "scenario.mean.coordinate"),
+            ({"scenario": {"n": 16, "mean": {"shape": "spectral-decay", "target_risk": 1e-9}}},
+             None, "scenario.mean.target_risk"),
+            ({"sweep": {"M": []}}, "M", "sweep.M"),
+            ({"sweep": {"M": [0, 2]}}, "M", "sweep.M"),
+            ({"sweep": {"q": []}}, "q", "sweep.q"),
+            ({"sweep": {"q": [0, 1]}}, "q", "sweep.q"),
+            ({"families": [{"p": 6}, {"p": 6}], "sweep": {"M": [2]}}, "M", "families"),
+            ({"families": [{"p": 6, "penalty": {"kind": "diag-power", "exponent": 2.5}}],
+              "sweep": {"q": [1, 2]}}, "q", "families[0].penalty"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, overrides, sweep,
+                                                     key):
+        config = bench_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        code = main(["bench", "--config", str(config), "--output", str(out),
+                     *(["--sweep", sweep] if sweep else [])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --config:") and f"'{key}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "family, key",

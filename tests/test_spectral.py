@@ -269,18 +269,15 @@ class TestFactorizationRoutes:
     def test_regrid_equals_a_fresh_build(self, rng, monkeypatch):
         problem = random_problem(rng, n=30, p=7, M=4)
         f = build_tikhonov_family(problem)
-        factor = spectral._Factorization(
-            f.basis, f.sing_vals, f.right_factor, f.factorization, f.orthogonality_defect
-        )
         other = DesignProblem(X=problem.X, K=problem.K, lambdas=np.geomspace(1e-3, 1e3, 9))
         fresh = build_tikhonov_family(other, "f")
         monkeypatch.setattr(spectral, "_orthogonality_defect", None)  # reused, not re-measured
-        regrid = spectral._family(factor, other.lambdas, "f")
+        regrid = spectral._regrid(f, other.lambdas, "f")
         for name in ("basis", "sing_vals", "alphas", "right_factor", "lambdas"):
             assert np.array_equal(getattr(regrid, name), getattr(fresh, name)), name
         assert regrid.orthogonality_defect == fresh.orthogonality_defect
         assert (regrid.factorization, regrid.family_id) == (fresh.factorization, "f")
-        assert regrid.basis is factor.basis and regrid.right_factor is factor.right_factor
+        assert regrid.basis is f.basis and regrid.right_factor is f.right_factor
 
     def test_build_holds_at_most_two_design_sized_arrays(self, rng):
         # B = X L^{-T} and U; the read-only X is kept, not copied, and U is not copied again
