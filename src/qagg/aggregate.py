@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qagg.smoother import FamilyUnion, _check_sigma
-from qagg.spectral import _frozen_array
+from qagg.spectral import _check_response, _check_theta, _frozen_array
 
 __all__ = [
     "SimplexWeights",
@@ -149,13 +149,6 @@ class _Response:
     target: np.ndarray  # Q^T y, (d, B)
     offset: np.ndarray  # ||P_Q_perp y||^2 / 2, (B,)
 
-    def fit(self, theta: np.ndarray) -> np.ndarray:
-        """Aggregated fits sum_j theta[b, j] A_j y_b of theta (B, M), one column per b."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.resid_sq.shape:
-            raise ValueError(f"expected weights of shape {self.resid_sq.shape}, got {theta.shape}")
-        return self.candidates.coords @ self.qp_fit(theta)
-
     def _parts(self):
         """(family, W_f, z_f, first member, end) per family."""
         cands = self.candidates
@@ -227,11 +220,7 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
             raise ValueError("the per-response pass was computed for different candidates")
         resp, wide = y, y.y.shape[1] != 1
     else:
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("the response y must be finite")
-        if y.ndim not in (1, 2) or y.shape[0] != cands.n:
-            raise ValueError(f"expected response of length {cands.n}, got {y.shape}")
+        y = _check_response(y, cands.n)
         wide = y.ndim == 2
         Y = y if wide else y[:, None]  # one response is a block of one column
         yy = _sq_norms(Y)
@@ -258,8 +247,10 @@ def member_fits(family_or_union, y: np.ndarray) -> np.ndarray:
 def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWeights:
     """Bundle a weight vector, clipped and renormalized, with the fit it induces on response y."""
     resp = _response(family_or_union, y)
+    theta = _check_theta(theta, resp.candidates.member_count)
     weights = SimplexWeights(theta=theta, fitted=(), response=resp.y[:, 0])
-    object.__setattr__(weights, "fitted", _frozen_array(resp.fit(weights.theta[None])[:, 0]))
+    fitted = (resp.candidates.coords @ resp.qp_fit(weights.theta[None]))[:, 0]
+    object.__setattr__(weights, "fitted", _frozen_array(fitted))
     return weights
 
 
@@ -277,15 +268,6 @@ def _cp(resp: _Response, sigma: float) -> np.ndarray:
 def cp_values(family_or_union, y: np.ndarray, sigma: float) -> np.ndarray:
     """Unbiased-risk criterion ||A_j y - y||^2 + 2 sigma^2 trace(A_j) per member."""
     return _cp(_response(family_or_union, y), sigma)[0]
-
-
-def _check_theta(theta, count: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (count,):
-        raise ValueError(f"expected weight vector of length {count}, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("weights must be finite")
-    return theta
 
 
 def q_objective(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) -> float:

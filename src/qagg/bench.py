@@ -29,10 +29,10 @@ The points of one M or q sweep share ``_sweep_store`` while it runs.  It keeps
 only what varies within the sweep, whose points share seed, n, p and so X:
 under "noise" each replicate's standard normals by replicate index, up to
 NOISE_STORE_BYTES, and under a penalty diagonal's bytes the first family
-built on it, which later grids on that diagonal regrid.  A pool worker draws
-its blocks' rows into its forked copy of the store, never the parent's.  A
-point does the arithmetic of a run of its own on the same inputs, so its
-report is byte-identical to that run's.
+built on it, which later grids on that diagonal regrid.  A point that runs in
+a pool draws the rows the store can keep before the pool forks, so its
+workers inherit them.  A point does the arithmetic of a run of its own on the
+same inputs, so its report is byte-identical to that run's.
 """
 
 from __future__ import annotations
@@ -680,6 +680,11 @@ def run_experiment(
     workers = min(threads, len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import
+
+        n = config.scenario.n
+        kept = min(config.replicates, NOISE_STORE_BYTES // (8 * n))  # rows the store can keep
+        if _sweep_store is not None and kept:  # drawn before the fork, so every worker has them
+            _noise(config.seed, n, 0, kept)
 
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
             parts = list(pool.map(_worker_block, starts, chunksize=-(-len(starts) // workers)))

@@ -25,7 +25,6 @@ __all__ = [
     "build_tikhonov_family",
     "apply_member",
     "apply_weights",
-    "member_matrix",
     "recover_coefficients",
 ]
 
@@ -35,6 +34,26 @@ __all__ = [
 RANK_TOL = 1e-12
 
 GRAM_TOL = 1e-10  # the Gram route's screen on mu_min^2 / mu_max^2 and bound on its defect
+
+
+def _check_response(y, n: int) -> np.ndarray:
+    """The one rule for a response on n points: finite, one (n,) vector or an (n, B) block."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("the response y must be finite")
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        raise ValueError(f"expected response of length {n}, got {y.shape}")
+    return y
+
+
+def _check_theta(theta, count: int) -> np.ndarray:
+    """The one rule for a weight vector over count members: shape (count,), finite."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (count,):
+        raise ValueError(f"expected weight vector of length {count}, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("weights must be finite")
+    return theta
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -192,10 +211,7 @@ class SpectralFamily:
 
     def spectral_coords(self, y: np.ndarray) -> np.ndarray:
         """Coordinates of y in the shared basis, U^T y; y may hold one response per column."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim not in (1, 2) or y.shape[0] != self.n:
-            raise ValueError(f"expected response of length {self.n}, got {y.shape}")
-        return self.basis.T @ y
+        return self.basis.T @ _check_response(y, self.n)
 
 
 def _orthogonality_defect(U: np.ndarray) -> float:
@@ -275,37 +291,18 @@ def _family(U, mu, right, kind: str, defect: float, lambdas: np.ndarray,
     return family
 
 
-def _check_index(family: SpectralFamily, j: int) -> int:
-    j = int(j)
-    if not 0 <= j < family.member_count:
-        raise IndexError(
-            f"member index {j} out of range for family of size {family.member_count}"
-        )
-    return j
-
-
 def apply_member(family: SpectralFamily, j: int, y: np.ndarray) -> np.ndarray:
     """Fit of member j on response y: U diag(alpha_j) U^T y."""
-    j = _check_index(family, j)
-    z = family.spectral_coords(y)
-    return family.basis @ (family.alphas[j] * z)
+    j = int(j)
+    if not 0 <= j < family.member_count:
+        raise IndexError(f"member index {j} out of range for family of size {family.member_count}")
+    return family.basis @ (family.alphas[j] * family.spectral_coords(y))
 
 
 def apply_weights(family: SpectralFamily, theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Aggregated fit sum_j theta_j A_j y for one shared-basis family."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (family.member_count,):
-        raise ValueError(
-            f"expected {family.member_count} weights, got shape {theta.shape}"
-        )
-    z = family.spectral_coords(y)
-    return family.basis @ ((family.alphas.T @ theta) * z)
-
-
-def member_matrix(family: SpectralFamily, j: int) -> np.ndarray:
-    """Dense n x n fit map of member j (for validation and small tests)."""
-    j = _check_index(family, j)
-    return (family.basis * family.alphas[j]) @ family.basis.T
+    theta = _check_theta(theta, family.member_count)
+    return family.basis @ ((family.alphas.T @ theta) * family.spectral_coords(y))
 
 
 def recover_coefficients(family: SpectralFamily, weights: "SimplexWeights") -> np.ndarray:
@@ -321,11 +318,7 @@ def recover_coefficients(family: SpectralFamily, weights: "SimplexWeights") -> n
             "family has no coefficient-space factor; it was not built "
             "from a design problem"
         )
-    theta = np.asarray(weights.theta, dtype=float)
-    if theta.shape != (family.member_count,):
-        raise ValueError(
-            f"expected {family.member_count} weights, got shape {theta.shape}"
-        )
+    theta = _check_theta(weights.theta, family.member_count)
     if weights.response is None:
         raise ValueError("weights carry no response vector; cannot recover coefficients")
     z = family.spectral_coords(weights.response)

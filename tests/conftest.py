@@ -31,6 +31,11 @@ def dense_smoother(X, K, lam):
     return X @ np.linalg.solve(G, X.T)
 
 
+def member_matrix(family, j):
+    """Dense n x n fit map U diag(alpha_j) U^T of member j of a shared-basis family."""
+    return (family.basis * family.alphas[j]) @ family.basis.T
+
+
 def union_and_dense(rng, designs: int):
     """A two-family union and the dense smoother matrices of its members, in global order.
 

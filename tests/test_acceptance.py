@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     certify_kkt,
     dense_smoother,
+    member_matrix,
     pair_distance,
     q_objective_penalized,
     random_problem,
@@ -44,7 +45,6 @@ from qagg.spectral import (
     DesignProblem,
     apply_member,
     build_tikhonov_family,
-    member_matrix,
 )
 
 SIGMA = 1.0  # noise level of the Monte Carlo acceptance scenarios

@@ -14,6 +14,7 @@ from conftest import (
     dense_excess_bound_gap,
     dense_smoother,
     first_vertex_faces,
+    member_matrix,
     q_objective_penalized,
     random_problem,
     random_spd,
@@ -33,6 +34,7 @@ from qagg.aggregate import (
     cp_values,
     excess_bound_gap,
     exponential_weights,
+    make_weights,
     member_fits,
     q_gradient,
     q_objective,
@@ -45,9 +47,33 @@ from qagg.spectral import (
     DesignProblem,
     SpectralFamily,
     apply_member,
+    apply_weights,
     build_tikhonov_family,
-    member_matrix,
+    recover_coefficients,
 )
+
+
+THETA3 = np.array([0.5, 0.25, 0.25])  # weights on a three-member family
+
+# every public function that takes a response, called on a three-member family on 5 points
+RESPONSE_TAKERS = {
+    "solve_q_aggregation": lambda f, y: solve_q_aggregation(f, y, 1.0),
+    "cp_values": lambda f, y: cp_values(f, y, 1.0),
+    "select_cp": lambda f, y: select_cp(f, y, 1.0),
+    "select_gcv": select_gcv,
+    "exponential_weights": lambda f, y: exponential_weights(f, y, 1.0),
+    "member_fits": member_fits,
+    "make_weights": lambda f, y: make_weights(f, THETA3, y),
+    "q_objective": lambda f, y: q_objective(f, THETA3, y, 1.0),
+    "q_gradient": lambda f, y: q_gradient(f, THETA3, y, 1.0),
+    "excess_bound_gap": lambda f, y: excess_bound_gap(f, THETA3, y, 1.0, np.zeros(5)),
+    "apply_member": lambda f, y: apply_member(f, 0, y),
+    "apply_weights": lambda f, y: apply_weights(f, THETA3, y),
+    "spectral_coords": lambda f, y: f.spectral_coords(y),
+    "recover_coefficients": lambda f, y: recover_coefficients(
+        f, SimplexWeights(THETA3, np.zeros(5), response=y)
+    ),
+}
 
 
 def random_interior_theta(rng, M):
@@ -121,7 +147,7 @@ class TestResponsePass:
                 assert abs(cp[j] - expected) < 1e-10
             theta = random_interior_theta(rng, union.member_count)
             expected = sum(t * A for t, A in zip(theta, dense)) @ y
-            assert np.abs(resp.fit(theta[None])[:, 0] - expected).max() < 1e-10
+            assert np.abs(union.coords @ resp.qp_fit(theta[None])[:, 0] - expected).max() < 1e-10
             self.check_qp_view(rng, union, dense, resp, theta)
 
     @staticmethod
@@ -422,6 +448,14 @@ class TestSolver:
                 cp_values(family, bad, 1.0)
         with pytest.raises(ValueError, match="response y"):
             _response(family, np.full((5, 2), np.nan), block=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("taker", sorted(RESPONSE_TAKERS))
+    def test_every_response_taker_rejects_a_non_finite_response(self, small_family, taker, bad):
+        _, family = small_family
+        y = np.array([0.0, 1.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="response y"):
+            RESPONSE_TAKERS[taker](family, y)
 
     def test_report_lists_support_and_no_fallbacks_on_a_separated_grid(self, rng):
         for _ in range(10):

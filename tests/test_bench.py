@@ -681,6 +681,24 @@ class TestSweepSharing:
             write_reports_csv(reports, tmp_path / name)
         assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "capped.csv").read_bytes()
 
+    def test_pool_workers_draw_no_rows(self, monkeypatch, tmp_path):
+        # every point spans two or more blocks and so runs in the pool; the rows are
+        # drawn in this process before each pool forks, and the workers inherit them
+        cfg = small_config(replicates=120, members_per_family=225)
+        pid, rng = os.getpid(), qagg.bench._replicate_rng
+
+        def parent_only(seed, index):
+            if os.getpid() != pid:
+                raise AssertionError(f"a pool worker drew replicate {index}")
+            return rng(seed, index)
+
+        monkeypatch.setattr(qagg.bench, "_replicate_rng", parent_only)
+        for threads in (1, 2):
+            reports = regret_vs_q_sweep(cfg, [1, 2, 4], threads=threads)
+            assert all(_block_width(r.config) < cfg.replicates for r in reports)
+            write_reports_csv(reports, tmp_path / f"threads{threads}.csv")
+        assert (tmp_path / "threads1.csv").read_bytes() == (tmp_path / "threads2.csv").read_bytes()
+
     def test_store_is_dropped_when_a_point_fails(self, monkeypatch):
         run = qagg.bench.run_experiment
         seen = []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import STRESS_CASES, stress_problem
+from conftest import STRESS_CASES, member_matrix, stress_problem
 
 import qagg
 from qagg.aggregate import cp_values, solve_q_aggregation
@@ -19,7 +19,6 @@ from qagg.smoother import FamilyUnion
 from qagg.spectral import (
     DesignProblem,
     build_tikhonov_family,
-    member_matrix,
     recover_coefficients,
 )
 
@@ -513,8 +512,8 @@ class TestValidateCommand:
         np.savetxt(path, np.vstack([np.eye(2), 3.0 * np.eye(2)]), delimiter=",")
         assert main(["validate", "--matrices", str(path)]) == 1
         assert "axiom (i) symmetric with spectrum in [0, 1]: FAIL" in capsys.readouterr().out
-        for tol in ("inf", "nan"):
-            assert main(["validate", "--matrices", str(path), "--tol", tol]) == 2
+        for tol in ("inf", "nan", "0", "-1e-3"):  # --tol=: argparse reads "-1e-3" as a flag
+            assert main(["validate", "--matrices", str(path), f"--tol={tol}"]) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("error: --tol:")
             assert "PASS" not in captured.out

@@ -5,7 +5,14 @@ import bisect
 import numpy as np
 import pytest
 
-from conftest import dense_smoother, pair_distance, random_problem, random_spd, union_and_dense
+from conftest import (
+    dense_smoother,
+    member_matrix,
+    pair_distance,
+    random_problem,
+    random_spd,
+    union_and_dense,
+)
 
 from qagg.smoother import (
     FamilyUnion,
@@ -19,7 +26,6 @@ from qagg.spectral import (
     DesignProblem,
     SpectralFamily,
     build_tikhonov_family,
-    member_matrix,
 )
 
 

@@ -6,7 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import STRESS_CASES, dense_smoother, random_problem, random_spd, stress_problem
+from conftest import (
+    STRESS_CASES,
+    dense_smoother,
+    member_matrix,
+    random_problem,
+    random_spd,
+    stress_problem,
+)
 
 from qagg import spectral
 from qagg.aggregate import make_weights, member_fits
@@ -18,7 +25,6 @@ from qagg.spectral import (
     apply_member,
     apply_weights,
     build_tikhonov_family,
-    member_matrix,
     recover_coefficients,
 )
 
