@@ -779,6 +779,18 @@ def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> l
         _sweep_store = None
 
 
+def _sweep_arguments(config: ExperimentConfig, key: str, values, counts: str,
+                     sweep: str) -> tuple[list[int], FamilySpec]:
+    """The sweep's values as positive ints and the config's one family, or a ConfigError."""
+    values = [int(v) for v in values]
+    if not values or any(v < 1 for v in values):
+        raise ConfigError(f"key 'sweep.{key}' must list positive {counts}, got {values}")
+    if len(config.families) != 1:
+        raise ConfigError(f"{sweep} needs a single-family config, but key 'families' "
+                          f"lists {len(config.families)}")
+    return values, config.families[0]
+
+
 def regret_vs_M_sweep(
     config: ExperimentConfig, m_values, *, threads: int = 1
 ) -> list[RegretReport]:
@@ -789,15 +801,9 @@ def regret_vs_M_sweep(
     shared across grid sizes, so differences across M reflect the grids
     alone.
     """
-    m_values = [int(m) for m in m_values]
-    if not m_values or any(m < 1 for m in m_values):
-        raise ConfigError(f"key 'sweep.M' must list positive grid sizes, got {m_values}")
+    m_values, base = _sweep_arguments(config, "M", m_values, "grid sizes", "an M sweep")
     if any(a >= b for a, b in zip(m_values, m_values[1:])):
         raise ConfigError(f"key 'sweep.M' must be strictly ascending, got {m_values}")
-    if len(config.families) != 1:
-        raise ConfigError(f"an M sweep needs a single-family config, but key 'families' "
-                          f"lists {len(config.families)}")
-    base = config.families[0]
     points = [(f"M{m}", (replace(base, grid=replace(base.grid, count=m)),)) for m in m_values]
     return _sweep(config, points[-1][1], points, threads)  # calibrated on the densest grid
 
@@ -822,15 +828,9 @@ def regret_vs_q_sweep(
     default identity penalty.  The ground truth is calibrated on
     the q = 1 candidate set and held fixed across q.
     """
-    q_values = [int(q) for q in q_values]
-    if not q_values or any(q < 1 for q in q_values):
-        raise ConfigError(f"key 'sweep.q' must list positive family counts, got {q_values}")
+    q_values, base = _sweep_arguments(config, "q", q_values, "family counts", "a q sweep")
     if len(set(q_values)) != len(q_values):
         raise ConfigError(f"key 'sweep.q' must list distinct family counts, got {q_values}")
-    if len(config.families) != 1:
-        raise ConfigError(f"a q sweep needs a single-family config, but key 'families' "
-                          f"lists {len(config.families)}")
-    base = config.families[0]
     if base.penalty != PenaltySpec():  # the sweep sets every family's penalty itself
         raise ConfigError(
             f"key 'families[0].penalty' must be the identity for a q sweep, got {base.penalty}"

@@ -73,9 +73,10 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 class DesignProblem:
     """Design matrix, positive-definite penalty and tuning grid.
 
-    The design needs a row and a column.  The penalty is symmetrized as
-    (K + K^T)/2 on construction; grossly asymmetric or non-positive-definite
-    penalties are rejected.  The grid is sorted ascending and must be
+    The design needs a row and a column.  A slightly asymmetric penalty is
+    symmetrized as (K + K^T)/2 on construction, an exactly symmetric one left
+    as it is; grossly asymmetric or non-positive-definite penalties are
+    rejected.  The grid is sorted ascending and must be
     nonempty, finite, nonnegative and free of duplicates.  ``penalty_factor``
     is the Cholesky factor L (K = L L^T), which both checks definiteness and
     whitens the build.
@@ -105,7 +106,9 @@ class DesignProblem:
         asym = float(np.abs(K - K.T).max())
         if asym > 1e-8 * max(1.0, float(np.abs(K).max())):
             raise ValueError(f"penalty matrix is not symmetric (max |K - K^T| = {asym:.3e})")
-        K = 0.5 * (K + K.T)
+        if asym > 0.0:  # an exactly symmetric K is its own (K + K^T)/2
+            K = 0.5 * (K + K.T)
+            K.setflags(write=False)  # made here: frozen in place, not copied
         try:
             L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
@@ -124,7 +127,7 @@ class DesignProblem:
         if np.any(np.diff(lambdas) == 0):
             dup = float(lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]])
             raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
-        for a in (K, L, lambdas):  # made here: frozen in place, not copied
+        for a in (L, lambdas):  # made here: frozen in place, not copied
             a.setflags(write=False)
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "K", _frozen_array(K))
@@ -215,7 +218,10 @@ class SpectralFamily:
 
 
 def _orthogonality_defect(U: np.ndarray) -> float:
-    return float(np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0))
+    """max |U^T U - I|, formed in one r x r array."""
+    G = U.T @ U
+    G.flat[:: G.shape[0] + 1] -= 1.0
+    return float(np.abs(G, out=G).max(initial=0.0))
 
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
@@ -234,34 +240,35 @@ def build_tikhonov_family(
 
     With K = L L^T and B = X L^{-T} = U diag(mu) V^T, member j acts as
     U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, the dense fit map
-    X (X^T X + lambda_j K)^{-1} X^T.  U, mu and V come from eigh(B^T B),
-    U = B V / mu, where GRAM_TOL certifies that route (U^T U - I =
-    -D^{-1} V^T E V D^{-1} for the error E in B^T B bounds the fit maps'
-    relative error), otherwise from the thin SVD of B, dropping coordinates
-    with mu_i <= RANK_TOL * mu_max.  Each u_i's largest entry is positive.
+    X (X^T X + lambda_j K)^{-1} X^T.  The Gram route takes mu and V from
+    eigh(H), H = L^{-1} (X^T X) L^{-T}, and U = X (L^{-T} V / mu), so U is the
+    only n x p array it makes.  GRAM_TOL certifies that route: with E the
+    rounding of the computed H against B^T B, U^T U - I = -D^{-1} V^T E V D^{-1}
+    bounds the fit maps' relative error.  Otherwise mu, U and V come from the
+    thin SVD of B, the only route that forms B, dropping coordinates with
+    mu_i <= RANK_TOL * mu_max.  Each u_i's largest entry is positive.
     """
+    X = problem.X
     L_inv = _tril_inv(problem.penalty_factor)
-    B = problem.X @ L_inv.T
     defect = np.inf
-    if problem.n >= problem.p:  # otherwise B^T B is singular
-        with np.errstate(over="ignore"):
-            gram_matrix = B.T @ B
-        # where B^T B overflows so does mu^2: the SVD route finds mu and _family rejects it
-        if np.isfinite(gram_matrix).all():
-            mu2, V = np.linalg.eigh(gram_matrix)
-            del gram_matrix  # freed before U is formed
+    if problem.n >= problem.p:  # otherwise H is singular
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = L_inv @ (X.T @ X) @ L_inv.T
+        # where X^T X or H overflows, the SVD route finds mu (_family rejects an overflowing mu^2)
+        if np.isfinite(H).all():
+            mu2, V = np.linalg.eigh(H)
+            del H  # freed before U is formed
             if mu2[0] > GRAM_TOL * mu2[-1]:
                 s, Vt = np.sqrt(mu2[::-1]), V[:, ::-1].T
-                U = B @ Vt.T
-                U /= s
+                U = X @ (L_inv.T @ (Vt.T / s))
                 defect = _orthogonality_defect(U)
     gram = defect <= GRAM_TOL
     if not gram:
-        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        U = None  # freed before B is formed
+        U, s, Vt = np.linalg.svd(X @ L_inv.T, full_matrices=False)
         keep = s > RANK_TOL * s.max(initial=0.0)
         U, s, Vt = U[:, keep], s[keep], Vt[keep]
         defect = _orthogonality_defect(U)
-    del B  # only U is needed from here: free B before the family is built
     signs = np.where(U.max(axis=0, initial=0.0) >= -U.min(axis=0, initial=0.0), 1.0, -1.0)
     U *= signs  # flipping columns leaves max |U^T U - I| as it is
     Vt *= signs[:, None]

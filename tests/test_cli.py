@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import STRESS_CASES, member_matrix, stress_problem
+from conftest import STRESS_CASES, member_matrix, random_spd, stress_problem
 
 import qagg
 from qagg.aggregate import cp_values, solve_q_aggregation
@@ -388,6 +389,28 @@ class TestAggregateCommand:
         loaded = _load_matrix(path, "--design")
         assert not loaded.flags.writeable
         assert np.shares_memory(DesignProblem(X=loaded, K=np.eye(3), lambdas=[1.0]).X, loaded)
+
+    def test_aggregate_holds_the_design_and_one_basis(self, tmp_path, rng, capsys):
+        # The loaded, read-only X and U = X (L^{-T} V / mu) are the only n x p arrays: at most
+        # 2 X.nbytes + c p^2 8 bytes with c = 16. This call peaks near c = 8; a build that also
+        # forms B = X L^{-T} peaks near c = 28.7 (B is X.nbytes = 20 p^2 8 here).
+        n, p = 2000, 100
+        X = rng.standard_normal((n, p))
+        np.save(tmp_path / "X.npy", X)
+        np.save(tmp_path / "y.npy", X @ rng.standard_normal(p) + rng.standard_normal(n))
+        np.save(tmp_path / "K.npy", random_spd(rng, p))
+        argv = ["aggregate", "--design", str(tmp_path / "X.npy"), "--response",
+                str(tmp_path / "y.npy"), "--penalty", str(tmp_path / "K.npy"),
+                "--lambdas", "geom:0.01:1000:20", "--sigma", "1.0", "--output", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        c = 16
+        assert peak <= 2 * X.nbytes + c * p * p * 8, (peak - 2 * X.nbytes) / (p * p * 8)
 
     @pytest.mark.parametrize("case", STRESS_CASES)
     def test_stress_families_exit_0_and_certify(self, tmp_path, rng, case):

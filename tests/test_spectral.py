@@ -96,6 +96,29 @@ class TestDesignProblem:
         X.setflags(write=False)
         assert not np.shares_memory(DesignProblem(X=X, K=np.eye(3), lambdas=[1.0]).X, base)
 
+    def test_exactly_symmetric_read_only_penalty_is_shared(self, rng):
+        K = random_spd(rng, 4)
+        K = 0.5 * (K + K.T)
+        K.setflags(write=False)
+        assert np.shares_memory(DesignProblem(X=np.eye(4), K=K, lambdas=[1.0]).K, K)
+
+    def test_writeable_penalty_is_copied(self, rng):
+        K = random_spd(rng, 4)
+        K = 0.5 * (K + K.T)
+        problem = DesignProblem(X=np.eye(4), K=K, lambdas=[1.0])
+        assert K.flags.writeable  # the caller's flags are left alone
+        assert not np.shares_memory(problem.K, K)
+        assert np.array_equal(problem.K, K)
+
+    def test_slightly_asymmetric_penalty_is_symmetrized(self, rng):
+        K = random_spd(rng, 4)
+        K = 0.5 * (K + K.T)
+        K[0, 1] += 1e-12
+        K.setflags(write=False)
+        problem = DesignProblem(X=np.eye(4), K=K, lambdas=[1.0])
+        assert np.array_equal(problem.K, 0.5 * (K + K.T))
+        assert not np.array_equal(problem.K, K)
+
 
 class TestBuildTikhonovFamily:
     def test_identity_design_lambda_zero_is_identity(self):
@@ -234,6 +257,17 @@ class TestFactorizationRoutes:
         assert family.orthogonality_defect == 0.0
         assert family.factorization is None
 
+    @pytest.mark.parametrize("basis", ["orthonormal", "perturbed", "empty"])
+    def test_defect_matches_its_definition_bitwise(self, rng, basis):
+        U = {
+            "orthonormal": np.linalg.qr(rng.standard_normal((40, 7)))[0],
+            "perturbed": np.linalg.qr(rng.standard_normal((40, 7)))[0]
+            + 1e-6 * rng.standard_normal((40, 7)),
+            "empty": np.zeros((40, 0)),
+        }[basis]
+        expected = np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0)
+        assert spectral._orthogonality_defect(U) == expected
+
     @pytest.mark.parametrize("name", ["alphas", "sing_vals"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_spectrum_rejected(self, name, bad):
@@ -299,6 +333,22 @@ class TestFactorizationRoutes:
             tracemalloc.stop()
         assert family.factorization == "gram"
         assert peak <= 2 * X.nbytes + 10 * p * p * 8, peak / X.nbytes
+
+    def test_build_holds_one_design_sized_array(self, rng):
+        # the Gram route forms U = X (L^{-T} V / mu) from p x p factors and never B = X L^{-T}
+        n, p = 2000, 100
+        X = rng.standard_normal((n, p))
+        X.setflags(write=False)
+        K, lambdas = random_spd(rng, p), np.geomspace(1e-2, 1e2, 20)
+        problem = DesignProblem(X=X, K=K, lambdas=lambdas)
+        tracemalloc.start()
+        try:
+            family = build_tikhonov_family(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert family.factorization == "gram"
+        assert peak <= X.nbytes + 10 * p * p * 8, peak / X.nbytes
 
 
 class TestApplyMember:
