@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,16 +71,17 @@ FACE_RIDGE = 1e-10
 
 @dataclass(frozen=True)
 class SimplexWeights:
-    """A point of the simplex together with the fit it induces.
+    """A point of the simplex, with the fit it induces when make_weights made it.
 
-    Weights are clipped at zero and renormalized to sum exactly to one;
-    ``fitted`` caches the aggregated fit sum_j theta_j A_j y and
-    ``response`` the vector y it was computed from.
+    Weights are clipped at zero and renormalized to sum exactly to one.
+    make_weights attaches ``fitted``, the aggregated fit sum_j theta_j A_j y,
+    and ``response``, the vector y it was computed from; both are None
+    otherwise.
     """
 
     theta: np.ndarray
-    fitted: np.ndarray
-    response: np.ndarray | None = None
+    fitted: np.ndarray | None = field(init=False, default=None)
+    response: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -96,9 +97,6 @@ class SimplexWeights:
             raise ValueError("weights must have positive total mass")
         theta = theta / total
         object.__setattr__(self, "theta", _frozen_array(theta))
-        object.__setattr__(self, "fitted", _frozen_array(np.asarray(self.fitted, dtype=float)))
-        if self.response is not None:
-            object.__setattr__(self, "response", _frozen_array(self.response))
 
     @property
     def member_count(self) -> int:
@@ -248,9 +246,9 @@ def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWe
     """Bundle a weight vector, clipped and renormalized, with the fit it induces on response y."""
     resp = _response(family_or_union, y)
     theta = _check_theta(theta, resp.candidates.member_count)
-    weights = SimplexWeights(theta=theta, fitted=(), response=resp.y[:, 0])
+    weights = SimplexWeights(theta)
     fitted = (resp.candidates.coords @ resp.qp_fit(weights.theta[None]))[:, 0]
-    object.__setattr__(weights, "fitted", _frozen_array(fitted))
+    vars(weights).update(fitted=_frozen_array(fitted), response=_frozen_array(resp.y[:, 0]))
     return weights
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import time
 import typing
@@ -352,9 +353,11 @@ class ExperimentConfig:
         p0 = self.families[0].p
         if any(f.p != p0 for f in self.families):
             raise ConfigError("key 'families[].p' must be equal across families (shared design)")
-        for name in self.methods:
+        for i, name in enumerate(self.methods):
             if name not in METHODS:
                 raise ConfigError(f"key 'methods' contains unknown method {name!r}")
+            if name in self.methods[:i]:
+                raise ConfigError(f"key 'methods' lists method {name!r} more than once")
         if not self.methods:
             raise ConfigError("key 'methods' must name at least one method")
         if self.lemma_check and "q_agg" not in self.methods:
@@ -461,9 +464,9 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
             raise ConfigError(f"key '{key}.grid': {exc}") from None
         family = store.get(d.tobytes())  # the first family built on X and K = diag(d)
         if family is None:
-            family = store[d.tobytes()] = build_tikhonov_family(problem, f"family-{idx}")
+            family = store[d.tobytes()] = build_tikhonov_family(problem)
         else:
-            family = _regrid(family, problem.lambdas, f"family-{idx}")
+            family = _regrid(family, problem.lambdas)
         families.append(family)
     return families
 
@@ -839,58 +842,50 @@ def regret_vs_q_sweep(
     return _sweep(config, _q_sweep_families(base, 1, config.members_per_family), points, threads)
 
 
-def write_report_json(report: RegretReport, path) -> None:
-    import json
-
+def _write_json(data, path) -> None:
+    """The one layout of every JSON file qagg writes: 2-space indent, sorted keys, final newline."""
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-CSV_COLUMNS = (
-    "label",
-    "members",
-    "families",
-    "seed",
-    "replicates",
-    "method",
-    "mean_risk",
-    "std_error",
-    "oracle_risk",
-    "regret",
-    "ci_half_width",
-    "excess_q50",
-    "excess_q90",
-    "excess_q99",
-)
+def _cell(value) -> str:
+    """The one CSV cell rule: a float as its repr, None as an empty cell, anything else by str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, rows, header=None) -> None:
+    """A CSV file of the header's names, if given, then one line of cells per row."""
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_report_json(report: RegretReport, path) -> None:
+    _write_json(report.to_dict(), path)
+
+
+CSV_COLUMNS = ("label", "members", "families", "seed", "replicates", "method", "mean_risk",
+               "std_error", "oracle_risk", "regret", "ci_half_width", "excess_q50",
+               "excess_q90", "excess_q99")
 
 
 def write_reports_csv(reports, path) -> None:
-    """Flat CSV with one row per (config, method); deterministic bytes for a fixed seed."""
-    lines = [",".join(CSV_COLUMNS)]
+    """Flat CSV with one row per (config, method); deterministic bytes for a fixed seed.
+
+    A row fills its cells by column name, the excess quantiles on the q_agg row only.
+    """
+    rows = []
     for report in reports:
         for name, s in report.stats.items():
-            row = [
-                report.label,
-                str(report.member_total),
-                str(report.family_total),
-                str(report.seed),
-                str(report.replicates),
-                name,
-                repr(s.mean_risk),
-                repr(s.std_error),
-                repr(report.oracle_risk),
-                repr(s.regret),
-                repr(s.ci_half_width),
-            ]
-            if name == "q_agg" and report.excess_quantiles:
-                row += [
-                    repr(report.excess_quantiles["q50"]),
-                    repr(report.excess_quantiles["q90"]),
-                    repr(report.excess_quantiles["q99"]),
-                ]
-            else:
-                row += ["", "", ""]
-            lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+            row = dict.fromkeys(CSV_COLUMNS)
+            row.update(label=report.label, members=report.member_total,
+                       families=report.family_total, seed=report.seed,
+                       replicates=report.replicates, oracle_risk=report.oracle_risk, **vars(s))
+            if name == "q_agg":
+                row.update((f"excess_{k}", v) for k, v in report.excess_quantiles.items())
+            rows.append(row.values())
+    _write_csv(path, rows, CSV_COLUMNS)

@@ -29,6 +29,8 @@ from qagg.aggregate import _response, cp_values, solve_q_aggregation
 from qagg.bench import (
     ConfigError,
     ExperimentConfig,
+    _write_csv,
+    _write_json,
     regret_vs_M_sweep,
     regret_vs_q_sweep,
     run_experiment,
@@ -169,12 +171,6 @@ def _parse_lambdas(text: str) -> np.ndarray:
     return values
 
 
-def _write_column_csv(path: Path, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -238,16 +234,11 @@ def cmd_aggregate(args) -> int:
         "coefficients": coefficients.tolist(),
         "fitted": report.weights.fitted.tolist(),
     }
-    with open(out / "aggregate.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "weights.csv", "w", newline="") as fh:
-        fh.write("member,lambda,theta,df,cp\n")
-        for j in range(family.member_count):
-            row = (problem.lambdas[j], report.weights.theta[j], df[j], cp[j])
-            fh.write(",".join([str(j), *(repr(float(v)) for v in row)]) + "\n")
-    _write_column_csv(out / "coefficients.csv", coefficients)
-    _write_column_csv(out / "fitted.csv", report.weights.fitted)
+    _write_json(payload, out / "aggregate.json")
+    rows = zip(range(family.member_count), problem.lambdas, report.weights.theta, df, cp)
+    _write_csv(out / "weights.csv", rows, ("member", "lambda", "theta", "df", "cp"))
+    _write_csv(out / "coefficients.csv", coefficients[:, None])
+    _write_csv(out / "fitted.csv", report.weights.fitted[:, None])
 
     print(
         f"aggregated {family.member_count} members: objective {report.objective:.6g}, "
@@ -326,9 +317,7 @@ def cmd_bench(args) -> int:
         "finished_at": _utcnow(),
         "files": {name: _sha256(out / name) for name in written},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, out / "manifest.json")
 
     for report in reports:
         for name, s in report.stats.items():
@@ -407,9 +396,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_numbers(argv) -> list[str]:
+    """argv with a number after --sigma or --tol joined to it: '--tol -1e-3' as '--tol=-1e-3'.
+
+    argparse reads only forms like -1 and -0.5 as negative numbers, so it takes -1e-3 or
+    -inf for an option; its documented '=' form hands any value to the program's check.
+    A flag is matched as argparse matches it, by any prefix of at least one letter.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and ("--sigma".startswith(flag) or "--tol".startswith(flag)):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except InputError as exc:

@@ -105,9 +105,6 @@ class FamilyUnion:
         families = tuple(self.families)
         if not families:
             raise ValueError("a family union needs at least one family")
-        ids = [f.family_id for f in families]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"family ids must be distinct, got {ids}")
         n = families[0].n
         if any(f.n != n for f in families):
             raise ValueError("all families in a union must share the response dimension")

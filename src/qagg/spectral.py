@@ -148,37 +148,36 @@ class SpectralFamily:
     """A family of commuting smoothers in shared-eigenbasis form.
 
     ``basis`` holds the r retained eigenvectors (n x r, orthonormal
-    columns), ``alphas[j, i]`` the eigenvalue of member j on basis
-    vector i, and ``sing_vals`` the singular values of X L^{-T} on
-    the retained coordinates.  ``right_factor`` (r x p) maps spectral
-    coordinates back to coefficient space; it and ``factorization`` ("gram"
-    or "svd") are None for families not built from a design problem.
-    ``orthogonality_defect``, max |U^T U - I|, is measured on construction;
-    only a family built from a factorization takes it from there (``_family``).
+    columns) and ``alphas[j, i]`` the eigenvalue of member j on basis
+    vector i; a family has at least one member.  ``orthogonality_defect``,
+    max |U^T U - I|, is measured on construction.  Only a family built from a
+    design problem (``_family``) carries the rest, attached without a copy:
+    the singular values ``sing_vals`` of X L^{-T} on the retained coordinates,
+    the r x p ``right_factor`` mapping spectral coordinates back to
+    coefficient space, the tuning grid ``lambdas`` and the ``factorization``
+    route ("gram" or "svd"); it takes the defect from there too.  For any
+    other family they are None.
     """
 
     basis: np.ndarray
-    sing_vals: np.ndarray
     alphas: np.ndarray
-    right_factor: np.ndarray | None = None
-    family_id: str = "family-0"
-    lambdas: np.ndarray | None = None
-    factorization: str | None = None
+    sing_vals: np.ndarray | None = field(init=False, default=None)
+    right_factor: np.ndarray | None = field(init=False, default=None)
+    lambdas: np.ndarray | None = field(init=False, default=None)
+    factorization: str | None = field(init=False, default=None)
     orthogonality_defect: float = field(init=False)
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         alphas = np.atleast_2d(np.asarray(self.alphas, dtype=float))
-        sing_vals = np.atleast_1d(np.asarray(self.sing_vals, dtype=float))
-        r = basis.shape[1]
-        if alphas.shape[1] != r or sing_vals.shape != (r,):
+        if alphas.shape[1] != basis.shape[1]:
             raise ValueError(
-                f"inconsistent spectral shapes: basis {basis.shape}, "
-                f"alphas {alphas.shape}, sing_vals {sing_vals.shape}"
+                f"inconsistent spectral shapes: basis {basis.shape}, alphas {alphas.shape}"
             )
-        for name, a in (("member eigenvalues", alphas), ("singular values", sing_vals)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} must be finite")
+        if alphas.shape[0] == 0:
+            raise ValueError(f"a family needs at least one member, got 0 (alphas {alphas.shape})")
+        if not np.all(np.isfinite(alphas)):
+            raise ValueError("member eigenvalues must be finite")
         if alphas.size and (alphas.min() < -1e-10 or alphas.max() > 1.0 + 1e-10):
             raise ValueError(
                 "member eigenvalues must lie in [0, 1], got range "
@@ -193,12 +192,7 @@ class SpectralFamily:
         if not defect <= 1e-8:
             raise ValueError(f"basis columns are not orthonormal (max deviation {defect:.3e})")
         object.__setattr__(self, "basis", _frozen_array(basis))
-        object.__setattr__(self, "sing_vals", _frozen_array(sing_vals))
         object.__setattr__(self, "alphas", _frozen_array(alphas))
-        if self.right_factor is not None:
-            object.__setattr__(self, "right_factor", _frozen_array(self.right_factor))
-        if self.lambdas is not None:
-            object.__setattr__(self, "lambdas", _frozen_array(self.lambdas))
 
     @property
     def n(self) -> int:
@@ -233,9 +227,7 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     return np.block([[A, np.zeros((k, L.shape[0] - k))], [-D @ (L[k:, :k] @ A), D]])
 
 
-def build_tikhonov_family(
-    problem: DesignProblem, family_id: str = "tikhonov"
-) -> SpectralFamily:
+def build_tikhonov_family(problem: DesignProblem) -> SpectralFamily:
     """Diagonalize the whole tuning grid of a design problem at once.
 
     With K = L L^T and B = X L^{-T} = U diag(mu) V^T, member j acts as
@@ -272,21 +264,22 @@ def build_tikhonov_family(
     signs = np.where(U.max(axis=0, initial=0.0) >= -U.min(axis=0, initial=0.0), 1.0, -1.0)
     U *= signs  # flipping columns leaves max |U^T U - I| as it is
     Vt *= signs[:, None]
-    right = Vt @ L_inv
-    for a in (U, right):  # made here: the family keeps them without a copy
-        a.setflags(write=False)
-    return _family(U, s, right, "gram" if gram else "svd", defect, problem.lambdas, family_id)
+    return _family(U, s, Vt @ L_inv, "gram" if gram else "svd", defect, problem.lambdas)
 
 
-def _regrid(family: SpectralFamily, lambdas: np.ndarray, family_id: str) -> SpectralFamily:
+def _regrid(family: SpectralFamily, lambdas: np.ndarray) -> SpectralFamily:
     """The family of another grid on the same (X, K): family's factorization, new alphas."""
     return _family(family.basis, family.sing_vals, family.right_factor, family.factorization,
-                   family.orthogonality_defect, lambdas, family_id)
+                   family.orthogonality_defect, lambdas)
 
 
-def _family(U, mu, right, kind: str, defect: float, lambdas: np.ndarray,
-            family_id: str) -> SpectralFamily:
-    """The family of one grid on a factorization; U's defect is given, not re-measured."""
+def _family(U, mu, right, kind: str, defect: float, lambdas: np.ndarray) -> SpectralFamily:
+    """The family of one grid on a factorization; U's defect is given, not re-measured.
+
+    U, mu, right and lambdas are frozen in place: the family keeps them without a copy.
+    """
+    for a in (U, mu, right, lambdas):
+        a.setflags(write=False)
     # Retained coordinates have mu > 0, so lambda = 0 gives alpha = 1 exactly; an
     # overflowing mu^2 gives alpha = nan, which SpectralFamily rejects.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,7 +287,8 @@ def _family(U, mu, right, kind: str, defect: float, lambdas: np.ndarray,
         alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
     family = object.__new__(SpectralFamily)
     object.__setattr__(family, "orthogonality_defect", defect)
-    family.__init__(U, mu, alphas, right, family_id, lambdas, kind)
+    family.__init__(U, alphas)
+    vars(family).update(sing_vals=mu, right_factor=right, lambdas=lambdas, factorization=kind)
     return family
 
 

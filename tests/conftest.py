@@ -49,7 +49,7 @@ def union_and_dense(rng, designs: int):
         DesignProblem(X=X if designs == 1 else rng.standard_normal((9, 3)),
                       K=random_spd(rng, 4 if designs == 1 else 3), lambdas=[0.3, 3.0]),
     ]
-    families = tuple(build_tikhonov_family(pr, f"f{i}") for i, pr in enumerate(problems))
+    families = tuple(build_tikhonov_family(pr) for pr in problems)
     mats = [dense_smoother(pr.X, pr.K, lam) for pr in problems for lam in pr.lambdas]
     return FamilyUnion(families=families), mats
 

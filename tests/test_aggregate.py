@@ -70,9 +70,7 @@ RESPONSE_TAKERS = {
     "apply_member": lambda f, y: apply_member(f, 0, y),
     "apply_weights": lambda f, y: apply_weights(f, THETA3, y),
     "spectral_coords": lambda f, y: f.spectral_coords(y),
-    "recover_coefficients": lambda f, y: recover_coefficients(
-        f, SimplexWeights(THETA3, np.zeros(5), response=y)
-    ),
+    "recover_coefficients": lambda f, y: recover_coefficients(f, make_weights(f, THETA3, y)),
 }
 
 
@@ -83,8 +81,8 @@ def random_interior_theta(rng, M):
 
 class TestResponsePass:
     def test_every_method_gives_the_same_result_from_the_pass(self, rng):
-        f1 = build_tikhonov_family(random_problem(rng, 7, 3, 3), family_id="a")
-        f2 = build_tikhonov_family(random_problem(rng, 7, 4, 2), family_id="b")
+        f1 = build_tikhonov_family(random_problem(rng, 7, 3, 3))
+        f2 = build_tikhonov_family(random_problem(rng, 7, 4, 2))
         for cands in (f1, FamilyUnion(families=(f1, f2))):
             y = rng.standard_normal(7)
             resp = _response(cands, y)
@@ -107,8 +105,8 @@ class TestResponsePass:
             )
 
     def test_pass_of_other_candidates_rejected(self, rng):
-        f1 = build_tikhonov_family(random_problem(rng, 6, 3, 2), family_id="a")
-        f2 = build_tikhonov_family(random_problem(rng, 6, 3, 2), family_id="b")
+        f1 = build_tikhonov_family(random_problem(rng, 6, 3, 2))
+        f2 = build_tikhonov_family(random_problem(rng, 6, 3, 2))
         union = FamilyUnion(families=(f1, f2))
         y = rng.standard_normal(6)
         for made_for, used_with in ((f1, f2), (union, f1), (f1, union)):
@@ -132,8 +130,8 @@ class TestResponsePass:
         np.testing.assert_array_equal(cp_values(family, single, 1.0), expected)
 
     def test_union_quantities_match_dense(self, rng):
-        f1 = build_tikhonov_family(random_problem(rng, 8, 3, 3), family_id="a")
-        f2 = build_tikhonov_family(random_problem(rng, 8, 5, 2), family_id="b")
+        f1 = build_tikhonov_family(random_problem(rng, 8, 3, 3))
+        f2 = build_tikhonov_family(random_problem(rng, 8, 5, 2))
         # a single family and a union of two designs (Q from the SVD of [U_1 U_2])
         for union in (FamilyUnion(families=(f1,)), FamilyUnion(families=(f1, f2))):
             dense = [member_matrix(f, j) for f in union.families for j in range(f.member_count)]
@@ -206,8 +204,8 @@ class TestCoordinates:
     def test_one_design_takes_the_first_basis(self, rng):
         X = rng.standard_normal((12, 5))
         families = tuple(
-            build_tikhonov_family(DesignProblem(X=X, K=K, lambdas=[0.1, 1.0, 10.0]), f"k{i}")
-            for i, K in enumerate((np.eye(5), random_spd(rng, 5), np.diag([1.0, 4, 9, 16, 25])))
+            build_tikhonov_family(DesignProblem(X=X, K=K, lambdas=[0.1, 1.0, 10.0]))
+            for K in (np.eye(5), random_spd(rng, 5), np.diag([1.0, 4, 9, 16, 25]))
         )
         union = FamilyUnion(families=families)
         assert union.coords is families[0].basis
@@ -216,10 +214,7 @@ class TestCoordinates:
 
     @pytest.mark.parametrize("shapes", [((9, 3), (9, 4)), ((6, 4), (6, 5))])
     def test_two_designs_take_the_svd(self, rng, shapes):
-        families = tuple(
-            build_tikhonov_family(random_problem(rng, n, p, 3), f"d{i}")
-            for i, (n, p) in enumerate(shapes)
-        )
+        families = tuple(build_tikhonov_family(random_problem(rng, n, p, 3)) for n, p in shapes)
         union = FamilyUnion(families=families)
         assert union.coords is not families[0].basis
         # the span of both designs: 3 + 4 = 7 of 9 dimensions, or all 6
@@ -241,18 +236,18 @@ class TestCoordinates:
 
 class TestSimplexWeights:
     def test_renormalizes(self):
-        w = SimplexWeights(theta=[2.0, 2.0], fitted=np.zeros(3))
+        w = SimplexWeights([2.0, 2.0])
         np.testing.assert_allclose(w.theta, [0.5, 0.5])
         assert abs(w.theta.sum() - 1.0) < 1e-12
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            SimplexWeights(theta=[0.5, -0.5], fitted=np.zeros(3))
+            SimplexWeights([0.5, -0.5])
 
 
 class TestCpCriterion:
     def test_zero_smoother_gives_response_norm(self, rng):
-        family = SpectralFamily(basis=np.eye(3)[:, :2], sing_vals=[1, 1], alphas=[[0.0, 0.0]])
+        family = SpectralFamily(np.eye(3)[:, :2], [[0.0, 0.0]])
         y = rng.standard_normal(3)
         assert abs(cp_values(family, y, 1.0)[0] - y @ y) < 1e-12
 
@@ -314,8 +309,8 @@ class TestQObjective:
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
     def test_forms_agree_on_union(self, rng):
-        f1 = build_tikhonov_family(random_problem(rng, 7, 3, 2), family_id="a")
-        f2 = build_tikhonov_family(random_problem(rng, 7, 4, 3), family_id="b")
+        f1 = build_tikhonov_family(random_problem(rng, 7, 3, 2))
+        f2 = build_tikhonov_family(random_problem(rng, 7, 4, 3))
         union = FamilyUnion(families=(f1, f2))
         y = rng.standard_normal(7)
         theta = random_interior_theta(rng, 5)
@@ -368,8 +363,8 @@ class TestSolver:
     def test_duplicate_members_reach_single_member_objective(self, rng):
         basis = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         alpha = np.array([0.7, 0.5, 0.2])
-        single = SpectralFamily(basis=basis, sing_vals=np.ones(3), alphas=[alpha])
-        doubled = SpectralFamily(basis=basis, sing_vals=np.ones(3), alphas=[alpha, alpha])
+        single = SpectralFamily(basis, [alpha])
+        doubled = SpectralFamily(basis, [alpha, alpha])
         y = rng.standard_normal(6)
         rep1 = solve_q_aggregation(single, y, 0.9)
         rep2 = solve_q_aggregation(doubled, y, 0.9)
@@ -415,8 +410,8 @@ class TestSolver:
             assert recheck >= -1e-7 * (1.0 + abs(report.objective))
 
     def test_solver_on_union(self, rng):
-        f1 = build_tikhonov_family(random_problem(rng, 9, 4, 3), family_id="a")
-        f2 = build_tikhonov_family(random_problem(rng, 9, 5, 4), family_id="b")
+        f1 = build_tikhonov_family(random_problem(rng, 9, 4, 3))
+        f2 = build_tikhonov_family(random_problem(rng, 9, 5, 4))
         union = FamilyUnion(families=(f1, f2))
         y = rng.standard_normal(9)
         report = solve_q_aggregation(union, y, 1.0)
@@ -573,21 +568,21 @@ def test_stress_families_solve_and_certify(rng, case):
     assert report.ridge_fallbacks == 0 and report.stalled_pivots == 0
 
 
-def synthetic_family(rng, n, r, M, family_id):
+def synthetic_family(rng, n, r, M):
     """Tikhonov-shaped members on a random orthonormal basis, not built from a design."""
     basis = np.linalg.qr(rng.standard_normal((n, r)))[0]
     mu2 = np.sort(rng.uniform(0.1, 10.0, r))[::-1]
     lambdas = np.geomspace(0.05, 20.0, M)
     alphas = mu2[None, :] / (mu2[None, :] + lambdas[:, None])
-    return SpectralFamily(basis=basis, sing_vals=np.sqrt(mu2), alphas=alphas, family_id=family_id)
+    return SpectralFamily(basis, alphas)
 
 
 class TestMetamorphic:
     """Relations between solves on transformed inputs; they guard the face solve."""
 
     def candidate_sets(self, rng):
-        a = synthetic_family(rng, 14, 6, 9, "a")
-        b = synthetic_family(rng, 14, 5, 7, "b")
+        a = synthetic_family(rng, 14, 6, 9)
+        b = synthetic_family(rng, 14, 5, 7)
         return a, FamilyUnion(families=(a, b))
 
     def draws(self, rng, cands, count=8):
@@ -611,9 +606,7 @@ class TestMetamorphic:
     def test_permuting_members_permutes_weights(self, rng):
         family, union = self.candidate_sets(rng)
         perm = rng.permutation(family.member_count)
-        shuffled = SpectralFamily(
-            basis=family.basis, sing_vals=family.sing_vals, alphas=family.alphas[perm]
-        )
+        shuffled = SpectralFamily(family.basis, family.alphas[perm])
         # reversing the families of a union permutes the global member order
         a, b = union.families
         reversed_union = FamilyUnion(families=(b, a))
@@ -628,15 +621,8 @@ class TestMetamorphic:
 
     def test_pooling_a_copy_keeps_the_optimum(self, rng):
         family, union = self.candidate_sets(rng)
-
-        def copy(fam):
-            return SpectralFamily(
-                basis=fam.basis, sing_vals=fam.sing_vals, alphas=fam.alphas,
-                family_id=fam.family_id + "-copy",
-            )
-
-        doubled_family = FamilyUnion(families=(family, copy(family)))
-        doubled_union = FamilyUnion(families=union.families + tuple(map(copy, union.families)))
+        doubled_family = FamilyUnion(families=(family, family))
+        doubled_union = FamilyUnion(families=union.families * 2)
         for cands, pooled in ((family, doubled_family), (union, doubled_union)):
             for y in self.draws(rng, cands):
                 base = solve_q_aggregation(cands, y, 1.0)
@@ -723,9 +709,7 @@ class TestExponentialWeights:
     def test_identical_members_get_uniform_weights(self, rng):
         basis = np.linalg.qr(rng.standard_normal((5, 2)))[0]
         alpha = np.array([0.6, 0.3])
-        family = SpectralFamily(
-            basis=basis, sing_vals=np.ones(2), alphas=[alpha, alpha, alpha]
-        )
+        family = SpectralFamily(basis, [alpha, alpha, alpha])
         w = exponential_weights(family, rng.standard_normal(5), 1.0)
         np.testing.assert_allclose(w.theta, np.full(3, 1 / 3), atol=1e-14)
 
@@ -750,9 +734,7 @@ class TestExponentialWeights:
         for c in targets:
             roots = np.roots([y[0] ** 2, -2 * y[0] ** 2 + 2 * sigma**2, y[0] ** 2 - c])
             alphas.append(float(min(r for r in roots if 0 <= r <= 0.75)))
-        family = SpectralFamily(
-            basis=np.eye(1), sing_vals=[1.0], alphas=np.array(alphas)[:, None]
-        )
+        family = SpectralFamily(np.eye(1), np.array(alphas)[:, None])
         got = cp_values(family, y, sigma)
         np.testing.assert_allclose(got, targets, atol=1e-12)
         w = exponential_weights(family, y, sigma)
@@ -865,8 +847,7 @@ class TestBlockSolve:
             build_tikhonov_family(
                 DesignProblem(
                     X=X, K=np.diag(np.arange(1.0, 31.0) ** g), lambdas=np.geomspace(1e-2, 1e2, 16)
-                ),
-                family_id=f"power-{g}",
+                )
             )
             for g in (0.0, 1.5, 3.0)
         )
@@ -880,8 +861,7 @@ class TestBlockSolve:
             build_tikhonov_family(
                 DesignProblem(
                     X=X, K=np.diag(np.arange(1.0, 31.0) ** g), lambdas=np.geomspace(1e-2, 1e2, 16)
-                ),
-                family_id=f"power-{g}",
+                )
             )
             for g in np.linspace(0.0, 3.0, 8)
         )
@@ -899,7 +879,7 @@ class TestBlockSolve:
             [1.0, 0.125, 0.875, 0.5], [0.0, 0.375, 0.375, 0.25], [0.5, 0.25, 0.875, 1.0],
             [0.375, 0.75, 0.5, 0.5], [0.125, 0.625, 0.75, 0.875],
         ])
-        family = SpectralFamily(basis=np.eye(8)[:, :4], sing_vals=np.ones(4), alphas=alphas)
+        family = SpectralFamily(np.eye(8)[:, :4], alphas)
         Y = 1.5 * rng.standard_normal((8, 24))
         Y[:, 3] = np.eye(8)[0]
         stages, _ = block_matches_scalar(family, Y, 0.5)

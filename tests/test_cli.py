@@ -159,6 +159,10 @@ class TestAggregateCommand:
             ({"--sigma": "1e200"}, "--sigma"),
             ({"--sigma": "1e-200"}, "--sigma"),
             ({"--sigma": "1e154"}, "--sigma"),  # sigma^2 is finite, 2 sigma^2 df is not
+            ({"--sigma": "-1e-3"}, "--sigma"),  # argparse alone takes these for flags
+            ({"--sigma": "-inf"}, "--sigma"),
+            ({"--sigma": "-nan"}, "--sigma"),
+            ({"--sig": "-1e-3"}, "--sigma"),  # the last --sigma counts, by any prefix
         ],
     )
     def test_malformed_inputs_exit_2(self, tmp_path, toy_inputs, capsys, mutation, needle):
@@ -176,6 +180,14 @@ class TestAggregateCommand:
             flat += [k, v]
         assert main(flat) == 2
         assert needle in capsys.readouterr().err
+
+    def test_an_option_after_sigma_is_not_taken_for_its_value(self, tmp_path, toy_inputs, capsys):
+        _, _, design, response = toy_inputs
+        with pytest.raises(SystemExit) as exc:
+            main(["aggregate", "--design", str(design), "--response", str(response),
+                  "--lambdas", "0.5", "--sigma", "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --sigma: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shape", [(0, 3), (6, 0)])
     def test_empty_design_exit_2_naming_the_design(self, tmp_path, capsys, shape):
@@ -535,11 +547,12 @@ class TestValidateCommand:
         np.savetxt(path, np.vstack([np.eye(2), 3.0 * np.eye(2)]), delimiter=",")
         assert main(["validate", "--matrices", str(path)]) == 1
         assert "axiom (i) symmetric with spectrum in [0, 1]: FAIL" in capsys.readouterr().out
-        for tol in ("inf", "nan", "0", "-1e-3"):  # --tol=: argparse reads "-1e-3" as a flag
-            assert main(["validate", "--matrices", str(path), f"--tol={tol}"]) == 2
-            captured = capsys.readouterr()
-            assert captured.err.startswith("error: --tol:")
-            assert "PASS" not in captured.out
+        for tol in ("inf", "nan", "0", "-1e-3", "-inf", "-1E+2"):
+            for given in ([f"--tol={tol}"], ["--tol", tol]):  # argparse alone takes -1e-3 for a flag
+                assert main(["validate", "--matrices", str(path), *given]) == 2
+                captured = capsys.readouterr()
+                assert captured.err.startswith("error: --tol:")
+                assert "PASS" not in captured.out
 
 
 class TestBenchCommand:
@@ -591,6 +604,14 @@ class TestBenchCommand:
         report = json.loads((out / "report_cli-q2.json").read_text())
         assert report["family_total"] == 2
         assert report["member_total"] == 6
+
+    def test_repeated_method_exit_2(self, tmp_path, capsys):
+        config = bench_config(tmp_path, methods=["q_agg", "q_agg", "cp_select"])
+        out = tmp_path / "run"
+        assert main(["bench", "--config", str(config), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config: key 'methods' lists method 'q_agg' more than once")
+        assert not out.exists()
 
     def test_sweep_q_of_two_families_exit_2(self, tmp_path, capsys):
         families = [{"p": 6, "penalty": "identity", "grid": {"count": 4}},

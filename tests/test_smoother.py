@@ -14,6 +14,7 @@ from conftest import (
     union_and_dense,
 )
 
+from qagg.aggregate import solve_q_aggregation
 from qagg.smoother import (
     FamilyUnion,
     GroundTruth,
@@ -64,14 +65,22 @@ def locate(union, j):
 
 
 class TestFamilyUnion:
-    def test_duplicate_ids_rejected(self, rng):
-        fam = build_tikhonov_family(random_problem(rng, 5, 3, 2))
-        with pytest.raises(ValueError, match="distinct"):
-            FamilyUnion(families=(fam, fam))
+    def test_default_built_families_with_different_penalties_pool_and_solve(self, rng):
+        X = rng.standard_normal((12, 5))
+        lambdas = np.geomspace(1e-2, 1e2, 6)
+        families = tuple(
+            build_tikhonov_family(DesignProblem(X=X, K=K, lambdas=lambdas))
+            for K in (np.eye(5), random_spd(rng, 5))
+        )
+        union = FamilyUnion(families=families)
+        np.testing.assert_array_equal(union.lambdas, np.concatenate([lambdas, lambdas]))
+        y = X @ rng.standard_normal(5) + rng.standard_normal(12)
+        report = solve_q_aggregation(union, y, 1.0)
+        assert report.converged and report.weights.theta.shape == (12,)
 
     def test_counts_and_locate(self, rng):
-        f1 = build_tikhonov_family(random_problem(rng, 5, 3, 2), family_id="a")
-        f2 = build_tikhonov_family(random_problem(rng, 5, 3, 3), family_id="b")
+        f1 = build_tikhonov_family(random_problem(rng, 5, 3, 2))
+        f2 = build_tikhonov_family(random_problem(rng, 5, 3, 3))
         union = FamilyUnion(families=(f1, f2))
         assert union.q == 2
         assert union.member_count == 5
@@ -294,7 +303,7 @@ class TestCheckOrderedMatchesPairwise:
 
 class TestExactRisk:
     def test_zero_smoother_zero_mean(self):
-        family = SpectralFamily(basis=np.eye(3)[:, :2], sing_vals=[1, 1], alphas=[[0.0, 0.0]])
+        family = SpectralFamily(np.eye(3)[:, :2], [[0.0, 0.0]])
         truth = GroundTruth(mu=np.zeros(3), sigma=1.0)
         assert member_risks(family, truth)[0] == 0.0
 
@@ -426,8 +435,8 @@ class TestOracleIndex:
         assert abs(r_star - losses.mean()) < 3 * losses.std(ddof=1) / np.sqrt(draws)
 
     def test_union_indexing(self, rng):
-        f1 = build_tikhonov_family(random_problem(rng, 6, 3, 2), family_id="a")
-        f2 = build_tikhonov_family(random_problem(rng, 6, 4, 3), family_id="b")
+        f1 = build_tikhonov_family(random_problem(rng, 6, 3, 2))
+        f2 = build_tikhonov_family(random_problem(rng, 6, 4, 3))
         union = FamilyUnion(families=(f1, f2))
         truth = GroundTruth(mu=rng.standard_normal(6), sigma=1.0)
         risks = member_risks(union, truth)

@@ -16,7 +16,7 @@ from conftest import (
 )
 
 from qagg import spectral
-from qagg.aggregate import make_weights, member_fits
+from qagg.aggregate import SimplexWeights, make_weights, member_fits
 from qagg.smoother import FamilyUnion
 from qagg.spectral import (
     GRAM_TOL,
@@ -253,9 +253,10 @@ class TestFactorizationRoutes:
         assert np.abs(gram.right_factor - svd.right_factor).max() < 1e-12 * scale
 
     def test_synthetic_family_computes_its_defect(self):
-        family = SpectralFamily(basis=np.eye(3)[:, :2], sing_vals=[1.0, 1.0], alphas=[[0.5, 0.5]])
+        family = SpectralFamily(np.eye(3)[:, :2], [[0.5, 0.5]])
         assert family.orthogonality_defect == 0.0
-        assert family.factorization is None
+        build = (family.sing_vals, family.right_factor, family.lambdas, family.factorization)
+        assert build == (None, None, None, None)
 
     @pytest.mark.parametrize("basis", ["orthonormal", "perturbed", "empty"])
     def test_defect_matches_its_definition_bitwise(self, rng, basis):
@@ -268,14 +269,43 @@ class TestFactorizationRoutes:
         expected = np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0)
         assert spectral._orthogonality_defect(U) == expected
 
-    @pytest.mark.parametrize("name", ["alphas", "sing_vals"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_spectrum_rejected(self, name, bad):
-        spectrum = {"alphas": np.array([[0.5, 0.5]]), "sing_vals": np.ones(2)}
-        spectrum[name].flat[1] = bad
-        what = "member eigenvalues" if name == "alphas" else "singular values"
-        with pytest.raises(ValueError, match=f"{what} must be finite"):
-            SpectralFamily(basis=np.eye(3)[:, :2], **spectrum)
+    def test_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(ValueError, match="member eigenvalues must be finite"):
+            SpectralFamily(np.eye(3)[:, :2], [[0.5, bad]])
+
+    def test_family_without_members_rejected(self):
+        with pytest.raises(ValueError, match="at least one member, got 0"):
+            SpectralFamily(np.eye(3)[:, :2], np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("name", ["family_id", "sing_vals", "right_factor", "lambdas",
+                                      "factorization", "fitted", "response"])
+    def test_constructors_take_only_their_inputs(self, name):
+        with pytest.raises(TypeError, match=name):
+            if name in ("fitted", "response"):
+                SimplexWeights([0.5, 0.5], **{name: None})
+            else:
+                SpectralFamily(np.eye(3)[:, :2], [[0.5, 0.5]], **{name: None})
+
+    def test_build_takes_only_the_problem(self, rng):
+        with pytest.raises(TypeError):
+            build_tikhonov_family(random_problem(rng, n=6, p=3, M=2), "tikhonov")
+
+    def test_build_attaches_its_arrays_read_only_without_copies(self, rng, monkeypatch):
+        made = {}
+        attach = spectral._family
+
+        def spy(U, mu, right, kind, defect, lambdas):
+            made.update(sing_vals=mu, right_factor=right, lambdas=lambdas)
+            return attach(U, mu, right, kind, defect, lambdas)
+
+        monkeypatch.setattr(spectral, "_family", spy)
+        family = build_tikhonov_family(random_problem(rng, n=12, p=5, M=4))
+        for name, array in made.items():
+            kept = getattr(family, name)
+            assert kept is array and not kept.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
 
     @pytest.mark.parametrize("shape, scale", [((3, 6), 1e200), ((6, 3), 1e160)])
     def test_overflowing_squares_rejected_without_warnings(self, rng, shape, scale):
@@ -291,10 +321,9 @@ class TestFactorizationRoutes:
     def test_caller_cannot_set_the_defect(self):
         basis = [[1.0, 0.9], [0.0, 0.5], [0.0, 0.0]]
         with pytest.raises(TypeError, match="orthogonality_defect"):
-            SpectralFamily(basis=basis, sing_vals=[1, 1], alphas=[[0.5, 0.5]],
-                           orthogonality_defect=0.0)
+            SpectralFamily(basis, [[0.5, 0.5]], orthogonality_defect=0.0)
         with pytest.raises(ValueError, match="not orthonormal"):
-            SpectralFamily(basis=basis, sing_vals=[1, 1], alphas=[[0.5, 0.5]])
+            SpectralFamily(basis, [[0.5, 0.5]])
 
     def test_gram_build_measures_the_defect_once(self, rng, monkeypatch):
         calls = []
@@ -310,14 +339,15 @@ class TestFactorizationRoutes:
         problem = random_problem(rng, n=30, p=7, M=4)
         f = build_tikhonov_family(problem)
         other = DesignProblem(X=problem.X, K=problem.K, lambdas=np.geomspace(1e-3, 1e3, 9))
-        fresh = build_tikhonov_family(other, "f")
+        fresh = build_tikhonov_family(other)
         monkeypatch.setattr(spectral, "_orthogonality_defect", None)  # reused, not re-measured
-        regrid = spectral._regrid(f, other.lambdas, "f")
+        regrid = spectral._regrid(f, other.lambdas)
         for name in ("basis", "sing_vals", "alphas", "right_factor", "lambdas"):
             assert np.array_equal(getattr(regrid, name), getattr(fresh, name)), name
         assert regrid.orthogonality_defect == fresh.orthogonality_defect
-        assert (regrid.factorization, regrid.family_id) == (fresh.factorization, "f")
+        assert regrid.factorization == fresh.factorization
         assert regrid.basis is f.basis and regrid.right_factor is f.right_factor
+        assert regrid.sing_vals is f.sing_vals
 
     def test_build_holds_at_most_two_design_sized_arrays(self, rng):
         # B = X L^{-T} and U; the read-only X is kept, not copied, and U is not copied again
@@ -353,9 +383,7 @@ class TestFactorizationRoutes:
 
 class TestApplyMember:
     def test_zero_smoother_returns_zero(self):
-        family = SpectralFamily(
-            basis=np.eye(3)[:, :2], sing_vals=[1.0, 1.0], alphas=[[0.0, 0.0]]
-        )
+        family = SpectralFamily(np.eye(3)[:, :2], [[0.0, 0.0]])
         np.testing.assert_array_equal(apply_member(family, 0, np.ones(3)), np.zeros(3))
 
     def test_identity_on_range(self, rng):
@@ -429,7 +457,7 @@ class TestRecoverCoefficients:
         np.testing.assert_allclose(X @ coefficients, want, rtol=1e-10, atol=1e-12)
 
     def test_synthetic_family_has_no_coefficient_factor(self):
-        family = SpectralFamily(basis=np.eye(2), sing_vals=[1.0, 1.0], alphas=[[0.5, 0.5]])
+        family = SpectralFamily(np.eye(2), [[0.5, 0.5]])
         weights = make_weights(family, np.array([1.0]), np.ones(2))
         with pytest.raises(ValueError, match="coefficient-space factor"):
             recover_coefficients(family, weights)
