@@ -69,7 +69,7 @@ MAX_PIVOTS = 10_000
 FACE_RIDGE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexWeights:
     """A point of the simplex, with the fit it induces when make_weights made it.
 
@@ -103,7 +103,7 @@ class SimplexWeights:
         return self.theta.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solver output: weights, objective value and optimality certificate.
 
@@ -125,7 +125,7 @@ class SolveReport:
     stalled_pivots: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Response:
     """The quantities of a response y that every method reads, computed once.
 

@@ -235,10 +235,12 @@ def cmd_aggregate(args) -> int:
         "fitted": report.weights.fitted.tolist(),
     }
     _write_json(payload, out / "aggregate.json")
-    rows = zip(range(family.member_count), problem.lambdas, report.weights.theta, df, cp)
-    _write_csv(out / "weights.csv", rows, ("member", "lambda", "theta", "df", "cp"))
-    _write_csv(out / "coefficients.csv", coefficients[:, None])
-    _write_csv(out / "fitted.csv", report.weights.fitted[:, None])
+    # the payload's lists of Python floats, not per-cell numpy scalars: the same bytes, faster
+    columns = (payload[k] for k in ("lambdas", "theta", "df", "cp"))
+    _write_csv(out / "weights.csv", zip(range(family.member_count), *columns),
+               ("member", "lambda", "theta", "df", "cp"))
+    _write_csv(out / "coefficients.csv", zip(payload["coefficients"]))
+    _write_csv(out / "fitted.csv", zip(payload["fitted"]))
 
     print(
         f"aggregated {family.member_count} members: objective {report.objective:.6g}, "

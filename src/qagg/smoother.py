@@ -39,7 +39,7 @@ def _check_sigma(sigma, n: int) -> None:
         raise ValueError(f"sigma must be > 0 with 0 < sigma^2 * 4n < inf (n = {n}), got {sigma!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Unknown mean and noise level of the Gaussian mean model."""
 
@@ -79,7 +79,7 @@ def _union_coords(families):
     return Q, tuple(rotations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyUnion:
     """Candidate set: one or more ordered families on one response space.
 
@@ -96,10 +96,10 @@ class FamilyUnion:
     """
 
     families: tuple[SpectralFamily, ...]
-    df: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    coords: np.ndarray = field(init=False, repr=False, compare=False)
-    rotations: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    df: np.ndarray = field(init=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False)
+    coords: np.ndarray = field(init=False, repr=False)
+    rotations: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         families = tuple(self.families)

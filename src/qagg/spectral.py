@@ -69,7 +69,7 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignProblem:
     """Design matrix, positive-definite penalty and tuning grid.
 
@@ -85,7 +85,7 @@ class DesignProblem:
     X: np.ndarray
     K: np.ndarray
     lambdas: np.ndarray
-    penalty_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    penalty_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -143,7 +143,7 @@ class DesignProblem:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFamily:
     """A family of commuting smoothers in shared-eigenbasis form.
 
@@ -233,12 +233,14 @@ def build_tikhonov_family(problem: DesignProblem) -> SpectralFamily:
     With K = L L^T and B = X L^{-T} = U diag(mu) V^T, member j acts as
     U diag(mu_i^2 / (mu_i^2 + lambda_j)) U^T, the dense fit map
     X (X^T X + lambda_j K)^{-1} X^T.  The Gram route takes mu and V from
-    eigh(H), H = L^{-1} (X^T X) L^{-T}, and U = X (L^{-T} V / mu), so U is the
-    only n x p array it makes.  GRAM_TOL certifies that route: with E the
-    rounding of the computed H against B^T B, U^T U - I = -D^{-1} V^T E V D^{-1}
-    bounds the fit maps' relative error.  Otherwise mu, U and V come from the
-    thin SVD of B, the only route that forms B, dropping coordinates with
-    mu_i <= RANK_TOL * mu_max.  Each u_i's largest entry is positive.
+    eigh(H), H = L^{-1} (X^T X) L^{-T}, forms the right factor R = V^T L^{-1}
+    and frees V and L^{-1}; then U = X R^T / mu is the only n x p array it
+    makes.  GRAM_TOL certifies that route: with E the rounding of the computed
+    H against B^T B, U^T U - I = -D^{-1} V^T E V D^{-1} bounds the fit maps'
+    relative error.  Otherwise mu, U and V come from the thin SVD of B, the
+    only route that forms B (rebuilding L^{-1} where the Gram route freed it),
+    dropping coordinates with mu_i <= RANK_TOL * mu_max; R = V^T L^{-1} again.
+    Each u_i's largest entry is positive.
     """
     X = problem.X
     L_inv = _tril_inv(problem.penalty_factor)
@@ -251,20 +253,24 @@ def build_tikhonov_family(problem: DesignProblem) -> SpectralFamily:
             mu2, V = np.linalg.eigh(H)
             del H  # freed before U is formed
             if mu2[0] > GRAM_TOL * mu2[-1]:
-                s, Vt = np.sqrt(mu2[::-1]), V[:, ::-1].T
-                U = X @ (L_inv.T @ (Vt.T / s))
+                s, R = np.sqrt(mu2[::-1]), V[:, ::-1].T @ L_inv
+                V = L_inv = None  # freed before U is formed
+                U = X @ R.T
+                U /= s
                 defect = _orthogonality_defect(U)
     gram = defect <= GRAM_TOL
     if not gram:
-        U = None  # freed before B is formed
+        U = R = None  # freed before B is formed
+        if L_inv is None:
+            L_inv = _tril_inv(problem.penalty_factor)
         U, s, Vt = np.linalg.svd(X @ L_inv.T, full_matrices=False)
         keep = s > RANK_TOL * s.max(initial=0.0)
-        U, s, Vt = U[:, keep], s[keep], Vt[keep]
+        U, s, R = U[:, keep], s[keep], Vt[keep] @ L_inv
         defect = _orthogonality_defect(U)
     signs = np.where(U.max(axis=0, initial=0.0) >= -U.min(axis=0, initial=0.0), 1.0, -1.0)
     U *= signs  # flipping columns leaves max |U^T U - I| as it is
-    Vt *= signs[:, None]
-    return _family(U, s, Vt @ L_inv, "gram" if gram else "svd", defect, problem.lambdas)
+    R *= signs[:, None]
+    return _family(U, s, R, "gram" if gram else "svd", defect, problem.lambdas)
 
 
 def _regrid(family: SpectralFamily, lambdas: np.ndarray) -> SpectralFamily:

@@ -16,8 +16,8 @@ from conftest import (
 )
 
 from qagg import spectral
-from qagg.aggregate import SimplexWeights, make_weights, member_fits
-from qagg.smoother import FamilyUnion
+from qagg.aggregate import SimplexWeights, make_weights, member_fits, solve_q_aggregation
+from qagg.smoother import FamilyUnion, GroundTruth
 from qagg.spectral import (
     GRAM_TOL,
     DesignProblem,
@@ -240,12 +240,16 @@ class TestFactorizationRoutes:
         assert family.factorization == STRESS_ROUTES[case]
         self.assert_matches_dense(problem, family, y + rng.standard_normal(y.size))
 
-    def test_routes_give_the_same_family(self, rng, monkeypatch):
-        problem = random_problem(rng, n=30, p=7, M=4)
+    @pytest.mark.parametrize("n, p", [(30, 7), (160, 70)])  # at 70, L^{-1} is built by halves
+    def test_routes_give_the_same_family(self, rng, monkeypatch, n, p):
+        problem = random_problem(rng, n=n, p=p, M=4)
         gram = build_tikhonov_family(problem)
-        monkeypatch.setattr(spectral, "GRAM_TOL", 0.0)  # no defect is certified
+        monkeypatch.setattr(spectral, "GRAM_TOL", 0.0)  # no defect is certified: L^{-1} rebuilt
         svd = build_tikhonov_family(problem)
         assert (gram.factorization, svd.factorization) == ("gram", "svd")
+        for family in (gram, svd):  # U = X R^T / mu with R = V^T L^{-1}
+            implied = problem.X @ family.right_factor.T / family.sing_vals
+            assert np.abs(implied - family.basis).max() < 1e-12
         assert np.abs(gram.sing_vals - svd.sing_vals).max() < 1e-12 * svd.sing_vals[0]
         # basis vectors are oriented alike, so the two bases agree entrywise
         assert np.abs(gram.basis - svd.basis).max() < 1e-12
@@ -290,6 +294,20 @@ class TestFactorizationRoutes:
     def test_build_takes_only_the_problem(self, rng):
         with pytest.raises(TypeError):
             build_tikhonov_family(random_problem(rng, n=6, p=3, M=2), "tikhonov")
+
+    def test_array_holding_types_compare_by_identity(self, rng):
+        problem = random_problem(rng, n=30, p=7, M=4)
+        y = rng.standard_normal(30)
+        builds = []
+        for _ in range(2):  # two builds of one problem: equal arrays, distinct objects
+            family = build_tikhonov_family(problem)
+            report = solve_q_aggregation(family, y, 1.0)
+            builds.append((DesignProblem(X=problem.X, K=problem.K, lambdas=problem.lambdas),
+                           family, FamilyUnion.of(family), report, report.weights,
+                           GroundTruth(mu=y, sigma=1.0)))
+        for a, b in zip(*builds):
+            assert a == a and not a != a and hash(a) == hash(a)
+            assert a != b and not a == b and len({a, b}) == 2, type(a).__name__
 
     def test_build_attaches_its_arrays_read_only_without_copies(self, rng, monkeypatch):
         made = {}
@@ -364,9 +382,10 @@ class TestFactorizationRoutes:
         assert family.factorization == "gram"
         assert peak <= 2 * X.nbytes + 10 * p * p * 8, peak / X.nbytes
 
-    def test_build_holds_one_design_sized_array(self, rng):
-        # the Gram route forms U = X (L^{-T} V / mu) from p x p factors and never B = X L^{-T}
-        n, p = 2000, 100
+    @pytest.mark.parametrize("n, p", [(2000, 100), (800, 200)])
+    def test_build_holds_one_design_sized_array(self, rng, n, p):
+        # the Gram route never forms B = X L^{-T}; V and L^{-1} are freed once R = V^T L^{-1}
+        # is formed, so U = X R^T / mu meets only R and the r x r defect array
         X = rng.standard_normal((n, p))
         X.setflags(write=False)
         K, lambdas = random_spd(rng, p), np.geomspace(1e-2, 1e2, 20)
@@ -378,7 +397,7 @@ class TestFactorizationRoutes:
         finally:
             tracemalloc.stop()
         assert family.factorization == "gram"
-        assert peak <= X.nbytes + 10 * p * p * 8, peak / X.nbytes
+        assert peak <= X.nbytes + 2.5 * p * p * 8, (peak - X.nbytes) / (p * p * 8)
 
 
 class TestApplyMember:
