@@ -32,11 +32,14 @@ NOISE_STORE_BYTES, and under a penalty diagonal's bytes the first family
 built on it, which later grids on that diagonal regrid.  A point that runs in
 a pool draws the rows the store can keep before the pool forks, so its
 workers inherit them.  A point does the arithmetic of a run of its own on the
-same inputs, so its report is byte-identical to that run's.
+same inputs, so its report is byte-identical to that run's.  The store is a
+context variable: a run or sweep in another thread (or asyncio task) sees only
+its own, so runs and sweeps may be called from several threads at once.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import json
@@ -413,7 +416,9 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 # What the points of the running sweep share (see the module doc), else None.
-_sweep_store: dict | None = None
+_sweep_store: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qagg.bench.sweep_store", default=None
+)
 
 # Most bytes of noise rows a sweep keeps; a row past it is drawn again at
 # every point.  The benchmark sweeps keep 200 x 100 draws, 160 KiB.
@@ -425,7 +430,8 @@ def _noise(seed: int, n: int, start: int, stop: int) -> np.ndarray:
 
     Rows are kept by replicate, so points whose blocks differ in width share them.
     """
-    kept = {} if _sweep_store is None else _sweep_store["noise"]
+    store = _sweep_store.get()
+    kept = {} if store is None else store["noise"]
     rows = []
     for i in range(start, stop):
         row = kept.get(i)
@@ -446,7 +452,9 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
     """
     n, p = config.scenario.n, config.families[0].p
     X = _design_rng(config.seed).standard_normal((n, p))
-    store = {} if _sweep_store is None else _sweep_store
+    store = _sweep_store.get()
+    if store is None:
+        store = {}
     families = []
     for idx, spec in enumerate(config.families):
         key = f"families[{idx}]"
@@ -686,7 +694,7 @@ def run_experiment(
 
         n = config.scenario.n
         kept = min(config.replicates, NOISE_STORE_BYTES // (8 * n))  # rows the store can keep
-        if _sweep_store is not None and kept:  # drawn before the fork, so every worker has them
+        if _sweep_store.get() is not None and kept:  # drawn before the fork: workers have them
             _noise(config.seed, n, 0, kept)
 
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
@@ -766,8 +774,7 @@ def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> l
 
     The points share ``_sweep_store`` until the sweep returns or raises (see the module doc).
     """
-    global _sweep_store
-    _sweep_store = {"noise": {}}
+    token = _sweep_store.set({"noise": {}})
     try:
         mu = build_instance(replace(config, families=reference)).truth.mu
         return [
@@ -779,7 +786,7 @@ def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> l
             for suffix, families in points
         ]
     finally:
-        _sweep_store = None
+        _sweep_store.reset(token)
 
 
 def _sweep_arguments(config: ExperimentConfig, key: str, values, counts: str,

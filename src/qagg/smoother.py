@@ -249,14 +249,26 @@ def _shared_basis_certificate(mats, tol):
           spread_j = max d_j - min d_j, s_j = max |d_j| + rho_j bounds
           ||S_j||_2 and nu_j = ||N_j||_F;
     (iii) (Weyl) lambda_min(S_k - S_j) >= min(d_k - d_j) - rho_j - rho_k.
+
+    An exactly symmetric A_j is its own S_j with N_j = 0.  Before testing
+    (ii) and (iii) pair by pair, one pass over the members sorted by trace
+    tries to settle every pair at once.  The sag is the sum over consecutive
+    members a, b of max(0, -min(d_b - d_a)); as min is superadditive over
+    the telescoping sum, every later-minus-earlier difference has minimum at
+    least minus the exact sag.  The computed sag is at least (1 - (M + 1) u)
+    times that, so a computed sag + 2 max rho <= tol / 2 gives min(d_b - d_a)
+    >= 2 max rho - tol exactly, and as rounding is monotone the pairwise
+    loop's computed minimum is at least its computed slack for every pair.
+    Every term of the bound (ii) is nonnegative, so its computed value at the
+    maxima of spread, rho, s and nu is at least its computed value on any pair.
     """
     n, count = mats[0].shape[0], len(mats)
     unit = np.finfo(float).eps / 2
     gamma = n * unit / (1.0 - n * unit)  # relative rounding of a length-n dot product
     c = np.random.default_rng(_COMBINATION_SEED).uniform(1.0, 2.0, size=count)
-    combo = np.zeros((n, n))
+    combo, scratch = np.zeros((n, n)), np.empty((n, n))
     for cj, A in zip(c, mats):
-        combo += cj * A
+        combo += np.multiply(A, cj, out=scratch)
     try:
         _, Q = np.linalg.eigh(0.5 * (combo + combo.T))
     except np.linalg.LinAlgError:
@@ -268,16 +280,19 @@ def _shared_basis_certificate(mats, tol):
     d = np.empty((count, n))
     eps = np.empty(count)
     delta = np.empty(count)
-    nu = np.empty(count)
-    asym = np.empty(count)
+    nu = np.zeros(count)
+    asym = np.zeros(count)
+    P = combo  # no longer needed: the buffer of every product
     for j, A in enumerate(mats):
-        skew = A - A.T
-        asym[j] = skew.max()  # max |A - A^T|: its entries come in pairs s, -s
-        nu[j] = 0.5 * np.linalg.norm(skew)
-        S = A if asym[j] == 0.0 else 0.5 * (A + A.T)  # 0.5 (a + a) = a exactly
-        P = S @ Q
+        S = A
+        if not np.array_equal(A, A.T):
+            skew = A - A.T
+            asym[j] = skew.max()  # max |A - A^T|: its entries come in pairs s, -s
+            nu[j] = 0.5 * np.linalg.norm(skew)
+            S = 0.5 * (A + A.T)
+        np.matmul(S, Q, out=P)
         d[j] = np.einsum("ij,ij->j", Q, P)
-        P -= Q * d[j]  # the mass itself, not ||Q^T S Q||^2 - ||d||^2, which cancels
+        P -= np.multiply(Q, d[j], out=scratch)  # the mass itself, not ||Q^T S Q||^2 - ||d||^2
         eps[j] = np.linalg.norm(P)
         delta[j] = margin * np.linalg.norm(S)
     off_diagonal = float(eps.max())
@@ -289,6 +304,12 @@ def _shared_basis_certificate(mats, tol):
         return False, off_diagonal
     spread = hi - lo
     s = np.maximum(hi, -lo) + rho
+    steps = np.diff(d[np.argsort(d.sum(axis=1))], axis=0)
+    sag = -np.minimum(steps.min(axis=1), 0.0).sum()
+    w, r, v, g = spread.max(), rho.max(), s.max(), nu.max()
+    comm = w * r + w * r + 2.0 * r * r + 2.0 * (v * g + v * g + g * g)  # the loop's terms
+    if sag + 2.0 * r <= tol / 2 and comm <= tol:
+        return True, off_diagonal
     for j in range(count - 1):
         k = slice(j + 1, None)
         comm = (

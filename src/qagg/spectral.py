@@ -219,7 +219,13 @@ def _orthogonality_defect(U: np.ndarray) -> float:
 
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular L by halves; numpy has no triangular inverse."""
+    """Inverse of a lower-triangular L by halves; numpy has no triangular inverse.
+
+    A diagonal L (p nonzero entries, as for every diagonal penalty) is inverted
+    entrywise, as np.linalg.inv inverts it.
+    """
+    if np.count_nonzero(L) == L.shape[0]:
+        return np.diag(1.0 / np.diag(L))
     k = L.shape[0] // 2
     if k < 32:
         return np.linalg.inv(L)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -285,6 +286,20 @@ class TestInstance:
         coords = fam.basis.T @ instance.truth.mu
         assert abs(coords[2] - 4.0) < 1e-10
         assert np.abs(np.delete(coords, 2)).max() < 1e-10
+
+
+    def test_explicit_mean_is_the_ground_truth(self, rng):
+        values = rng.standard_normal(24)
+        cfg = small_config(
+            scenario=ScenarioSpec(
+                n=24, sigma=1.0, mean=MeanSpec(shape="explicit", values=tuple(values))
+            ),
+            replicates=10,
+        )
+        report = run_experiment(cfg)
+        risks = member_risks(build_instance(cfg).candidates, GroundTruth(mu=values, sigma=1.0))
+        assert report.oracle_member == int(np.argmin(risks))
+        assert report.oracle_risk == float(risks.min())
 
 
 class TestRunExperiment:
@@ -635,7 +650,7 @@ class TestSweepSharing:
             self.sweep(kind)
             assert sorted(draws) == list(range(replicates))
             assert len(factorizations) == builds
-        assert qagg.bench._sweep_store is None
+        assert qagg.bench._sweep_store.get() is None
 
     @pytest.mark.parametrize("kind", ["M", "q"])
     def test_noise_past_the_store_cap_is_drawn_again(self, kind, monkeypatch, tmp_path):
@@ -664,7 +679,7 @@ class TestSweepSharing:
 
         def run_and_look(cfg, **kwargs):
             report = run(cfg, **kwargs)
-            kept.append(sorted(qagg.bench._sweep_store["noise"]))
+            kept.append(sorted(qagg.bench._sweep_store.get()["noise"]))
             return report
 
         monkeypatch.setattr(qagg.bench, "_replicate_rng",
@@ -706,7 +721,7 @@ class TestSweepSharing:
         def fail_second(cfg, *, threads=1, mu_override=None):
             if seen:
                 raise ConfigError("key 'scenario': failed on purpose")
-            store = qagg.bench._sweep_store
+            store = qagg.bench._sweep_store.get()
             seen.append((sorted(key for key in store if key != "noise"), len(store["noise"])))
             return run(cfg, threads=threads, mu_override=mu_override)
 
@@ -715,11 +730,43 @@ class TestSweepSharing:
             regret_vs_M_sweep(small_config(replicates=5), [2, 4])
         # the reference grid's family, on the identity penalty, was shared; no noise yet
         assert seen == [([np.ones(10).tobytes()], 0)]
-        assert qagg.bench._sweep_store is None
+        assert qagg.bench._sweep_store.get() is None
+
+    def test_a_run_in_another_thread_sees_none_of_the_store(self, monkeypatch):
+        # the sweep pauses after its reference build, which keeps seed 1's identity
+        # family; a plain run of seed 7 on the same shapes goes through meanwhile in
+        # this thread, and then the sweep goes on.  Neither reads what the other keeps.
+        sweep_cfg = small_config(replicates=40, seed=1)
+        run_cfg = replace(sweep_cfg, seed=7)
+        alone = [*regret_vs_M_sweep(sweep_cfg, [2, 6]), run_experiment(run_cfg)]
+        build, paused, resume = qagg.bench.build_instance, threading.Event(), threading.Event()
+
+        def pause_once(cfg, mu_override=None):
+            instance = build(cfg, mu_override=mu_override)
+            if threading.current_thread() is sweeper and not paused.is_set():
+                paused.set()
+                resume.wait(60)
+            return instance
+
+        monkeypatch.setattr(qagg.bench, "build_instance", pause_once)
+        swept = []
+        sweeper = threading.Thread(
+            target=lambda: swept.extend(regret_vs_M_sweep(sweep_cfg, [2, 6])))
+        sweeper.start()
+        try:
+            assert paused.wait(60)
+            beside = run_experiment(run_cfg)
+        finally:
+            resume.set()
+            sweeper.join(60)
+        assert not sweeper.is_alive() and len(swept) == 2
+        for a, b in zip([*swept, beside], alone):
+            assert replace(a, runtime_seconds=0.0) == replace(b, runtime_seconds=0.0)
+        assert qagg.bench._sweep_store.get() is None
 
     def test_a_single_run_keeps_nothing(self):
         run_experiment(small_config(replicates=5))
-        assert qagg.bench._sweep_store is None
+        assert qagg.bench._sweep_store.get() is None
 
 
 class TestReports:

@@ -24,6 +24,10 @@ from qagg.spectral import (
 )
 
 
+# Python 3.10, which requires-python admits, has no tomllib, and cli.py refuses TOML there
+needs_tomllib = pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is Python >= 3.11")
+
+
 @pytest.fixture
 def toy_inputs(tmp_path, rng):
     X = rng.standard_normal((5, 3))
@@ -155,6 +159,12 @@ class TestAggregateCommand:
             ({"--sigma": "-1.0"}, "--sigma"),
             ({"--lambdas": "geom:1:0.1:4"}, "--lambdas"),
             ({"--lambdas": "1.0,1.0"}, "--lambdas"),
+            ({"--lambdas": "geom:1:10"}, "--lambdas"),
+            ({"--lambdas": "geom:a:10:4"}, "--lambdas"),
+            ({"--lambdas": "geom:1:10:0"}, "--lambdas"),
+            ({"--lambdas": "geom:0:10:4"}, "--lambdas"),
+            ({"--lambdas": "1.0,abc"}, "--lambdas"),
+            ({"--lambdas": ","}, "--lambdas"),
             ({"--sigma": "inf"}, "--sigma"),
             ({"--sigma": "1e200"}, "--sigma"),
             ({"--sigma": "1e-200"}, "--sigma"),
@@ -502,6 +512,22 @@ class TestValidateCommand:
         ]
         assert captured.err.startswith("decided by: shared-basis check (largest off-diagonal")
 
+    def test_npy_stack(self, tmp_path, rng, capsys):
+        # a 3-d .npy: an ordered stack passes every axiom, a non-commuting one exits 1
+        w = np.sort(rng.uniform(0.0, 1.0, size=(3, 6)), axis=0)
+        bases = [np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(3)]
+        path = tmp_path / "stack.npy"
+        np.save(path, np.stack([(bases[0] * w[j]) @ bases[0].T for j in range(3)]))
+        assert main(["validate", "--matrices", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "axiom (i) symmetric with spectrum in [0, 1]: PASS",
+            "axiom (ii) pairwise commutation: PASS",
+            "axiom (iii) pairwise semidefinite ordering: PASS",
+        ]
+        np.save(path, np.stack([(Q * w[j]) @ Q.T for j, Q in enumerate(bases)]))
+        assert main(["validate", "--matrices", str(path)]) == 1
+        assert "axiom (ii) pairwise commutation: FAIL" in capsys.readouterr().out
+
     def test_shape_header_checked(self, tmp_path, capsys):
         path = tmp_path / "mats.csv"
         rows = "\n".join(",".join("1.0" for _ in range(2)) for _ in range(4))
@@ -665,6 +691,7 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("error: --sweep q: the config has no 'sweep.q'")
         assert not out.exists()
 
+    @needs_tomllib
     def test_toml_config_matches_json(self, tmp_path):
         json_config = bench_config(tmp_path, sweep={"M": [2, 5]})
         toml_config = tmp_path / "config.toml"
@@ -682,6 +709,7 @@ class TestBenchCommand:
         csv = [(tmp_path / kind / "reports.csv").read_bytes() for kind in ("json", "toml")]
         assert csv[0] == csv[1]
 
+    @needs_tomllib
     def test_invalid_toml_exits_2_naming_config(self, tmp_path, capsys):
         config = tmp_path / "config.toml"
         config.write_text("label = \n")
@@ -690,6 +718,14 @@ class TestBenchCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --config: invalid TOML")
         assert not out.exists()
+
+    def test_toml_config_without_tomllib_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
+        config = tmp_path / "config.toml"
+        config.write_text('label = "cli"\n')
+        code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --config: TOML configs need Python")
 
     def test_bad_config_key_named(self, tmp_path, capsys):
         config = bench_config(tmp_path, bogus=1)

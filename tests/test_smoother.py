@@ -18,7 +18,9 @@ from qagg.aggregate import solve_q_aggregation
 from qagg.smoother import (
     FamilyUnion,
     GroundTruth,
+    _COMBINATION_SEED,
     _check_ordered_pairwise,
+    _shared_basis_certificate,
     check_ordered,
     member_risks,
     oracle_index,
@@ -299,6 +301,111 @@ class TestCheckOrderedMatchesPairwise:
         report = check_ordered(mats, tol=1e-8)
         assert report.passed and report.method == "shared-basis"
         assert report.off_diagonal < 1e-12
+
+
+def all_pairs_certificate(mats, tol):
+    """The shared-basis certificate with A - A^T formed for every member and every
+    pair bounded in turn: the reference _shared_basis_certificate's outputs equal."""
+    n, count = mats[0].shape[0], len(mats)
+    unit = np.finfo(float).eps / 2
+    gamma = n * unit / (1.0 - n * unit)
+    c = np.random.default_rng(_COMBINATION_SEED).uniform(1.0, 2.0, size=count)
+    combo = np.zeros((n, n))
+    for cj, A in zip(c, mats):
+        combo += cj * A
+    try:
+        _, Q = np.linalg.eigh(0.5 * (combo + combo.T))
+    except np.linalg.LinAlgError:
+        return False, None
+    eta = float(np.linalg.norm(Q.T @ Q - np.eye(n))) + n * gamma
+    margin = 4.0 * (eta + np.sqrt(n) * gamma)
+    d = np.empty((count, n))
+    eps, delta, nu, asym = (np.empty(count) for _ in range(4))
+    for j, A in enumerate(mats):
+        skew = A - A.T
+        asym[j] = skew.max()
+        nu[j] = 0.5 * np.linalg.norm(skew)
+        S = A if asym[j] == 0.0 else 0.5 * (A + A.T)
+        P = S @ Q
+        d[j] = np.einsum("ij,ij->j", Q, P)
+        P -= Q * d[j]
+        eps[j] = np.linalg.norm(P)
+        delta[j] = margin * np.linalg.norm(S)
+    off_diagonal = float(eps.max())
+    if not eta < 0.25:
+        return False, off_diagonal
+    rho = eps / (1.0 - eta) + delta
+    lo, hi = d.min(axis=1), d.max(axis=1)
+    if not np.all((asym <= tol) & (lo - rho >= -tol) & (hi + rho <= 1.0 + tol)):
+        return False, off_diagonal
+    spread = hi - lo
+    s = np.maximum(hi, -lo) + rho
+    for j in range(count - 1):
+        k = slice(j + 1, None)
+        comm = (
+            spread[j] * rho[k]
+            + spread[k] * rho[j]
+            + 2.0 * rho[j] * rho[k]
+            + 2.0 * (s[j] * nu[k] + s[k] * nu[j] + nu[j] * nu[k])
+        )
+        diff = d[k] - d[j]
+        slack = rho[k] + rho[j] - tol
+        ordered = (diff.min(axis=1) >= slack) | (-diff.max(axis=1) >= slack)
+        if not (np.all(comm <= tol) and np.all(ordered)):
+            return False, off_diagonal
+    return True, off_diagonal
+
+
+def certificate_case(rng, kind):
+    """A random stack of one kind for the certificate's equivalence test."""
+    n, M = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+    if kind == "ordered":  # an ordered stack, members shuffled
+        mats = rotated(rng, *np.sort(rng.uniform(0.0, 1.0, size=(M, n)), axis=0))
+        return [mats[j] for j in rng.permutation(M)]
+    if kind == "ties":  # repeated members and repeated eigenvalues
+        w = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0], size=(M, n)), axis=0)
+        mats = rotated(rng, *w)
+        return mats + [mats[int(rng.integers(M))] for _ in range(int(rng.integers(1, 4)))]
+    if kind == "nested":  # projections onto nested coordinate subspaces of one basis
+        sizes = rng.integers(0, n + 1, size=M)
+        return rotated(rng, *[(np.arange(n) < k).astype(float) for k in sizes])
+    if kind == "low-rank":
+        p = int(rng.integers(1, 9))
+        lambdas = np.sort(rng.uniform(0.0, 50.0, size=M))
+        return tikhonov_stack(rng, max(n, 2), p, lambdas, rank=int(rng.integers(1, 3)))
+    if kind == "crossing":  # commuting; the first two spectra cross by 0.1 or more
+        w = rng.uniform(0.0, 1.0, size=(max(M, 2), max(n, 2)))
+        w[:2, :2] = [[0.6, 0.2], [0.4, 0.3]]
+        return rotated(rng, *w)
+    if kind == "skewed":  # an ordered stack, one member 1e-12 off symmetric
+        spectra = np.sort(rng.uniform(0.0, 1.0, size=(M, n)), axis=0)
+        mats = rotated(rng, *spectra)
+        skew = rng.standard_normal((n, n))
+        mats[int(rng.integers(M))] += 1e-12 * (skew - skew.T)
+        return mats
+    # non-commuting: ordered spectra in two bases
+    w = np.sort(rng.uniform(0.0, 1.0, size=(2, max(n, 2))), axis=0)
+    return rotated(rng, w[0]) + rotated(rng, w[1])
+
+
+class TestCertificateMatchesAllPairs:
+    """The sorted pass decides nothing the all-pairs bound would decide otherwise."""
+
+    KINDS = ("ordered", "ties", "nested", "low-rank", "crossing", "skewed", "non-commuting")
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-14])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_outputs_as_all_pairs(self, rng, kind, tol):
+        certified = 0
+        for _ in range(60):
+            mats = certificate_case(rng, kind)
+            got = _shared_basis_certificate(mats, tol)
+            assert got == all_pairs_certificate(mats, tol)
+            certified += got[0]
+        if tol == 1e-8 and kind in ("ordered", "ties", "nested", "low-rank", "skewed"):
+            assert certified == 60
+        if kind in ("crossing", "non-commuting"):
+            assert certified == 0
 
 
 class TestExactRisk:

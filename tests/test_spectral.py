@@ -216,6 +216,12 @@ class TestFactorizationRoutes:
         assert np.array_equal(L_inv, np.tril(L_inv))
         assert np.abs(L_inv @ L - np.eye(p)).max() < 1e-12
 
+    @pytest.mark.parametrize("p", [1, 50, 64, 150])
+    @pytest.mark.parametrize("exponent", [0.0, 1.5, 3.0])  # identity and diag-power penalties
+    def test_diagonal_inverse_is_the_general_inverse(self, p, exponent):
+        L = np.linalg.cholesky(np.diag(np.arange(1.0, p + 1.0) ** exponent))
+        assert spectral._tril_inv(L).tobytes() == np.linalg.inv(L).tobytes()
+
     def test_ill_conditioned_takes_svd(self, rng):
         X = ill_conditioned_design(rng, 30, 6, cond=1e6)
         problem = DesignProblem(X=X, K=np.eye(6), lambdas=np.geomspace(1e-4, 10.0, 5))
