@@ -500,10 +500,15 @@ def select_cp(family_or_union, y: np.ndarray, sigma: float) -> int:
     return int(np.argmin(cp_values(family_or_union, y, sigma)))
 
 
+def _gcv_degenerate(candidates) -> np.ndarray:
+    """The members GCV excludes: trace A_j >= n - 1e-8 n, a degenerate denominator."""
+    return candidates.df >= candidates.n - 1e-8 * candidates.n
+
+
 def _gcv_scores(resp: _Response) -> np.ndarray:
     """GCV score of every member, inf where trace A_j >= n - 1e-8 n."""
     n, df = resp.candidates.n, resp.candidates.df
-    degenerate = df >= n - 1e-8 * n
+    degenerate = _gcv_degenerate(resp.candidates)
     for j in np.flatnonzero(degenerate):
         warnings.warn(
             f"excluding member {j} from GCV selection: trace {df[j]:.6g} "

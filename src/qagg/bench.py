@@ -54,6 +54,7 @@ from qagg.aggregate import (
     SOLVE_STAGES,
     _block_solve,
     _cp,
+    _gcv_degenerate,
     _gcv_scores,
     _response,
     _softmax,
@@ -685,6 +686,9 @@ def run_experiment(
     """
     t0 = time.perf_counter()
     instance = build_instance(config, mu_override=mu_override)
+    if "gcv" in config.methods and _gcv_degenerate(instance.candidates).all():
+        raise ConfigError("key 'methods' lists 'gcv', which is undefined here: every member "
+                          "has trace within 1e-8 n of n")
     mu_pass = _response(instance.candidates, instance.truth.mu)  # one pass for every block
     block = functools.partial(_replicate_block, instance, config, mu_pass)
     starts = range(0, config.replicates, _block_width(config))

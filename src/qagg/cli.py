@@ -48,9 +48,7 @@ class InputError(Exception):
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _utcnow() -> str:
@@ -61,90 +59,69 @@ def _utcnow() -> str:
 # input parsing
 
 
-def _read_rows(path: Path, field: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """Load a CSV (optional '# shape ...' comment header) or .npy array of finite numbers."""
+def _read(path: Path, field: str, read):
+    """read(path), with a missing or unreadable file reported as InputError(field)."""
     if not path.exists():
         raise InputError(f"{field}: file not found: {path}")
-    declared = None
     try:
-        if path.suffix == ".npy":
-            data = np.asarray(np.load(path), dtype=float)
-        else:
-            with open(path) as fh:
-                first = fh.readline().strip()
-            if first.startswith("#"):
-                tokens = first.lstrip("#").replace(",", " ").split()
-                if tokens and all(t.lstrip("-").isdigit() for t in tokens):
-                    declared = tuple(int(t) for t in tokens)
-            with warnings.catch_warnings():  # an empty file is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except (OSError, ValueError, EOFError) as exc:
-        raise InputError(f"{field}: could not parse {path}: {exc}") from exc
+        return read(path)
+    except (OSError, ValueError, EOFError) as exc:  # UnicodeDecodeError is a ValueError
+        raise InputError(f"{field}: could not read {path}: {exc}") from exc
+
+
+def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...] | None]:
+    """A CSV's rows and the shape its first line declares as '# d1 d2 ...', if it does."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+    tokens = first.lstrip("#").replace(",", " ").split()
+    declared = None
+    if first.startswith("#") and tokens and all(t.lstrip("-").isdigit() for t in tokens):
+        declared = tuple(int(t) for t in tokens)
+    with warnings.catch_warnings():  # an empty file is reported by the caller
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=",", comments="#", ndmin=2), declared
+
+
+_KINDS = {1: "a vector", 2: "a 2-d matrix", 3: "a stack of square matrices"}
+
+
+def _load_array(path: Path, field: str, ndim: int) -> np.ndarray:
+    """A nonempty array of finite numbers from a CSV or .npy file, frozen in place.
+
+    ndim 1 reads a vector (a column, a row or a 1-d .npy), 2 a matrix and 3 a stack of
+    square n x n matrices (count * n CSV rows of n columns, or a 3-d .npy). A CSV may open
+    with a shape header: '# n' or the rows' shape for a vector, the shape for a matrix and
+    '# count n n' for a stack. Frozen, the array is kept uncopied by the library.
+    """
+    if path.suffix == ".npy":
+        data, declared = _read(path, field, lambda p: np.asarray(np.load(p), dtype=float)), None
+    else:
+        data, declared = _read(path, field, _read_csv)
     if not np.all(np.isfinite(data)):
         raise InputError(f"{field}: {path} contains a non-finite value (nan or inf)")
+    if data.size == 0:
+        raise InputError(f"{field}: {path} is empty (shape {data.shape})")
     array = data
-    while isinstance(array, np.ndarray):  # frozen in place, so the library keeps it uncopied
+    while isinstance(array, np.ndarray):
         array.setflags(write=False)
         array = array.base
-    return data, declared
-
-
-def _load_matrix(path: Path, field: str) -> np.ndarray:
-    data, declared = _read_rows(path, field)
-    if data.ndim != 2:
-        raise InputError(f"{field}: expected a 2-d matrix in {path}, got shape {data.shape}")
-    if declared is not None and tuple(declared) != data.shape:
-        raise InputError(
-            f"{field}: shape header {declared} does not match data shape {data.shape}"
-        )
-    return data
-
-
-def _load_vector(path: Path, field: str) -> np.ndarray:
-    """A vector: a column, a row or a 1-d .npy; a shape header reads 'n' or the data's shape."""
-    data, declared = _read_rows(path, field)
-    if declared is not None and declared not in ((data.size,), data.shape):
-        raise InputError(
-            f"{field}: shape header {declared} does not match data shape {data.shape}"
-        )
-    if data.ndim == 2 and 1 in data.shape:
-        data = data.ravel()
-    if data.ndim != 1:
-        raise InputError(f"{field}: expected a vector in {path}, got shape {data.shape}")
-    return data
-
-
-def _load_matrix_list(path: Path, field: str) -> list[np.ndarray]:
-    """A stack of k square n x n blocks: k*n CSV rows of n columns, or a 3-d .npy."""
-    data, declared = _read_rows(path, field)
-    if data.ndim not in (2, 3):
-        raise InputError(f"{field}: expected stacked square matrices, got shape {data.shape}")
-    if data.size == 0:
-        raise InputError(f"{field}: the stack in {path} is empty (shape {data.shape})")
-    if data.ndim == 3:
-        if data.shape[1] != data.shape[2]:
-            raise InputError(
-                f"{field}: expected a stack of square matrices in {path}, got blocks of "
-                f"{data.shape[1]} x {data.shape[2]}"
-            )
-        return list(data)
-    n = data.shape[1]
-    if declared is not None:
+    rows = declared
+    if ndim == 3 and declared is not None:
         if len(declared) != 3 or declared[1] != declared[2]:
             raise InputError(f"{field}: shape header must read 'count n n', got {declared}")
-        count, size = declared[0], declared[1]
-        if data.shape != (count * size, size):
-            raise InputError(
-                f"{field}: shape header {declared} does not match {data.shape[0]} rows "
-                f"of {n} columns"
-            )
-        n = size
-    if data.shape[0] % n != 0:
-        raise InputError(
-            f"{field}: {data.shape[0]} rows of {n} columns do not stack into square matrices"
-        )
-    return [data[i : i + n] for i in range(0, data.shape[0], n)]
+        rows = (declared[0] * declared[1], declared[2])  # count * n rows of n columns
+    if rows not in (None, data.shape) and (ndim != 1 or rows != (data.size,)):
+        raise InputError(f"{field}: shape header {declared} does not match data shape {data.shape}")
+    if ndim == 1 and data.ndim == 2 and 1 in data.shape:
+        data = data.ravel()
+    elif ndim == 3 and data.ndim == 2:
+        k, n = data.shape
+        if k % n:
+            raise InputError(f"{field}: {k} rows of {n} columns do not stack into square matrices")
+        data = data.reshape(-1, n, n)
+    if data.ndim != ndim or (ndim == 3 and data.shape[1] != data.shape[2]):
+        raise InputError(f"{field}: expected {_KINDS[ndim]} in {path}, got shape {data.shape}")
+    return data
 
 
 def _parse_lambdas(text: str) -> np.ndarray:
@@ -175,6 +152,15 @@ def _parse_lambdas(text: str) -> np.ndarray:
 # subcommands
 
 
+def _output_dir(path: str) -> Path:
+    """The --output directory, made with its parents; an OSError is reported as InputError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--output: {exc}") from exc
+    return Path(path)
+
+
 @contextlib.contextmanager
 def _reported(field: str):
     """Report a library ValueError as malformed input under field; main reports a LinAlgError."""
@@ -187,10 +173,8 @@ def _reported(field: str):
 
 
 def cmd_aggregate(args) -> int:
-    X = _load_matrix(Path(args.design), "--design")
-    y = _load_vector(Path(args.response), "--response")
-    if X.size == 0:
-        raise InputError(f"--design: the design in {args.design} is empty (shape {X.shape})")
+    X = _load_array(Path(args.design), "--design", 2)
+    y = _load_array(Path(args.response), "--response", 1)
     if y.size != X.shape[0]:
         raise InputError(
             f"--response: length {y.size} does not match design rows {X.shape[0]}"
@@ -198,7 +182,7 @@ def cmd_aggregate(args) -> int:
     if args.penalty == "identity":
         K = np.eye(X.shape[1])
     else:
-        K = _load_matrix(Path(args.penalty), "--penalty")
+        K = _load_array(Path(args.penalty), "--penalty", 2)
     lambdas = _parse_lambdas(args.lambdas)
     with _reported("--sigma"):
         _check_sigma(args.sigma, X.shape[0])
@@ -213,8 +197,7 @@ def cmd_aggregate(args) -> int:
     cp = cp_values(resp.candidates, resp, args.sigma)
     coefficients = recover_coefficients(family, report.weights)
 
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.output)
     payload = {
         "tool_version": qagg.__version__,
         "sigma": args.sigma,
@@ -253,9 +236,7 @@ def cmd_aggregate(args) -> int:
 
 
 def _load_config(path: Path) -> dict:
-    if not path.exists():
-        raise InputError(f"--config: file not found: {path}")
-    text = path.read_text()
+    text = _read(path, "--config", Path.read_text)
     if path.suffix == ".toml":
         try:
             import tomllib
@@ -300,8 +281,7 @@ def cmd_bench(args) -> int:
     except ConfigError as exc:
         raise InputError(f"--config: {exc}") from exc
 
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.output)
     written = []
     for report in reports:
         name = f"report_{report.label}.json"
@@ -332,7 +312,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    matrices = _load_matrix_list(Path(args.matrices), "--matrices")
+    matrices = _load_array(Path(args.matrices), "--matrices", 3)
     with _reported("--tol"):  # the stack is square and nonempty, so only tol can fail
         report = check_ordered(matrices, tol=args.tol)
     if report.off_diagonal is None:

@@ -187,7 +187,8 @@ def check_ordered(matrices, tol: float = 1e-8) -> OrderedCheckReport:
     eigenbasis of one positive combination of the members, at the cost
     of one eigh plus one matrix product per member.  Only when that
     proof fails does the pairwise check run (an eigvalsh and a commutator
-    per pair); it alone reports failures.
+    per pair); it alone reports failures.  A matrix holding nan or inf is
+    refused by the proof and then rejected with a ValueError.
     """
     mats = _square_stack(matrices)
     if not 0 < tol < np.inf:
@@ -202,6 +203,9 @@ def check_ordered(matrices, tol: float = 1e-8) -> OrderedCheckReport:
             method="shared-basis",
             off_diagonal=off_diagonal,
         )
+    for idx, A in enumerate(mats):  # refused by the proof; the pairwise check would pass a nan
+        if not np.all(np.isfinite(A)):
+            raise ValueError(f"matrix {idx} must be finite, got a nan or inf entry")
     return replace(_check_ordered_pairwise(mats, tol), off_diagonal=off_diagonal)
 
 

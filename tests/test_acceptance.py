@@ -33,6 +33,7 @@ from qagg.bench import (
     FamilySpec,
     GridSpec,
     MeanSpec,
+    PenaltySpec,
     ScenarioSpec,
     build_instance,
     regret_vs_M_sweep,
@@ -74,18 +75,33 @@ def m_sweep():
         seed=20240811,
         label="ac2",
     )
+    t0 = time.perf_counter()
+    reports = regret_vs_M_sweep(valley_config(probe), [2, 10, 100, 1000], threads=2)
+    return reports, time.perf_counter() - t0
+
+
+def valley_config(probe):
+    """probe with its one family's grid pinned to the risk valley of its dense grid."""
     instance = build_instance(probe)
     risks = member_risks(instance.candidates, instance.truth)
     lams = instance.candidates.lambdas
     valley = risks <= instance.oracle_risk + 2.0 * SIGMA**2
     lo, hi = float(lams[valley][0]), float(lams[valley][-1])
-    config = replace(
-        probe,
-        families=(FamilySpec(p=50, grid=GridSpec(min=lo, max=hi, count=20, absolute=True)),),
-    )
-    t0 = time.perf_counter()
-    reports = regret_vs_M_sweep(config, [2, 10, 100, 1000], threads=2)
-    return reports, time.perf_counter() - t0
+    grid = GridSpec(min=lo, max=hi, count=20, absolute=True)
+    return replace(probe, families=(replace(probe.families[0], grid=grid),))
+
+
+def check_m_sweep(reports):
+    """AC-2's bound and trend rule on an M sweep: (regret per M, trend, trend limit)."""
+    regrets = {r.member_total: r.stats["q_agg"] for r in reports}
+    for M, s in regrets.items():
+        assert s.regret < 10.0 * SIGMA**2, f"regret {s.regret:.3f} at M={M}"
+    small, large = regrets[min(regrets)], regrets[max(regrets)]
+    combined = float(np.hypot(small.ci_half_width, large.ci_half_width))
+    diff = large.regret - small.regret
+    assert diff <= 2.0 * SIGMA**2 + 2.0 * combined
+    assert sum(r.solver_failures for r in reports) == 0
+    return regrets, diff, 2.0 * SIGMA**2 + 2.0 * combined
 
 
 @pytest.fixture(scope="module")
@@ -151,21 +167,14 @@ def test_ac1_exactness_stack():
 def test_ac2_regret_independent_of_grid_size(m_sweep):
     """Aggregation regret stays bounded and flat as the grid refines."""
     reports, elapsed = m_sweep
-    regrets = {r.member_total: r.stats["q_agg"] for r in reports}
-    for M, s in regrets.items():
-        assert s.regret < 10.0 * SIGMA**2, f"regret {s.regret:.3f} at M={M}"
-    small, large = regrets[2], regrets[1000]
-    combined = float(np.hypot(small.ci_half_width, large.ci_half_width))
-    diff = large.regret - small.regret
-    assert diff <= 2.0 * SIGMA**2 + 2.0 * combined
-    assert sum(r.solver_failures for r in reports) == 0
+    regrets, diff, limit = check_m_sweep(reports)
     # on this grid the block's vertex and segment stages decide every draw
     assert all(r.solve_stages["active_set"] == 0 for r in reports)
     assert all(sum(r.solve_stages.values()) == r.replicates for r in reports)
     assert elapsed < 1800.0
     summary = ", ".join(f"M={M}: {s.regret:+.3f}±{s.ci_half_width:.3f}" for M, s in regrets.items())
     print(f"\nAC-2 grid-size independence: PASS ({summary}; trend {diff:+.3f} "
-          f"<= {2 + 2 * combined:.3f}; {elapsed:.0f}s)")
+          f"<= {limit:.3f}; {elapsed:.0f}s)")
 
 
 def test_ac3_regret_scales_with_log_family_count(q_sweep):
@@ -368,3 +377,44 @@ def test_ac9_bench_outputs_deterministic(tmp_path):
     )
     assert plain_equal and sweep_equal
     print("\nAC-9 determinism: PASS (plain and sweep CSVs byte-identical across runs)")
+
+
+AC11_MEANS = {
+    "decay 0.5": MeanSpec(shape="spectral-decay", rate=0.5, target_risk=20.0 * SIGMA**2),
+    "decay 2": MeanSpec(shape="spectral-decay", rate=2.0, target_risk=20.0 * SIGMA**2),
+    "spike 3": MeanSpec(shape="single-spike", coordinate=3, target_risk=20.0 * SIGMA**2),
+}
+
+
+def test_ac11_regret_flat_in_M_across_scenarios():
+    """AC-2's bound and trend hold across penalties, means and shapes (n, p)."""
+    t0 = time.perf_counter()
+    rows = []
+    for (n, p) in ((100, 50), (60, 100)):
+        for exponent in (0.0, 1.5, 3.0):
+            for name, mean in AC11_MEANS.items():
+                penalty = PenaltySpec(kind="diag-power", exponent=exponent)
+                probe = ExperimentConfig(
+                    scenario=ScenarioSpec(n=n, sigma=SIGMA, mean=mean),
+                    families=(FamilySpec(p=p, penalty=penalty,
+                                         grid=GridSpec(min=1e-3, max=1e3, count=1024)),),
+                    replicates=2000,
+                    seed=20240821 + len(rows),
+                    methods=("q_agg", "cp_select", "exp_weights"),
+                    label="ac11",
+                )
+                reports = regret_vs_M_sweep(valley_config(probe), [2, 10, 100, 1000])
+                regrets, diff, limit = check_m_sweep(reports)
+                worst = {m: max(r.stats[m].regret for r in reports)
+                         for m in ("q_agg", "cp_select", "exp_weights")}
+                rows.append((n, p, exponent, name, worst, diff, limit))
+    elapsed = time.perf_counter() - t0
+    print("\nAC-11 regret flat in M across scenarios: PASS "
+          f"({len(rows)} scenarios, M = 2..1000, 2000 replicates, {elapsed:.1f}s); "
+          "worst regret over M, in sigma^2:")
+    print("| n | p | exponent | mean | q_agg | cp_select | exp_weights | trend (limit) |")
+    print("|---|---|---|---|---|---|---|---|")
+    for n, p, exponent, name, worst, diff, limit in rows:
+        print(f"| {n} | {p} | {exponent:g} | {name} | {worst['q_agg']:.3f} | "
+              f"{worst['cp_select']:.3f} | {worst['exp_weights']:.3f} | "
+              f"{diff:+.3f} ({limit:.3f}) |")

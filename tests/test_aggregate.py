@@ -244,6 +244,18 @@ class TestSimplexWeights:
         with pytest.raises(ValueError, match="nonnegative"):
             SimplexWeights([0.5, -0.5])
 
+    @pytest.mark.parametrize(
+        "theta, message",
+        [([[0.5, 0.5]], "weights must form a nonempty vector, got shape (1, 2)"),
+         ([0.5, np.nan], "weights must be finite"),
+         ([0.0, 0.0], "weights must have positive total mass")],
+        ids=["2-d", "non-finite", "zero-total"],
+    )
+    def test_rejects_malformed_weights_naming_them(self, theta, message):
+        with pytest.raises(ValueError) as info:
+            SimplexWeights(theta)
+        assert str(info.value) == message
+
 
 class TestCpCriterion:
     def test_zero_smoother_gives_response_norm(self, rng):

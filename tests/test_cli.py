@@ -15,7 +15,7 @@ from conftest import STRESS_CASES, member_matrix, random_spd, stress_problem
 
 import qagg
 from qagg.aggregate import cp_values, solve_q_aggregation
-from qagg.cli import _load_matrix, main
+from qagg.cli import InputError, _load_array, main
 from qagg.smoother import FamilyUnion
 from qagg.spectral import (
     DesignProblem,
@@ -370,6 +370,18 @@ class TestAggregateCommand:
         assert message in err
         assert "Traceback" not in err
 
+    def test_output_that_is_a_file_exits_2(self, tmp_path, toy_inputs, capsys):
+        _, _, design, response = toy_inputs
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main(["aggregate", "--design", str(design), "--response", str(response),
+                     "--lambdas", "1.0", "--sigma", "1.0", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --output:") and str(out) in err
+        assert "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
+
     def test_solver_observability_fields(self, tmp_path, toy_inputs):
         _, _, design, response = toy_inputs
         out = tmp_path / "out"
@@ -408,7 +420,7 @@ class TestAggregateCommand:
             np.save(path, X)
         else:
             np.savetxt(path, X, delimiter=",")
-        loaded = _load_matrix(path, "--design")
+        loaded = _load_array(path, "--design", 2)
         assert not loaded.flags.writeable
         assert np.shares_memory(DesignProblem(X=loaded, K=np.eye(3), lambdas=[1.0]).X, loaded)
 
@@ -528,6 +540,18 @@ class TestValidateCommand:
         assert main(["validate", "--matrices", str(path)]) == 1
         assert "axiom (ii) pairwise commutation: FAIL" in capsys.readouterr().out
 
+    def test_failed_eigh_reports_no_shared_basis(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        path = tmp_path / "mats.npy"
+        np.save(path, np.stack([0.5 * np.eye(3), np.eye(3)]))
+        assert main(["validate", "--matrices", str(path)]) == 0
+        assert capsys.readouterr().err == (
+            "decided by: pairwise check (no shared basis could be computed)\n"
+        )
+
     def test_shape_header_checked(self, tmp_path, capsys):
         path = tmp_path / "mats.csv"
         rows = "\n".join(",".join("1.0" for _ in range(2)) for _ in range(4))
@@ -579,6 +603,67 @@ class TestValidateCommand:
                 captured = capsys.readouterr()
                 assert captured.err.startswith("error: --tol:")
                 assert "PASS" not in captured.out
+
+
+def write_csv(text):
+    return lambda path: path.write_text(text)
+
+
+def write_npy(array):
+    return lambda path: np.save(path, array)
+
+
+class TestLoadArray:
+    @pytest.mark.parametrize(
+        "suffix, write, ndim, message",
+        [
+            (".csv", None, 2, "file not found: "),
+            (".csv", write_csv("not,numbers\n1,2\n"), 2, "could not read "),
+            (".npy", write_csv("1,2\n"), 2, "could not read "),
+            (".npy", write_npy(np.array([1.0, np.inf])), 1, "contains a non-finite value"),
+            (".csv", write_csv("1,nan\n"), 1, "contains a non-finite value"),
+            (".csv", write_csv(""), 1, "is empty (shape "),
+            (".npy", write_npy(np.zeros((0, 3))), 2, "is empty (shape (0, 3))"),
+            (".csv", write_csv("# 3 2\n1,1\n1,1\n1,1\n1,1\n1,1\n1,1\n"), 3,
+             "shape header must read 'count n n', got (3, 2)"),
+            (".csv", write_csv("# 3\n1\n2\n"), 1, "shape header (3,) does not match"),
+            (".csv", write_csv("# 2 2\n1,2\n"), 2, "shape header (2, 2) does not match"),
+            (".csv", write_csv("# 2 2 2\n1,1\n1,1\n1,1\n"), 3,
+             "shape header (2, 2, 2) does not match"),
+            (".csv", write_csv("1,1\n1,1\n1,1\n"), 3,
+             "3 rows of 2 columns do not stack into square matrices"),
+            (".csv", write_csv("1,2\n3,4\n"), 1, "expected a vector in "),
+            (".npy", write_npy(np.zeros(3) + 1.0), 2, "expected a 2-d matrix in "),
+            (".npy", write_npy(np.ones((2, 3, 4))), 3,
+             "expected a stack of square matrices in "),
+        ],
+        ids=["missing", "unparsable-csv", "unparsable-npy", "inf-npy", "nan-csv", "empty-csv",
+             "empty-npy", "stack-header-form", "vector-header", "matrix-header",
+             "stack-header", "ragged-stack", "matrix-as-vector", "vector-as-matrix",
+             "non-square-stack"],
+    )
+    def test_rejection_names_the_field(self, tmp_path, suffix, write, ndim, message):
+        path = tmp_path / f"input{suffix}"
+        if write is not None:
+            write(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected without a numpy warning
+            with pytest.raises(InputError) as info:
+                _load_array(path, "--field", ndim)
+        assert str(info.value).startswith("--field: ")
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, ndim, shape",
+        [("# 3\n1\n2\n3\n", 1, (3,)), ("# 1 3\n1,2,3\n", 1, (3,)),
+         ("# 2 2\n1,2\n3,4\n", 2, (2, 2)), ("# 2 1 1\n0.5\n1\n", 3, (2, 1, 1)),
+         ("1,0\n0,1\n0,0\n0,0\n", 3, (2, 2, 2))],
+    )
+    def test_accepted_shapes(self, tmp_path, text, ndim, shape):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        loaded = _load_array(path, "--field", ndim)
+        assert loaded.shape == shape and not loaded.flags.writeable
 
 
 class TestBenchCommand:
@@ -726,6 +811,45 @@ class TestBenchCommand:
         code = main(["bench", "--config", str(config), "--output", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --config: TOML configs need Python")
+
+    @pytest.mark.parametrize("kind", ["directory", "npy"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        config = tmp_path / "config"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config = tmp_path / "config.npy"
+            np.save(config, np.eye(3))
+        out = tmp_path / "o"
+        code = main(["bench", "--config", str(config), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: --config: could not read {config}:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_output_that_is_a_file_exits_2(self, tmp_path, capsys):
+        config = bench_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main(["bench", "--config", str(config), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --output:") and str(out) in err
+        assert "Traceback" not in err
+
+    def test_gcv_undefined_on_every_member_exits_2(self, tmp_path, capsys):
+        # n < p with a vanishing lambda: the one member interpolates, trace A = n
+        grid = {"min": 1e-12, "max": 1e-12, "count": 1, "absolute": True}
+        config = bench_config(tmp_path, scenario={"n": 10, "sigma": 1.0},
+                              families=[{"p": 20, "grid": grid}], methods=["gcv"])
+        out = tmp_path / "o"
+        code = main(["bench", "--config", str(config), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --config: key 'methods' lists 'gcv'")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_config_key_named(self, tmp_path, capsys):
         config = bench_config(tmp_path, bogus=1)

@@ -56,6 +56,10 @@ class TestGroundTruth:
     def test_dimension(self):
         assert GroundTruth(mu=np.zeros(4), sigma=1.0).n == 4
 
+    def test_mean_must_be_a_vector(self):
+        with pytest.raises(ValueError, match=r"mean must be a vector, got shape \(2, 2\)"):
+            GroundTruth(mu=np.zeros((2, 2)), sigma=1.0)
+
 
 def locate(union, j):
     """Map a global member index of a union to (family index, local index)."""
@@ -91,6 +95,23 @@ class TestFamilyUnion:
         assert union.offsets == (0, 2, 5)
         with pytest.raises(IndexError):
             locate(union, 5)
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [(lambda f, g: FamilyUnion(families=()), ValueError,
+          "a family union needs at least one family"),
+         (lambda f, g: FamilyUnion(families=(f, g)), ValueError,
+          "all families in a union must share the response dimension"),
+         (lambda f, g: FamilyUnion.of([f]), TypeError,
+          "expected SpectralFamily or FamilyUnion, got list")],
+        ids=["no-family", "mismatched-n", "not-a-family"],
+    )
+    def test_malformed_union_rejected_naming_it(self, rng, make, error, message):
+        f = build_tikhonov_family(random_problem(rng, 5, 3, 2))
+        g = build_tikhonov_family(random_problem(rng, 6, 3, 2))
+        with pytest.raises(error) as info:
+            make(f, g)
+        assert str(info.value) == message
 
 
 class TestCheckOrdered:
@@ -152,6 +173,26 @@ class TestCheckOrdered:
     def test_zero_size_matrices_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):
             check_ordered([np.zeros((0, 0)), np.zeros((0, 0))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_refused_by_the_certificate_and_rejected(self, value):
+        # every pairwise comparison with a nan is False: the pairwise check alone passes it
+        A = 0.5 * np.eye(3)
+        A[1, 2] = value
+        with np.errstate(all="ignore"):
+            assert _shared_basis_certificate([A, np.eye(3)], 1e-8)[0] is False
+            with pytest.raises(ValueError, match="matrix 1 must be finite"):
+                check_ordered([np.eye(3), A])
+
+    def test_failed_eigh_leaves_the_pairwise_check_without_a_basis(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        mats = [np.zeros((3, 3)), 0.5 * np.eye(3), np.eye(3)]
+        assert _shared_basis_certificate(mats, 1e-8) == (False, None)
+        report = check_ordered(mats)
+        assert report.passed and report.method == "pairwise" and report.off_diagonal is None
 
 
 def same_as_pairwise(mats, tol):

@@ -30,6 +30,20 @@ from qagg.spectral import (
 
 
 class TestDesignProblem:
+    @pytest.mark.parametrize(
+        "X, K, lambdas, message",
+        [(np.zeros((2, 2, 2)), np.eye(2), [1.0], "design matrix must be 2-d"),
+         (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2), [1.0],
+          "design matrix entries must be finite"),
+         (np.eye(2), np.diag([1.0, np.inf]), [1.0], "penalty matrix entries must be finite"),
+         (np.eye(2), np.eye(2), [], "lambda grid must be a nonempty 1-d sequence")],
+        ids=["3-d-design", "non-finite-design", "non-finite-penalty", "empty-grid"],
+    )
+    def test_rejected_input_is_named(self, X, K, lambdas, message):
+        with pytest.raises(ValueError) as info:
+            DesignProblem(X=X, K=K, lambdas=lambdas)
+        assert str(info.value).startswith(message)
+
     def test_lambdas_are_sorted(self):
         problem = DesignProblem(X=np.eye(3), K=np.eye(3), lambdas=[2.0, 0.5, 1.0])
         assert np.array_equal(problem.lambdas, [0.5, 1.0, 2.0])
@@ -437,7 +451,38 @@ class TestApplyMember:
             apply_member(family, 3, np.ones(5))
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [([0.5, 0.5], "expected weight vector of length 3, got shape (2,)"),
+     ([0.5, np.inf, 0.0], "weights must be finite")],
+    ids=["wrong-length", "non-finite"],
+)
+def test_make_weights_rejects_malformed_theta_naming_it(rng, small_family, theta, message):
+    _, family = small_family
+    with pytest.raises(ValueError) as info:
+        make_weights(family, theta, rng.standard_normal(5))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "basis, alphas, message",
+    [(np.eye(3)[:, :2], [[0.5, 0.5, 0.5]],
+      "inconsistent spectral shapes: basis (3, 2), alphas (1, 3)"),
+     (np.eye(3)[:, :2], [[0.5, 1.5]], "member eigenvalues must lie in [0, 1]")],
+    ids=["mismatched-shapes", "eigenvalue-above-1"],
+)
+def test_spectral_family_rejects_malformed_input_naming_it(basis, alphas, message):
+    with pytest.raises(ValueError) as info:
+        SpectralFamily(basis, alphas)
+    assert str(info.value).startswith(message)
+
+
 class TestRecoverCoefficients:
+    def test_weights_without_a_response_rejected(self, small_family):
+        _, family = small_family
+        with pytest.raises(ValueError, match="weights carry no response vector"):
+            recover_coefficients(family, SimplexWeights([0.2, 0.3, 0.5]))
+
     def test_vertex_recovers_single_member(self, rng, small_family):
         problem, family = small_family
         y = rng.standard_normal(5)
