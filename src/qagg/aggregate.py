@@ -15,22 +15,12 @@ certified by the first-order condition at the simplex vertices:
 min_k grad H(theta) . (e_k - theta) >= 0 at a global optimum, and a
 negative value bounds the suboptimality gap of any feasible point.
 
-Every member of a family is diagonal in the family's eigenbasis U_f, and
-every U_f = Q W_f lies in the span of the candidate set's one coordinate
-basis Q (FamilyUnion.coords, n x d; d = rank X for families on one design
-X).  So all per-response quantities (fits, c_j = ||A_j y - y||^2, the
-criteria and the QP data) depend on y only through t = Q^T y, the
-z_f = W_f^T t = U_f^T y and ||y||^2.  One pass computes them, and every
-public function accepts that pass in place of y.  A pass is always a block
-of responses, the columns of an n x B matrix, and one response is a block of
-one column: per-member arrays carry a leading block axis, each criterion is
-written once along the trailing member axis, and the public one-response
-functions read column 0.  The QP is posed in Q's d coordinates for one family
-and for a union alike, so a solve costs O((d + M) d) per pivot instead of
-anything involving dense n x n matrices.  One active-set method solves the
-QP for all columns of a pass at once (_block_solve): closed-form vertex and
-segment stages, then lockstep pivots (_active_set) on the columns they
-leave undecided; solve_q_aggregation runs it on its pass of one column.
+The QP is posed in the coordinates Q of the per-response pass
+(smoother._response), for one family and a union alike, so a pivot costs
+O((d + M) d) and never anything n x n.  _block_solve solves it for every
+column of a pass at once: closed-form vertex and segment stages, then
+lockstep pivots (_active_set) on the columns they leave undecided;
+solve_q_aggregation runs it on a pass of one column.
 """
 
 from __future__ import annotations
@@ -41,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qagg.smoother import FamilyUnion, _check_sigma
-from qagg.spectral import _check_response, _check_theta, _frozen_array
+from qagg.smoother import _check_sigma, _Response, _response, _sq_norms
+from qagg.spectral import _check_theta, _frozen_array
 
 __all__ = [
     "SimplexWeights",
@@ -123,116 +113,6 @@ class SolveReport:
     support: tuple[int, ...]
     ridge_fallbacks: int
     stalled_pivots: int
-
-
-@dataclass(frozen=True, eq=False)
-class _Response:
-    """The quantities of a response y that every method reads, computed once.
-
-    y is a block of responses, one per column (n, B); one response is a block
-    of one column.  Per-member arrays put the member axis last: resid_sq is (B, M).
-    The QP 1/2 ||phi^T theta - target||^2 + lin . theta + offset lives in the
-    candidates' coordinates Q (``coords``, n x d): target = Q^T y,
-    offset = ||P_Q_perp y||^2 / 2 and phi_j = W_f (alpha_j * z_f) for member
-    j of family f, with z_f = W_f^T target = U_f^T y and W_f = Q^T U_f
-    (``rotations``).  The active-set solve fetches the rows phi_j it pivots
-    on through qp_member_rows.
-    """
-
-    candidates: FamilyUnion
-    y: np.ndarray  # (n, B)
-    z: tuple[np.ndarray, ...]  # U_f^T y per family, (r_f, B)
-    perp: tuple[np.ndarray, ...]  # ||P_f_perp y||^2 per family, (B,)
-    resid_sq: np.ndarray  # c_j = ||A_j y - y||^2, globally indexed
-    target: np.ndarray  # Q^T y, (d, B)
-    offset: np.ndarray  # ||P_Q_perp y||^2 / 2, (B,)
-
-    def _parts(self):
-        """(family, W_f, z_f, first member, end) per family."""
-        cands = self.candidates
-        return zip(cands.families, cands.rotations, self.z, cands.offsets, cands.offsets[1:])
-
-    def qp_fit(self, theta: np.ndarray) -> np.ndarray:
-        """phi^T theta[b] in the QP's coordinates for theta (B, M), one column per b."""
-        fit = None
-        for fam, W, z, lo, hi in self._parts():
-            part = W @ ((fam.alphas.T @ theta[:, lo:hi].T) * z)
-            fit = part if fit is None else fit + part
-        return fit
-
-    def qp_grad(self, resid: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """phi resid in the QP's coordinates, (M, B'), for residuals (d, B') of columns cols."""
-        return np.concatenate(
-            [fam.alphas @ (z[:, cols] * (W.T @ resid)) for fam, W, z, *_ in self._parts()]
-        )
-
-    def _member_groups(self, cols: np.ndarray, members: np.ndarray):
-        """(k, positions i, rows alpha_j * z_k[:, cols[i]]) per family k holding some members[i]."""
-        cands = self.candidates
-        fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
-        # the families present; np.unique would import numpy.ma (10 ms, 0.5 MiB) on first use
-        for k in np.flatnonzero(np.bincount(fam_of, minlength=cands.q)):
-            sel = np.flatnonzero(fam_of == k)
-            alphas = cands.families[k].alphas[members[sel] - cands.offsets[k]]
-            yield k, sel, alphas * self.z[k][:, cols[sel]].T
-
-    def qp_member_rows(self, cols: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """Row phi_j of block column b for each (b, j) in zip(cols, members), as (len, d)."""
-        rows = np.empty((members.size, self.candidates.coords.shape[1]))
-        for k, sel, spectral in self._member_groups(cols, members):
-            rows[sel] = spectral @ self.candidates.rotations[k].T
-        return rows
-
-    def member_losses(self, members: np.ndarray, mean: "_Response") -> np.ndarray:
-        """||A_j y_b - mu||^2 of member j = members[b] on every column b of the pass.
-
-        Evaluated in spectral coordinates as ||alpha_j * z_f - m_f||^2 + ||P_f_perp mu||^2,
-        with m_f = U_f^T mu and ||P_f_perp mu||^2 read from ``mean``, the pass of mu.
-        """
-        out = np.empty(members.size)
-        for k, cols, d in self._member_groups(np.arange(members.size), members):
-            d -= mean.z[k].T
-            out[cols] = np.einsum("ij,ij->i", d, d) + mean.perp[k]
-        return out
-
-    def weight_losses(self, theta: np.ndarray, mean: "_Response") -> np.ndarray:
-        """||A_theta y_b - mu||^2 per column b: ||phi^T theta[b] - m||^2 + 2 offset of mu's pass."""
-        return _sq_norms(self.qp_fit(theta) - mean.target) + 2.0 * mean.offset
-
-
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """Squared norm of every column of a matrix."""
-    return np.einsum("ib,ib->b", v, v)
-
-
-def _response(family_or_union, y, *, block: bool = False) -> _Response:
-    """The pass of y; a pass given as y must belong to these candidates.
-
-    Only with ``block`` may y be an (n, B) block of responses; one response
-    (n,) is passed as a block of one column.
-    """
-    cands = FamilyUnion.of(family_or_union)
-    if isinstance(y, _Response):
-        theirs = y.candidates.families
-        if len(theirs) != cands.q or any(a is not b for a, b in zip(theirs, cands.families)):
-            raise ValueError("the per-response pass was computed for different candidates")
-        resp, wide = y, y.y.shape[1] != 1
-    else:
-        y = _check_response(y, cands.n)
-        wide = y.ndim == 2
-        Y = y if wide else y[:, None]  # one response is a block of one column
-        yy = _sq_norms(Y)
-        target = cands.coords.T @ Y
-        offset = 0.5 * np.maximum(yy - _sq_norms(target), 0.0)
-        z = tuple(W.T @ target for W in cands.rotations)
-        perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
-        resid_sq = np.hstack(
-            [((f.alphas - 1.0) ** 2 @ zf**2 + pf).T for f, zf, pf in zip(cands.families, z, perp)]
-        )
-        resp = _Response(cands, Y, z, perp, resid_sq, target, offset)
-    if wide and not block:
-        raise ValueError(f"expected one response of length {cands.n}, got shape {resp.y.shape}")
-    return resp
 
 
 def member_fits(family_or_union, y: np.ndarray) -> np.ndarray:

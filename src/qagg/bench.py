@@ -51,16 +51,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from qagg.aggregate import (
-    SOLVE_STAGES,
-    _block_solve,
-    _cp,
-    _gcv_degenerate,
-    _gcv_scores,
-    _response,
-    _softmax,
-    excess_bound_gap,
+    SOLVE_STAGES, _block_solve, _cp, _gcv_degenerate, _gcv_scores, _softmax, excess_bound_gap,
 )
-from qagg.smoother import FamilyUnion, GroundTruth, _check_sigma, member_risks, oracle_index
+from qagg.smoother import (
+    FamilyUnion, GroundTruth, _check_sigma, _response, member_risks, oracle_index,
+)
 from qagg.spectral import DesignProblem, SpectralFamily, _regrid, build_tikhonov_family
 
 __all__ = [

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import qagg
-from qagg.aggregate import _response, cp_values, solve_q_aggregation
+from qagg.aggregate import cp_values, solve_q_aggregation
 from qagg.bench import (
     ConfigError,
     ExperimentConfig,
@@ -37,7 +37,7 @@ from qagg.bench import (
     write_report_json,
     write_reports_csv,
 )
-from qagg.smoother import _check_sigma, check_ordered
+from qagg.smoother import _check_sigma, _response, check_ordered
 from qagg.spectral import DesignProblem, build_tikhonov_family, recover_coefficients
 
 __all__ = ["InputError", "main", "entry"]
@@ -82,6 +82,14 @@ def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...] | None]:
         return np.loadtxt(path, delimiter=",", comments="#", ndmin=2), declared
 
 
+def _read_npy(path: Path) -> np.ndarray:
+    """A .npy file's array as floats; only a bool, integer or real dtype converts."""
+    data = np.load(path)
+    if data.dtype.kind not in "biuf":
+        raise ValueError(f"dtype {data.dtype}, expected real numbers")
+    return np.asarray(data, dtype=float)
+
+
 _KINDS = {1: "a vector", 2: "a 2-d matrix", 3: "a stack of square matrices"}
 
 
@@ -94,7 +102,7 @@ def _load_array(path: Path, field: str, ndim: int) -> np.ndarray:
     '# count n n' for a stack. Frozen, the array is kept uncopied by the library.
     """
     if path.suffix == ".npy":
-        data, declared = _read(path, field, lambda p: np.asarray(np.load(p), dtype=float)), None
+        data, declared = _read(path, field, _read_npy), None
     else:
         data, declared = _read(path, field, _read_csv)
     if not np.all(np.isfinite(data)):
@@ -152,6 +160,17 @@ def _parse_lambdas(text: str) -> np.ndarray:
 # subcommands
 
 
+def _check_output(path: str) -> None:
+    """Refuse, writing nothing, an --output whose first existing ancestor (or itself) is
+    not a directory, so that a command fails before its work; _output_dir makes it after."""
+    try:
+        first = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    except OSError as exc:
+        raise InputError(f"--output: {exc}") from exc
+    if not first.is_dir():
+        raise InputError(f"--output: {first} exists and is not a directory")
+
+
 def _output_dir(path: str) -> Path:
     """The --output directory, made with its parents; an OSError is reported as InputError."""
     try:
@@ -173,6 +192,7 @@ def _reported(field: str):
 
 
 def cmd_aggregate(args) -> int:
+    _check_output(args.output)
     X = _load_array(Path(args.design), "--design", 2)
     y = _load_array(Path(args.response), "--response", 1)
     if y.size != X.shape[0]:
@@ -259,6 +279,7 @@ def _load_config(path: Path) -> dict:
 
 def cmd_bench(args) -> int:
     started = _utcnow()
+    _check_output(args.output)
     if args.seed is not None and args.seed < 0:
         raise InputError(f"--seed: must be >= 0, got {args.seed}")
     if args.threads < 1:

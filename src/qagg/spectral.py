@@ -56,15 +56,15 @@ def _check_theta(theta, count: int) -> np.ndarray:
     return theta
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    """a as a read-only C-contiguous array: a itself when no array in its base chain
+def _frozen_array(a) -> np.ndarray:
+    """a as a read-only C-contiguous float array: a itself when no array in its base chain
     can be written (so nothing can change it), otherwise a read-only copy."""
     base = a
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
-    if base is None and a.dtype == dtype and a.flags.c_contiguous:
+    if base is None and a.dtype == float and a.flags.c_contiguous:
         return a
-    arr = np.array(a, dtype=dtype, order="C")
+    arr = np.array(a, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 

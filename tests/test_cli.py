@@ -382,6 +382,53 @@ class TestAggregateCommand:
         assert "Traceback" not in err
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "under-a-file"])
+    def test_unusable_output_refused_before_any_work(
+        self, tmp_path, toy_inputs, capsys, monkeypatch, below
+    ):
+        _, _, design, response = toy_inputs
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+
+        def work(*args, **kwargs):
+            raise AssertionError("inputs read or family built before --output was checked")
+
+        monkeypatch.setattr(qagg.cli, "_load_array", work)
+        monkeypatch.setattr(qagg.cli, "build_tikhonov_family", work)
+        code = main(["aggregate", "--design", str(design), "--response", str(response),
+                     "--lambdas", "1.0", "--sigma", "1.0", "--output", str(taken / below)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --output: {taken} exists and is not a directory\n"
+        assert taken.read_text() == "not a directory\n"
+
+    def test_output_made_with_its_parents(self, tmp_path, toy_inputs):
+        _, _, design, response = toy_inputs
+        out = tmp_path / "new" / "deeper"
+        assert main(["aggregate", "--design", str(design), "--response", str(response),
+                     "--lambdas", "1.0", "--sigma", "1.0", "--output", str(out)]) == 0
+        assert (out / "aggregate.json").exists()
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.ones((5, 3)) + 1j, np.zeros((5, 3), dtype=[("a", float)]),
+         np.full((5, 3), np.datetime64("2020-01-01"))],
+        ids=["complex", "structured", "datetime"],
+    )
+    def test_npy_without_real_numbers_exit_2(self, tmp_path, toy_inputs, capsys, array):
+        _, _, _, response = toy_inputs
+        design, out = tmp_path / "X.npy", tmp_path / "out"
+        np.save(design, array)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before a conversion could warn
+            code = main(["aggregate", "--design", str(design), "--response", str(response),
+                         "--lambdas", "1.0", "--sigma", "1.0", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: --design: could not read {design}: "
+                       f"dtype {array.dtype}, expected real numbers\n")
+        assert not out.exists()
+
     def test_solver_observability_fields(self, tmp_path, toy_inputs):
         _, _, design, response = toy_inputs
         out = tmp_path / "out"
@@ -666,6 +713,15 @@ class TestLoadArray:
         assert loaded.shape == shape and not loaded.flags.writeable
 
 
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32])
+    def test_npy_of_bools_integers_or_reals_reads_as_floats(self, tmp_path, dtype):
+        path = tmp_path / "input.npy"
+        np.save(path, np.arange(6).reshape(2, 3).astype(dtype))
+        loaded = _load_array(path, "--field", 2)
+        assert loaded.dtype == float
+        assert loaded.tolist() == np.arange(6).reshape(2, 3).astype(dtype).astype(float).tolist()
+
+
 class TestBenchCommand:
     def test_outputs_and_manifest(self, tmp_path):
         config = bench_config(tmp_path)
@@ -837,6 +893,23 @@ class TestBenchCommand:
         assert code == 2
         assert err.startswith("error: --output:") and str(out) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "under-a-file"])
+    def test_unusable_output_refused_before_any_work(self, tmp_path, capsys, monkeypatch, below):
+        config = bench_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+
+        def work(*args, **kwargs):
+            raise AssertionError("config read or experiment run before --output was checked")
+
+        monkeypatch.setattr(qagg.cli, "_load_config", work)
+        monkeypatch.setattr(qagg.cli, "run_experiment", work)
+        code = main(["bench", "--config", str(config), "--output", str(taken / below)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --output: {taken} exists and is not a directory\n"
+        assert taken.read_text() == "not a directory\n"
 
     def test_gcv_undefined_on_every_member_exits_2(self, tmp_path, capsys):
         # n < p with a vanishing lambda: the one member interpolates, trace A = n
