@@ -166,7 +166,7 @@ def q_gradient(family_or_union, theta: np.ndarray, y: np.ndarray, sigma: float) 
     resp = _response(family_or_union, y)
     lin = _qp_linear(resp, sigma)[0]
     theta = _check_theta(theta, lin.size)
-    return resp.qp_grad(resp.qp_fit(theta[None]) - resp.target)[:, 0] + lin
+    return resp.qp_grad(resp.qp_fit(theta[None]) - resp.target)[0] + lin
 
 
 def _certificate(g, theta, resid, lin):
@@ -186,7 +186,7 @@ VERTEX, SEGMENT, ACTIVE_SET = range(len(SOLVE_STAGES))
 
 def _certify(resp: _Response, lin, theta, resid, cols=slice(None)):
     """Gradient at theta (lin and theta rows of the block columns cols), then _certificate."""
-    g = resp.qp_grad(resid, cols).T + lin
+    g = resp.qp_grad(resid, cols) + lin
     return (g, *_certificate(g, theta, resid, lin))
 
 
@@ -242,7 +242,7 @@ def _active_set(resp: _Response, lin, cols, support, g, out):
 
     def ridge(rows):  # FACE_RIDGE times the largest ||phi_j||^2 (at least 1) per live row
         c = cols[live[rows]]
-        sq = np.hstack([(f.alphas**2 @ z[:, c] ** 2).T for f, z in zip(fams, resp.z)])
+        sq = np.hstack([(z[:, c] ** 2).T @ (f.alphas**2).T for f, z in zip(fams, resp.z)])
         return FACE_RIDGE * np.maximum(sq.max(axis=1), 1.0)
 
     def face_points(sub):  # the minimizers of the faces of live rows sub, pinned slots at 0

@@ -142,9 +142,9 @@ def _parse_lambdas(text: str) -> np.ndarray:
             lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise InputError(f"--lambdas: could not parse {text!r}: {exc}") from exc
-        if count < 1 or lo <= 0 or hi < lo:
+        if not (count >= 1 and 0 < lo <= hi < np.inf):  # written so that a nan fails
             raise InputError(
-                f"--lambdas: geometric grid needs 0 < min <= max and count >= 1, got {text!r}"
+                f"--lambdas: geometric grid needs 0 < min <= max < inf and count >= 1, got {text!r}"
             )
         return np.geomspace(lo, hi, count)
     try:

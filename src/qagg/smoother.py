@@ -19,7 +19,10 @@ QP data) depends on y only through t = Q^T y, z_f = W_f^T t = U_f^T y and
 takes a response also takes its pass.  A pass is a block of responses, the
 columns of an n x B matrix, and one response is a block of one column:
 per-member arrays carry a leading block axis, each criterion is written once
-along the trailing member axis, and one-response functions read column 0.
+along the trailing member axis, and one-response functions read row 0.  These
+(B, M) arrays are C-contiguous, so every reduction over members reads
+contiguous memory: each family's part is a (B, r_f) @ (r_f, M_f) product, and
+np.hstack joins the parts.
 """
 
 from __future__ import annotations
@@ -166,7 +169,8 @@ class _Response:
     """The quantities of a response y that every method reads, computed once.
 
     y is a block of responses, one per column (n, B); one response is a block
-    of one column.  Per-member arrays put the member axis last: resid_sq is (B, M).
+    of one column.  Per-member arrays put the member axis last and are C-contiguous:
+    resid_sq (B, M) is (z_f^2)^T ((alpha_f - 1)^2)^T per family, and qp_grad likewise.
     The QP 1/2 ||phi^T theta - target||^2 + lin . theta + offset lives in the
     candidates' coordinates Q (``coords``, n x d): target = Q^T y,
     offset = ||P_Q_perp y||^2 / 2 and phi_j = W_f (alpha_j * z_f) for member
@@ -197,9 +201,9 @@ class _Response:
         return fit
 
     def qp_grad(self, resid: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """phi resid in the QP's coordinates, (M, B'), for residuals (d, B') of columns cols."""
-        return np.concatenate(
-            [fam.alphas @ (z[:, cols] * (W.T @ resid)) for fam, W, z, *_ in self._parts()]
+        """(phi resid)^T in the QP's coordinates, (B', M), for residuals (d, B') of columns cols."""
+        return np.hstack(
+            [(z[:, cols] * (W.T @ resid)).T @ fam.alphas.T for fam, W, z, *_ in self._parts()]
         )
 
     def _member_groups(self, cols: np.ndarray, members: np.ndarray):
@@ -262,9 +266,8 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
         offset = 0.5 * np.maximum(yy - _sq_norms(target), 0.0)
         z = tuple(W.T @ target for W in cands.rotations)
         perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
-        resid_sq = np.hstack(
-            [((f.alphas - 1.0) ** 2 @ zf**2 + pf).T for f, zf, pf in zip(cands.families, z, perp)]
-        )
+        resid_sq = np.hstack([(zf**2).T @ ((f.alphas - 1.0) ** 2).T + pf[:, None]
+                              for f, zf, pf in zip(cands.families, z, perp)])
         resp = _Response(cands, Y, z, perp, resid_sq, target, offset)
     if wide and not block:
         raise ValueError(f"expected one response of length {cands.n}, got shape {resp.y.shape}")

@@ -29,8 +29,13 @@ from qagg.aggregate import (
     SOLVE_STAGES,
     SimplexWeights,
     _block_solve,
+    _certify,
+    _cp,
     _face_solve,
+    _gcv_scores,
+    _qp_linear,
     _response,
+    _softmax,
     cp_values,
     excess_bound_gap,
     exponential_weights,
@@ -162,7 +167,7 @@ class TestResponsePass:
         r = (resp.qp_fit(theta[None]) - resp.target)[:, 0]
         expected = 0.5 * np.sum((fit_theta - y) ** 2)
         assert abs(0.5 * r @ r + resp.offset[0] - expected) < 1e-10
-        assert np.abs(resp.qp_grad(r[:, None])[:, 0] - fits.T @ (to_rn @ r)).max() < 1e-10
+        assert np.abs(resp.qp_grad(r[:, None])[0] - fits.T @ (to_rn @ r)).max() < 1e-10
         # losses against a mean off every family's range, on a block of responses
         mu = rng.standard_normal(n)
         Y = mu[:, None] + rng.standard_normal((n, 3))
@@ -174,6 +179,22 @@ class TestResponsePass:
             assert abs(block.member_losses(members, mean)[b] - expected) < 1e-10
             expected = np.sum((sum(t * A for t, A in zip(th, dense)) @ Y[:, b] - mu) ** 2)
             assert abs(block.weight_losses(Theta, mean)[b] - expected) < 1e-10
+
+    def test_per_member_arrays_are_member_contiguous(self, rng):
+        f1 = build_tikhonov_family(random_problem(rng, 8, 3, 3))
+        f2 = build_tikhonov_family(random_problem(rng, 8, 5, 2))
+        # reductions over members (argmin, min, sums against theta) read contiguous rows
+        for union in (FamilyUnion(families=(f1,)), FamilyUnion(families=(f1, f2))):
+            B, M = 5, union.member_count
+            resp = _response(union, rng.standard_normal((8, B)), block=True)
+            lin, cp = _qp_linear(resp, 0.7), _cp(resp, 0.7)
+            theta = np.vstack([random_interior_theta(rng, M) for _ in range(B)])
+            g = _certify(resp, lin, theta, resp.qp_fit(theta) - resp.target)[0]
+            for a in (resp.resid_sq, cp, lin, _gcv_scores(resp), _softmax(cp, 0.7), g):
+                assert a.shape == (B, M) and a.flags.c_contiguous
+            cols = np.array([0, 2, 3])
+            grad = resp.qp_grad(resp.target[:, cols], cols)
+            assert grad.shape == (cols.size, M) and grad.flags.c_contiguous
 
 
 class TestCoordinates:

@@ -191,6 +191,20 @@ class TestAggregateCommand:
         assert main(flat) == 2
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["geom:1:inf:3", "geom:nan:1:2", "geom:1:nan:2"])
+    def test_non_finite_geometric_bound_exit_2_without_warning(
+        self, tmp_path, toy_inputs, capsys, grid
+    ):
+        _, _, design, response = toy_inputs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["aggregate", "--design", str(design), "--response", str(response),
+                         "--lambdas", grid, "--sigma", "1.0", "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --lambdas: geometric grid needs 0 < min <= max < inf")
+        assert "RuntimeWarning" not in err and caught == []
+
     def test_an_option_after_sigma_is_not_taken_for_its_value(self, tmp_path, toy_inputs, capsys):
         _, _, design, response = toy_inputs
         with pytest.raises(SystemExit) as exc:
