@@ -135,7 +135,8 @@ def make_weights(family_or_union, theta: np.ndarray, y: np.ndarray) -> SimplexWe
 def _qp_linear(resp: _Response, sigma: float) -> np.ndarray:
     """Linear term lin = 2 sigma^2 df + c / 2 of the aggregation QP (see _Response)."""
     _check_sigma(sigma, resp.candidates.n)
-    return 2.0 * sigma**2 * resp.candidates.df + 0.5 * resp.resid_sq
+    lin = resp.resid_sq * 0.5
+    return np.add(lin, 2.0 * sigma**2 * resp.candidates.df, out=lin)
 
 
 def _cp(resp: _Response, sigma: float) -> np.ndarray:
@@ -173,10 +174,13 @@ def _certificate(g, theta, resid, lin):
     """Objective less its offset, certificate min_k g_k - g . theta, and the KKT test.
 
     g is the gradient at theta and resid = phi^T theta - target, with one
-    value per row of theta (B, M) (column of resid (d, B)).
+    value per row of theta (B, M) (column of resid (d, B)).  For the vertices
+    e_j of members j (B,), the sums over one-hot rows are gathers, as exact.
     """
-    fval = 0.5 * _sq_norms(resid) + np.einsum("bj,bj->b", lin, theta)
-    res = g.min(axis=1) - np.einsum("bj,bj->b", g, theta)
+    lin_theta, g_theta = ([v[np.arange(len(v)), theta] for v in (lin, g)] if theta.ndim == 1
+                          else [np.einsum("bj,bj->b", v, theta) for v in (lin, g)])
+    fval = 0.5 * _sq_norms(resid) + lin_theta
+    res = g.min(axis=1) - g_theta
     return fval, res, res >= -KKT_TOL * (1.0 + np.abs(fval))
 
 
@@ -184,9 +188,10 @@ SOLVE_STAGES = ("vertex", "segment", "active_set")
 VERTEX, SEGMENT, ACTIVE_SET = range(len(SOLVE_STAGES))
 
 
-def _certify(resp: _Response, lin, theta, resid, cols=slice(None)):
+def _certify(resp: _Response, lin, theta, resid, cols=None):
     """Gradient at theta (lin and theta rows of the block columns cols), then _certificate."""
-    g = resp.qp_grad(resid, cols) + lin
+    g = resp.qp_grad(resid, cols)
+    g += lin
     return (g, *_certificate(g, theta, resid, lin))
 
 
@@ -308,27 +313,27 @@ def _active_set(resp: _Response, lin, cols, support, g, out):
     return pivots, converged, fallbacks, stalls
 
 
-def _block_solve(resp: _Response, sigma: float):
+def _block_solve(resp: _Response, sigma: float, cp=None):
     """The aggregation solve on every column of a pass at once.
 
-    Column b is tested with the certificate at its best vertex j0, the Cp
-    choice (the vertex value 1/2 ||phi_j||^2 - phi_j . target + lin_j equals
-    Cp_j - ||y||^2 / 2), then at the exact minimum on the segment toward the
-    vertex of least gradient, the active-set method's second face; each test
-    is one GEMM on the block.  The columns left undecided go on together
-    through _active_set.  Returns (theta (B, M), objective, kkt_residual,
-    stage, pivots, converged, ridge fallbacks, stalls) per column
-    (SOLVE_STAGES).
+    Column b is tested with the certificate at its best vertex j0, the Cp choice
+    (cp, if given, is _cp(resp, sigma); the vertex value 1/2 ||phi_j||^2 -
+    phi_j . target + lin_j equals Cp_j - ||y||^2 / 2), then, if undecided, at the
+    exact minimum on the segment toward the vertex of least gradient, the
+    active-set method's second face; each test is one GEMM on its columns.  The
+    columns left undecided go on together through _active_set.  Returns (theta
+    (B, M), objective, kkt_residual, stage, pivots, converged, ridge fallbacks,
+    stalls) per column (SOLVE_STAGES).
     """
     lin = _qp_linear(resp, sigma)
     B, M = lin.shape
     rows = np.arange(B)
-    j0 = _cp(resp, sigma).argmin(axis=1)
+    j0 = (_cp(resp, sigma) if cp is None else cp).argmin(axis=1)
     theta = np.zeros((B, M))
     theta[rows, j0] = 1.0
     vertex = resp.qp_member_rows(rows, j0).T
     resid = vertex - resp.target
-    g, fval, res, at_vertex = _certify(resp, lin, theta, resid)
+    g, fval, res, at_vertex = _certify(resp, lin, j0, resid)
     stage = np.where(at_vertex, VERTEX, ACTIVE_SET)
     face = [j0]  # the members of the face each column has reached, in order
     if not at_vertex.all():
@@ -342,9 +347,10 @@ def _block_solve(resp: _Response, sigma: float):
         t = np.clip(np.divide(-res, _sq_norms(d), out=np.zeros(B), where=moved), 0.0, 1.0)
         theta[rows, jadd] += t
         theta[rows, j0] -= t
-        g, fval_t, res_t, ok = _certify(resp, lin, theta, resid + t * d)
-        fval[moved], res[moved] = fval_t[moved], res_t[moved]
-        stage[moved & ok] = SEGMENT
+        cols = np.flatnonzero(moved | (moved.sum() == 1))  # one column would round as a GEMV
+        resid = np.take(resid, cols, axis=1) + t[cols] * np.take(d, cols, axis=1)  # C order
+        g[cols], fval[cols], res[cols], ok = _certify(resp, lin[cols], theta[cols], resid, cols)
+        stage[cols[ok & moved[cols]]] = SEGMENT
         face.append(jadd)
     pivots, converged = stage + 1, stage != ACTIVE_SET
     fallbacks, stalls = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
@@ -416,8 +422,9 @@ def select_gcv(family_or_union, y: np.ndarray) -> int:
 
 def _softmax(cp: np.ndarray, sigma: float) -> np.ndarray:
     """Weights proportional to exp(-cp / (4 sigma^2)) along the member axis."""
-    w = np.exp(-(cp - cp.min(axis=1, keepdims=True)) / (4.0 * sigma**2))
-    return w / w.sum(axis=1, keepdims=True)
+    w = cp - cp.min(axis=1, keepdims=True)
+    np.exp(np.divide(w, -4.0 * sigma**2, out=w), out=w)  # x / -c rounds as -(x / c)
+    return np.divide(w, w.sum(axis=1, keepdims=True), out=w)
 
 
 def exponential_weights(family_or_union, y: np.ndarray, sigma: float) -> SimplexWeights:

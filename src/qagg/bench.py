@@ -14,10 +14,12 @@ many replicates as keep a block's per-member arrays within BLOCK_ENTRIES
 entries, and at least 32.  One pass per block gives the spectral
 coordinates of every draw; the selection baselines, the exponential
 weights, the member losses and the whole aggregation solve are evaluated
-for the block in those coordinates.  The solve's vertex and segment stages
-decide most draws in closed form; the draws they leave undecided go on
-together through the active-set pivots of the block, so no draw gets a
-solve of its own.  ``solve_stages`` counts the draws decided at each stage.
+for the block in those coordinates, from one read-only Cp array per block.
+The solve's vertex and segment stages decide most draws in closed form; the
+draws they leave undecided go on together through the active-set pivots of
+the block, so no draw gets a solve of its own.  ``solve_stages`` counts the
+draws decided at each stage.  When every draw of a block stops at its Cp
+vertex, q_agg's losses are cp_select's.
 
 All randomness flows from the config seed: the design matrix uses the
 (seed, 0) stream and replicate i the (seed, 1, i) stream.  The block is
@@ -27,14 +29,15 @@ bit.
 
 The points of one M or q sweep share ``_sweep_store`` while it runs.  It keeps
 only what varies within the sweep, whose points share seed, n, p and so X:
-under "noise" each replicate's standard normals by replicate index, up to
-NOISE_STORE_BYTES, and under a penalty diagonal's bytes the first family
-built on it, which later grids on that diagonal regrid.  A point that runs in
-a pool draws the rows the store can keep before the pool forks, so its
-workers inherit them.  A point does the arithmetic of a run of its own on the
-same inputs, so its report is byte-identical to that run's.  The store is a
-context variable: a run or sweep in another thread (or asyncio task) sees only
-its own, so runs and sweeps may be called from several threads at once.
+under "noise" one read-only array whose row i holds replicate i's standard
+normals, the first rows up to NOISE_STORE_BYTES, of which each block reads its
+slice, and under a penalty diagonal's bytes the first family built on it,
+which later grids on that diagonal regrid.  The first point draws the rows the
+store can keep before its blocks run, so the workers of a pool inherit them.
+A point does the arithmetic of a run of its own on the same inputs, so its
+report is byte-identical to that run's.  The store is a context variable: a
+run or sweep in another thread (or asyncio task) sees only its own, so runs
+and sweeps may be called from several threads at once.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from qagg.aggregate import (
-    SOLVE_STAGES, _block_solve, _cp, _gcv_degenerate, _gcv_scores, _softmax, excess_bound_gap,
+    SOLVE_STAGES, VERTEX, _block_solve, _cp, _gcv_degenerate, _gcv_scores, _softmax,
+    excess_bound_gap,
 )
 from qagg.smoother import (
     FamilyUnion, GroundTruth, _check_sigma, _response, member_risks, oracle_index,
@@ -424,19 +428,15 @@ NOISE_STORE_BYTES = 64 * 2**20
 def _noise(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     """Standard normals of replicates [start, stop), one row each; each drawn once per sweep.
 
-    Rows are kept by replicate, so points whose blocks differ in width share them.
+    A sweep keeps its first rows as one read-only array (see run_experiment), and a
+    block reads its slice of it, so points whose blocks differ in width share them.
     """
     store = _sweep_store.get()
-    kept = {} if store is None else store["noise"]
-    rows = []
-    for i in range(start, stop):
-        row = kept.get(i)
-        if row is None:
-            row = _replicate_rng(seed, i).standard_normal(n)
-            if (len(kept) + 1) * row.nbytes <= NOISE_STORE_BYTES:
-                kept[i] = row
-        rows.append(row)
-    return np.stack(rows)
+    kept = () if store is None else store["noise"]
+    if stop <= len(kept):
+        return kept[start:stop]
+    fresh = (_replicate_rng(seed, i).standard_normal(n) for i in range(max(start, len(kept)), stop))
+    return np.stack([*kept[start:], *fresh])  # rows past what the sweep keeps are drawn again
 
 
 def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
@@ -543,10 +543,9 @@ def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = No
     return Instance(candidates=candidates, truth=truth, oracle_member=j_star, oracle_risk=r_star)
 
 
-def _block_losses(instance: Instance, resp, methods, mean) -> dict[str, np.ndarray]:
-    """Loss on every column of a block pass of each method other than q_agg."""
+def _block_losses(instance: Instance, resp, methods, mean, cp) -> dict[str, np.ndarray]:
+    """Loss on every column of a block pass of each method other than q_agg, given its Cp."""
     sigma = instance.truth.sigma
-    cp = _cp(resp, sigma)
     out = {}
     for name in methods:
         if name == "oracle":
@@ -583,16 +582,21 @@ def _replicate_block(instance: Instance, config: ExperimentConfig, mean, start: 
     draws = _noise(config.seed, mu.size, start, stop) * sigma
     draws += mu  # row b is the draw y = mu + sigma * eps of replicate start + b
     resp = _response(candidates, draws.T, block=True)
-    out = _block_losses(instance, resp, config.methods, mean)
+    cp = _cp(resp, sigma)
+    cp.setflags(write=False)  # read by every method of the block
+    out = _block_losses(instance, resp, config.methods, mean, cp)
     if "q_agg" not in config.methods:
         return out
-    theta, objective, kkt, stage, _, converged, ridge, stalled = _block_solve(resp, sigma)
+    theta, objective, kkt, stage, _, converged, ridge, stalled = _block_solve(resp, sigma, cp)
     # a draw left on one member is scored by the function that scores the
     # oracle, so a draw at the oracle vertex has an excess of exactly zero
-    q_loss = resp.member_losses(theta.argmax(axis=1), mean)
-    mixed = (theta > 0).sum(axis=1) > 1
-    if mixed.any():
-        q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
+    if "cp_select" in out and (stage == VERTEX).all():  # every theta is e_j0, j0 = argmin cp
+        q_loss = out["cp_select"]
+    else:
+        q_loss = resp.member_losses(theta.argmax(axis=1), mean)
+        mixed = (theta > 0).sum(axis=1) > 1
+        if mixed.any():
+            q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
     oracle = out.get("oracle")
     if oracle is None:
         oracle = resp.member_losses(np.full_like(stage, instance.oracle_member), mean)
@@ -687,14 +691,14 @@ def run_experiment(
     mu_pass = _response(instance.candidates, instance.truth.mu)  # one pass for every block
     block = functools.partial(_replicate_block, instance, config, mu_pass)
     starts = range(0, config.replicates, _block_width(config))
+    store, n = _sweep_store.get(), config.scenario.n
+    kept = min(config.replicates, NOISE_STORE_BYTES // (8 * n))  # rows the store can keep
+    if store is not None and len(store["noise"]) < kept:  # before a pool forks: workers have them
+        store["noise"] = _noise(config.seed, n, 0, kept)
+        store["noise"].setflags(write=False)
     workers = min(threads, len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import
-
-        n = config.scenario.n
-        kept = min(config.replicates, NOISE_STORE_BYTES // (8 * n))  # rows the store can keep
-        if _sweep_store.get() is not None and kept:  # drawn before the fork: workers have them
-            _noise(config.seed, n, 0, kept)
 
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
             parts = list(pool.map(_worker_block, starts, chunksize=-(-len(starts) // workers)))
@@ -773,7 +777,7 @@ def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> l
 
     The points share ``_sweep_store`` until the sweep returns or raises (see the module doc).
     """
-    token = _sweep_store.set({"noise": {}})
+    token = _sweep_store.set({"noise": np.empty((0, config.scenario.n))})
     try:
         mu = build_instance(replace(config, families=reference)).truth.mu
         return [

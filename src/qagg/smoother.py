@@ -21,8 +21,8 @@ columns of an n x B matrix, and one response is a block of one column:
 per-member arrays carry a leading block axis, each criterion is written once
 along the trailing member axis, and one-response functions read row 0.  These
 (B, M) arrays are C-contiguous, so every reduction over members reads
-contiguous memory: each family's part is a (B, r_f) @ (r_f, M_f) product, and
-np.hstack joins the parts.
+contiguous memory: each family's part is a (B, r_f) @ (r_f, M_f) product,
+np.hstack joins the parts of a union, and one family's part is the array itself.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class GroundTruth:
 
 
 def _union_coords(families):
-    """Q and every W_f = Q^T U_f of a union's families (see FamilyUnion)."""
+    """Q, every W_f = Q^T U_f of a union's families and whether Q = U_0 (see FamilyUnion)."""
     Q = families[0].basis  # frozen by its family; not copied
     rotations = [np.eye(Q.shape[1])]
     for f in families[1:]:
@@ -92,7 +92,7 @@ def _union_coords(families):
         rotations.append(W)
     for a in (Q, *rotations):
         a.setflags(write=False)
-    return Q, tuple(rotations)
+    return Q, tuple(rotations), Q is families[0].basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +108,8 @@ class FamilyUnion:
     every other W_f passes max |W_f^T W_f - I| <= GRAM_TOL and
     max |Q W_f - U_f| <= GRAM_TOL (families on one design), otherwise the
     left singular vectors of [U_0 ... U_{q-1}] with singular value above
-    RANK_TOL times the largest.
+    RANK_TOL times the largest.  ``applied`` is ``rotations`` as products use it, with
+    None for W_0 = I when Q = U_0, and ``resid_factors`` each ((alpha_f - 1)^2)^T.
     """
 
     families: tuple[SpectralFamily, ...]
@@ -116,6 +117,8 @@ class FamilyUnion:
     offsets: tuple[int, ...] = field(init=False, repr=False)
     coords: np.ndarray = field(init=False, repr=False)
     rotations: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    applied: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
+    resid_factors: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         families = tuple(self.families)
@@ -129,9 +132,15 @@ class FamilyUnion:
         object.__setattr__(self, "df", _frozen_array(df))
         offsets = tuple(accumulate((f.member_count for f in families), initial=0))
         object.__setattr__(self, "offsets", offsets)
-        coords, rotations = _union_coords(families)
+        coords, rotations, first_is_coords = _union_coords(families)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "rotations", rotations)
+        applied = (None, *rotations[1:]) if first_is_coords else rotations  # I is not multiplied
+        object.__setattr__(self, "applied", applied)
+        factors = tuple(((f.alphas - 1.0) ** 2).T for f in families)
+        for a in factors:
+            a.setflags(write=False)
+        object.__setattr__(self, "resid_factors", factors)
 
     @classmethod
     def of(cls, candidates) -> "FamilyUnion":
@@ -170,13 +179,13 @@ class _Response:
 
     y is a block of responses, one per column (n, B); one response is a block
     of one column.  Per-member arrays put the member axis last and are C-contiguous:
-    resid_sq (B, M) is (z_f^2)^T ((alpha_f - 1)^2)^T per family, and qp_grad likewise.
+    resid_sq (B, M), read-only, is (z_f^2)^T ((alpha_f - 1)^2)^T + perp_f per family.
     The QP 1/2 ||phi^T theta - target||^2 + lin . theta + offset lives in the
     candidates' coordinates Q (``coords``, n x d): target = Q^T y,
     offset = ||P_Q_perp y||^2 / 2 and phi_j = W_f (alpha_j * z_f) for member
     j of family f, with z_f = W_f^T target = U_f^T y and W_f = Q^T U_f
-    (``rotations``).  The active-set solve fetches the rows phi_j it pivots
-    on through qp_member_rows.
+    (``rotations``; when Q = U_0 the products with W_0 = I are skipped).  The
+    active-set solve fetches the rows phi_j it pivots on through qp_member_rows.
     """
 
     candidates: FamilyUnion
@@ -188,27 +197,33 @@ class _Response:
     offset: np.ndarray  # ||P_Q_perp y||^2 / 2, (B,)
 
     def _parts(self):
-        """(family, W_f, z_f, first member, end) per family."""
+        """(family, W_f or None for W_0 = I, z_f, first member, end) per family."""
         cands = self.candidates
-        return zip(cands.families, cands.rotations, self.z, cands.offsets, cands.offsets[1:])
+        return zip(cands.families, cands.applied, self.z, cands.offsets, cands.offsets[1:])
 
     def qp_fit(self, theta: np.ndarray) -> np.ndarray:
         """phi^T theta[b] in the QP's coordinates for theta (B, M), one column per b."""
         fit = None
         for fam, W, z, lo, hi in self._parts():
-            part = W @ ((fam.alphas.T @ theta[:, lo:hi].T) * z)
+            part = (fam.alphas.T @ theta[:, lo:hi].T) * z
+            part = part if W is None else W @ part
             fit = part if fit is None else fit + part
         return fit
 
-    def qp_grad(self, resid: np.ndarray, cols=slice(None)) -> np.ndarray:
+    def qp_grad(self, resid: np.ndarray, cols=None) -> np.ndarray:
         """(phi resid)^T in the QP's coordinates, (B', M), for residuals (d, B') of columns cols."""
-        return np.hstack(
-            [(z[:, cols] * (W.T @ resid)).T @ fam.alphas.T for fam, W, z, *_ in self._parts()]
-        )
+        # np.take keeps the block's C order: with two or more cols, rows round as the block's
+        parts = [((z if cols is None else np.take(z, cols, axis=1))
+                  * (resid if W is None else W.T @ resid)).T @ fam.alphas.T
+                 for fam, W, z, *_ in self._parts()]
+        return parts[0] if len(parts) == 1 else np.hstack(parts)  # no copy of a lone part
 
     def _member_groups(self, cols: np.ndarray, members: np.ndarray):
         """(k, positions i, rows alpha_j * z_k[:, cols[i]]) per family k holding some members[i]."""
         cands = self.candidates
+        if cands.q == 1:
+            yield 0, slice(None), cands.families[0].alphas[members] * self.z[0][:, cols].T
+            return
         fam_of = np.searchsorted(cands.offsets, members, side="right") - 1
         # the families present; np.unique would import numpy.ma (10 ms, 0.5 MiB) on first use
         for k in np.flatnonzero(np.bincount(fam_of, minlength=cands.q)):
@@ -220,7 +235,8 @@ class _Response:
         """Row phi_j of block column b for each (b, j) in zip(cols, members), as (len, d)."""
         rows = np.empty((members.size, self.candidates.coords.shape[1]))
         for k, sel, spectral in self._member_groups(cols, members):
-            rows[sel] = spectral @ self.candidates.rotations[k].T
+            W = self.candidates.applied[k]
+            rows[sel] = spectral if W is None else spectral @ W.T
         return rows
 
     def member_losses(self, members: np.ndarray, mean: "_Response") -> np.ndarray:
@@ -264,10 +280,13 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
         yy = _sq_norms(Y)
         target = cands.coords.T @ Y
         offset = 0.5 * np.maximum(yy - _sq_norms(target), 0.0)
-        z = tuple(W.T @ target for W in cands.rotations)
+        z = tuple(target if W is None else W.T @ target for W in cands.applied)
         perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
-        resid_sq = np.hstack([(zf**2).T @ ((f.alphas - 1.0) ** 2).T + pf[:, None]
-                              for f, zf, pf in zip(cands.families, z, perp)])
+        parts = [(zf**2).T @ factor for zf, factor in zip(z, cands.resid_factors)]
+        for part, pf in zip(parts, perp):
+            part += pf[:, None]
+        resid_sq = parts[0] if len(parts) == 1 else np.hstack(parts)
+        resid_sq.setflags(write=False)  # shared by every method of the pass
         resp = _Response(cands, Y, z, perp, resid_sq, target, offset)
     if wide and not block:
         raise ValueError(f"expected one response of length {cands.n}, got shape {resp.y.shape}")

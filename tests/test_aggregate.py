@@ -29,6 +29,7 @@ from qagg.aggregate import (
     SOLVE_STAGES,
     SimplexWeights,
     _block_solve,
+    _certificate,
     _certify,
     _cp,
     _face_solve,
@@ -47,7 +48,7 @@ from qagg.aggregate import (
     select_gcv,
     solve_q_aggregation,
 )
-from qagg.smoother import FamilyUnion
+from qagg.smoother import FamilyUnion, _sq_norms
 from qagg.spectral import (
     DesignProblem,
     SpectralFamily,
@@ -953,3 +954,133 @@ class TestBlockSolve:
         for b in range(Y.shape[1]):
             report = solve_q_aggregation(family, Y[:, b], 1.0)
             assert report.converged and report.iterations == 1
+
+
+def textbook_stages(resp, sigma):
+    """The vertex and segment stages in dense form: sums against one-hot theta and the
+    segment test on every column.  Returns (theta, fval, res, stage, g) per column."""
+    cands = resp.candidates
+    lin = 2.0 * sigma**2 * cands.df + 0.5 * resp.resid_sq
+    B, M = lin.shape
+    rows = np.arange(B)
+    j0 = (resp.resid_sq + 2.0 * sigma**2 * cands.df).argmin(axis=1)
+    theta = np.zeros((B, M))
+    theta[rows, j0] = 1.0
+    vertex = resp.qp_member_rows(rows, j0).T
+    resid = vertex - resp.target
+    g = resp.qp_grad(resid) + lin
+    fval, res, at_vertex = _certificate(g, theta, resid, lin)
+    jadd = g.argmin(axis=1)
+    d = resp.qp_member_rows(rows, jadd).T - vertex
+    t = np.clip(np.divide(-res, _sq_norms(d), out=np.zeros(B), where=~at_vertex), 0.0, 1.0)
+    theta[rows, jadd] += t
+    theta[rows, j0] -= t
+    g_t = resp.qp_grad(resid + t * d) + lin
+    fval_t, res_t, ok = _certificate(g_t, theta, resid + t * d, lin)
+    stage = np.where(at_vertex, 0, np.where(ok, 1, 2))
+    moved = ~at_vertex
+    fval[moved], res[moved], g[moved] = fval_t[moved], res_t[moved], g_t[moved]
+    return theta, fval, res, stage, g
+
+
+class TestBlockArithmetic:
+    """The block pipeline's in-place and gathered arithmetic equals its textbook forms exactly."""
+
+    SIGMA = 0.9
+
+    @pytest.fixture
+    def passes(self, rng):
+        """A single-family pass and a q = 3 union pass whose draws reach every solve stage."""
+        Q = np.linalg.qr(rng.standard_normal((12, 6)))[0]
+        single = SpectralFamily(Q, rng.uniform(0.0, 1.0, (8, 6)))  # unordered: pivots happen
+        Y1 = 2.0 * Q @ rng.standard_normal((6, 1)) + rng.standard_normal((12, 64))
+        X = rng.standard_normal((30, 12))
+        union = FamilyUnion(families=tuple(
+            build_tikhonov_family(DesignProblem(
+                X=X, K=np.diag(np.arange(1.0, 13.0) ** g), lambdas=np.geomspace(1e-2, 1e2, 6)
+            ))
+            for g in (0.0, 1.5, 3.0)
+        ))
+        Y2 = (X @ rng.standard_normal(12))[:, None] + rng.standard_normal((30, 64))
+        out = [_response(single, Y1, block=True), _response(union, Y2, block=True)]
+        for resp in out:
+            stages = np.bincount(_block_solve(resp, self.SIGMA)[3], minlength=len(SOLVE_STAGES))
+            assert stages.min() > 0, stages
+        return out
+
+    def test_criteria_equal_their_formulas(self, passes):
+        s = self.SIGMA
+        for resp in passes:
+            df = resp.candidates.df
+            assert np.array_equal(_qp_linear(resp, s), 2.0 * s**2 * df + 0.5 * resp.resid_sq)
+            cp = _cp(resp, s)
+            w = np.exp(-(cp - cp.min(axis=1, keepdims=True)) / (4.0 * s**2))
+            assert np.array_equal(_softmax(cp, s), w / w.sum(axis=1, keepdims=True))
+
+    def test_vertex_certificate_by_gathers_equals_the_dense_one(self, passes):
+        for resp in passes:
+            lin = _qp_linear(resp, self.SIGMA)
+            B, M = lin.shape
+            j0 = _cp(resp, self.SIGMA).argmin(axis=1)
+            one_hot = np.eye(M)[j0]
+            resid = resp.qp_member_rows(np.arange(B), j0).T - resp.target
+            g = resp.qp_grad(resid) + lin
+            got = _certify(resp, lin, j0, resid)
+            for a, b in zip(got, (g, *_certificate(g, one_hot, resid, lin))):
+                assert np.array_equal(a, b)
+
+    def test_stages_equal_the_segment_test_on_every_column(self, passes):
+        # the segment test runs on the moved columns alone, gathered in the block's
+        # layout; a lone moved column runs with the whole block, as one column alone
+        # would take numpy's matrix-vector path.  Either way every value equals the
+        # test's on the whole block
+        vertex, segment = SOLVE_STAGES.index("vertex"), SOLVE_STAGES.index("segment")
+        for resp in passes:
+            stage = _block_solve(resp, self.SIGMA)[3]
+            lone = np.sort(np.r_[np.flatnonzero(stage == vertex)[:5],
+                                 np.flatnonzero(stage == segment)[0]])
+            for sub in (resp, _response(resp.candidates, resp.y[:, lone], block=True)):
+                theta, fval, res, stage, *_ = _block_solve(sub, self.SIGMA)
+                th, fv, rs, st, _ = textbook_stages(sub, self.SIGMA)
+                assert np.array_equal(stage, st)
+                early = stage < SOLVE_STAGES.index("active_set")
+                assert np.array_equal(theta[early], th[early])
+                assert np.array_equal(fval[early], (fv + sub.offset)[early])
+                assert np.array_equal(res[early], rs[early])
+            assert (stage != vertex).sum() == 1
+
+    def test_products_skip_the_identity_rotation_exactly(self, passes, rng):
+        for resp in passes:
+            cands = resp.candidates
+            B, M = resp.resid_sq.shape
+            assert cands.applied[0] is None
+            assert all(a is b for a, b in zip(cands.applied[1:], cands.rotations[1:]))
+            assert np.array_equal(cands.rotations[0], np.eye(cands.coords.shape[1]))
+            # the same candidates, told that Q is not U_0, multiply by W_0 = np.eye
+            eye = FamilyUnion(families=cands.families)
+            object.__setattr__(eye, "applied", eye.rotations)
+            full = _response(eye, resp.y, block=True)
+            assert all(np.array_equal(a, b) for a, b in zip(resp.z, full.z))
+            assert np.array_equal(resp.resid_sq, full.resid_sq)
+            theta = np.vstack([random_interior_theta(rng, M) for _ in range(B)])
+            assert np.array_equal(resp.qp_fit(theta), full.qp_fit(theta))
+            r, cols = resp.qp_fit(theta) - resp.target, np.arange(0, B, 3)
+            assert np.array_equal(resp.qp_grad(r[:, cols], cols), full.qp_grad(r[:, cols], cols))
+            members = rng.integers(0, M, B)
+            rows = resp.qp_member_rows(np.arange(B), members)
+            assert np.array_equal(rows, full.qp_member_rows(np.arange(B), members))
+
+    def test_one_family_groups_equal_the_general_grouping(self, passes, rng):
+        # beside a second family on the same basis, the family's members take the
+        # general grouping of a union, and their rows and losses are unchanged
+        resp = passes[0]
+        family = resp.candidates.families[0]
+        other = SpectralFamily(family.basis, rng.uniform(0.0, 1.0, (3, family.rank)))
+        pair = _response(FamilyUnion(families=(family, other)), resp.y, block=True)
+        B, M = resp.resid_sq.shape
+        cols, members = np.arange(B), rng.integers(0, M, B)
+        rows = resp.qp_member_rows(cols, members)
+        assert np.array_equal(rows, pair.qp_member_rows(cols, members))
+        mu = rng.standard_normal(family.n)
+        losses = resp.member_losses(members, _response(family, mu))
+        assert np.array_equal(losses, pair.member_losses(members, _response(pair.candidates, mu)))

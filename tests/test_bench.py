@@ -513,6 +513,51 @@ class TestRunExperiment:
         assert report.solver_fallbacks == {"ridge": 0, "stalled": 0}
         assert report.solver_failures == 0
 
+    def test_each_block_computes_cp_once(self, monkeypatch):
+        calls, cp = [], qagg.aggregate._cp
+
+        def counted(resp, sigma):
+            calls.append(resp.y.shape[1])
+            return cp(resp, sigma)
+
+        monkeypatch.setattr(qagg.aggregate, "_cp", counted)
+        monkeypatch.setattr(qagg.bench, "_cp", counted)
+        grid = GridSpec(count=BLOCK_ENTRIES // 32)
+        cfg = small_config(replicates=70, families=(FamilySpec(p=10, grid=grid),))
+        assert _block_width(cfg) == 32
+        run_experiment(cfg)
+        assert calls == [32, 32, 6]  # the baselines and the solve read the block's one Cp
+
+    def test_shared_block_arrays_are_read_only(self, monkeypatch):
+        # an in-place step on a shared input raises instead of changing another method's answer
+        seen, block_losses = [], qagg.bench._block_losses
+
+        def look(*args):  # the block's Cp comes last
+            seen.append(args[-1].flags.writeable)
+            return block_losses(*args)
+
+        monkeypatch.setattr(qagg.bench, "_block_losses", look)
+        run_experiment(small_config(replicates=5))
+        assert seen == [False]
+        for cfg in (small_config(), self.union_config()):
+            instance = build_instance(cfg)
+            mu, sigma = instance.truth.mu, instance.truth.sigma
+            Y = mu[:, None] + sigma * np.random.default_rng(3).standard_normal((mu.size, 20))
+            resp = _response(instance.candidates, Y, block=True)
+            mean = _response(instance.candidates, mu)
+            with pytest.raises(ValueError, match="read-only"):
+                resp.resid_sq *= 2.0
+            cp = _cp(resp, sigma)
+            frozen = cp.copy()
+            frozen.setflags(write=False)
+            assert np.array_equal(_softmax(frozen, sigma), _softmax(cp, sigma))
+            got = block_losses(instance, resp, cfg.methods, mean, frozen)
+            for key, value in block_losses(instance, resp, cfg.methods, mean, cp).items():
+                assert np.array_equal(got[key], value)
+            for a, b in zip(_block_solve(resp, sigma, frozen), _block_solve(resp, sigma, cp)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(frozen, cp)
+
 
 class TestSweeps:
     def test_nested_m_sweep_has_monotone_oracle_risk(self):
@@ -679,7 +724,8 @@ class TestSweepSharing:
 
         def run_and_look(cfg, **kwargs):
             report = run(cfg, **kwargs)
-            kept.append(sorted(qagg.bench._sweep_store.get()["noise"]))
+            # the store keeps replicates 0, 1, ... as the rows of one array
+            kept.append(list(range(len(qagg.bench._sweep_store.get()["noise"]))))
             return report
 
         monkeypatch.setattr(qagg.bench, "_replicate_rng",
