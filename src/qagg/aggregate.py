@@ -174,13 +174,14 @@ def _certificate(g, theta, resid, lin):
     """Objective less its offset, certificate min_k g_k - g . theta, and the KKT test.
 
     g is the gradient at theta and resid = phi^T theta - target, with one
-    value per row of theta (B, M) (column of resid (d, B)).  For the vertices
-    e_j of members j (B,), the sums over one-hot rows are gathers, as exact.
+    value per row of theta (B, M) (column of resid (d, B)).
     """
-    lin_theta, g_theta = ([v[np.arange(len(v)), theta] for v in (lin, g)] if theta.ndim == 1
-                          else [np.einsum("bj,bj->b", v, theta) for v in (lin, g)])
-    fval = 0.5 * _sq_norms(resid) + lin_theta
-    res = g.min(axis=1) - g_theta
+    return _kkt_test(0.5 * _sq_norms(resid) + np.einsum("bj,bj->b", lin, theta),
+                     g.min(axis=1) - np.einsum("bj,bj->b", g, theta))
+
+
+def _kkt_test(fval, res):
+    """(fval, res, whether res passes the KKT test) for objective values and certificates."""
     return fval, res, res >= -KKT_TOL * (1.0 + np.abs(fval))
 
 
@@ -188,7 +189,7 @@ SOLVE_STAGES = ("vertex", "segment", "active_set")
 VERTEX, SEGMENT, ACTIVE_SET = range(len(SOLVE_STAGES))
 
 
-def _certify(resp: _Response, lin, theta, resid, cols=None):
+def _certify(resp: _Response, lin, theta, resid, cols=slice(None)):
     """Gradient at theta (lin and theta rows of the block columns cols), then _certificate."""
     g = resp.qp_grad(resid, cols)
     g += lin
@@ -318,12 +319,12 @@ def _block_solve(resp: _Response, sigma: float, cp=None):
 
     Column b is tested with the certificate at its best vertex j0, the Cp choice
     (cp, if given, is _cp(resp, sigma); the vertex value 1/2 ||phi_j||^2 -
-    phi_j . target + lin_j equals Cp_j - ||y||^2 / 2), then, if undecided, at the
-    exact minimum on the segment toward the vertex of least gradient, the
-    active-set method's second face; each test is one GEMM on its columns.  The
-    columns left undecided go on together through _active_set.  Returns (theta
-    (B, M), objective, kkt_residual, stage, pivots, converged, ridge fallbacks,
-    stalls) per column (SOLVE_STAGES).
+    phi_j . target + lin_j equals Cp_j - ||y||^2 / 2), then at the exact minimum
+    on the segment toward the vertex of least gradient, the active-set method's
+    second face; each test is one GEMM on the block.  The columns left undecided
+    go on together through _active_set.  Returns (theta (B, M), objective,
+    kkt_residual, stage, pivots, converged, ridge fallbacks, stalls) per column
+    (SOLVE_STAGES).
     """
     lin = _qp_linear(resp, sigma)
     B, M = lin.shape
@@ -333,7 +334,11 @@ def _block_solve(resp: _Response, sigma: float, cp=None):
     theta[rows, j0] = 1.0
     vertex = resp.qp_member_rows(rows, j0).T
     resid = vertex - resp.target
-    g, fval, res, at_vertex = _certify(resp, lin, j0, resid)
+    g = resp.qp_grad(resid)
+    g += lin
+    # _certificate at the one-hot theta: its sums against e_j0 are gathers, as exact
+    fval, res, at_vertex = _kkt_test(0.5 * _sq_norms(resid) + lin[rows, j0],
+                                     g.min(axis=1) - g[rows, j0])
     stage = np.where(at_vertex, VERTEX, ACTIVE_SET)
     face = [j0]  # the members of the face each column has reached, in order
     if not at_vertex.all():
@@ -347,10 +352,9 @@ def _block_solve(resp: _Response, sigma: float, cp=None):
         t = np.clip(np.divide(-res, _sq_norms(d), out=np.zeros(B), where=moved), 0.0, 1.0)
         theta[rows, jadd] += t
         theta[rows, j0] -= t
-        cols = np.flatnonzero(moved | (moved.sum() == 1))  # one column would round as a GEMV
-        resid = np.take(resid, cols, axis=1) + t[cols] * np.take(d, cols, axis=1)  # C order
-        g[cols], fval[cols], res[cols], ok = _certify(resp, lin[cols], theta[cols], resid, cols)
-        stage[cols[ok & moved[cols]]] = SEGMENT
+        g, fval_t, res_t, ok = _certify(resp, lin, theta, resid + t * d)
+        fval[moved], res[moved] = fval_t[moved], res_t[moved]
+        stage[moved & ok] = SEGMENT
         face.append(jadd)
     pivots, converged = stage + 1, stage != ACTIVE_SET
     fallbacks, stalls = np.zeros(B, dtype=int), np.zeros(B, dtype=int)

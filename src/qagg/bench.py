@@ -18,8 +18,7 @@ for the block in those coordinates, from one read-only Cp array per block.
 The solve's vertex and segment stages decide most draws in closed form; the
 draws they leave undecided go on together through the active-set pivots of
 the block, so no draw gets a solve of its own.  ``solve_stages`` counts the
-draws decided at each stage.  When every draw of a block stops at its Cp
-vertex, q_agg's losses are cp_select's.
+draws decided at each stage.
 
 All randomness flows from the config seed: the design matrix uses the
 (seed, 0) stream and replicate i the (seed, 1, i) stream.  The block is
@@ -54,8 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from qagg.aggregate import (
-    SOLVE_STAGES, VERTEX, _block_solve, _cp, _gcv_degenerate, _gcv_scores, _softmax,
-    excess_bound_gap,
+    SOLVE_STAGES, _block_solve, _cp, _gcv_degenerate, _gcv_scores, _softmax, excess_bound_gap,
 )
 from qagg.smoother import (
     FamilyUnion, GroundTruth, _check_sigma, _response, member_risks, oracle_index,
@@ -590,13 +588,10 @@ def _replicate_block(instance: Instance, config: ExperimentConfig, mean, start: 
     theta, objective, kkt, stage, _, converged, ridge, stalled = _block_solve(resp, sigma, cp)
     # a draw left on one member is scored by the function that scores the
     # oracle, so a draw at the oracle vertex has an excess of exactly zero
-    if "cp_select" in out and (stage == VERTEX).all():  # every theta is e_j0, j0 = argmin cp
-        q_loss = out["cp_select"]
-    else:
-        q_loss = resp.member_losses(theta.argmax(axis=1), mean)
-        mixed = (theta > 0).sum(axis=1) > 1
-        if mixed.any():
-            q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
+    q_loss = resp.member_losses(theta.argmax(axis=1), mean)
+    mixed = (theta > 0).sum(axis=1) > 1
+    if mixed.any():
+        q_loss[mixed] = resp.weight_losses(theta, mean)[mixed]
     oracle = out.get("oracle")
     if oracle is None:
         oracle = resp.member_losses(np.full_like(stage, instance.oracle_member), mean)

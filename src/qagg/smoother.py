@@ -78,9 +78,9 @@ class GroundTruth:
 
 
 def _union_coords(families):
-    """Q, every W_f = Q^T U_f of a union's families and whether Q = U_0 (see FamilyUnion)."""
+    """Q and every W_f = Q^T U_f of a union's families, None for W_0 = I (see FamilyUnion)."""
     Q = families[0].basis  # frozen by its family; not copied
-    rotations = [np.eye(Q.shape[1])]
+    rotations = [None]  # Q = U_0: no product multiplies by W_0 = I
     for f in families[1:]:
         W = Q.T @ f.basis
         if not (_orthogonality_defect(W) <= GRAM_TOL
@@ -91,8 +91,9 @@ def _union_coords(families):
             break
         rotations.append(W)
     for a in (Q, *rotations):
-        a.setflags(write=False)
-    return Q, tuple(rotations), Q is families[0].basis
+        if a is not None:
+            a.setflags(write=False)
+    return Q, tuple(rotations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,21 +105,18 @@ class FamilyUnion:
     member and ``offsets`` the global index of each family's first member
     followed by the total.  ``coords`` is one orthonormal basis Q (n x d) of
     the span of every family's basis U_f, and ``rotations`` holds
-    W_f = Q^T U_f, so that U_f = Q W_f: Q = U_0 with W_0 = I exactly when
-    every other W_f passes max |W_f^T W_f - I| <= GRAM_TOL and
+    W_f = Q^T U_f, so that U_f = Q W_f: Q = U_0 with W_0 = I, held as None,
+    exactly when every other W_f passes max |W_f^T W_f - I| <= GRAM_TOL and
     max |Q W_f - U_f| <= GRAM_TOL (families on one design), otherwise the
     left singular vectors of [U_0 ... U_{q-1}] with singular value above
-    RANK_TOL times the largest.  ``applied`` is ``rotations`` as products use it, with
-    None for W_0 = I when Q = U_0, and ``resid_factors`` each ((alpha_f - 1)^2)^T.
+    RANK_TOL times the largest.
     """
 
     families: tuple[SpectralFamily, ...]
     df: np.ndarray = field(init=False, repr=False)
     offsets: tuple[int, ...] = field(init=False, repr=False)
     coords: np.ndarray = field(init=False, repr=False)
-    rotations: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    applied: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
-    resid_factors: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    rotations: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         families = tuple(self.families)
@@ -132,15 +130,9 @@ class FamilyUnion:
         object.__setattr__(self, "df", _frozen_array(df))
         offsets = tuple(accumulate((f.member_count for f in families), initial=0))
         object.__setattr__(self, "offsets", offsets)
-        coords, rotations, first_is_coords = _union_coords(families)
+        coords, rotations = _union_coords(families)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "rotations", rotations)
-        applied = (None, *rotations[1:]) if first_is_coords else rotations  # I is not multiplied
-        object.__setattr__(self, "applied", applied)
-        factors = tuple(((f.alphas - 1.0) ** 2).T for f in families)
-        for a in factors:
-            a.setflags(write=False)
-        object.__setattr__(self, "resid_factors", factors)
 
     @classmethod
     def of(cls, candidates) -> "FamilyUnion":
@@ -184,7 +176,7 @@ class _Response:
     candidates' coordinates Q (``coords``, n x d): target = Q^T y,
     offset = ||P_Q_perp y||^2 / 2 and phi_j = W_f (alpha_j * z_f) for member
     j of family f, with z_f = W_f^T target = U_f^T y and W_f = Q^T U_f
-    (``rotations``; when Q = U_0 the products with W_0 = I are skipped).  The
+    (``rotations``; when Q = U_0, W_0 = I is None and never multiplied).  The
     active-set solve fetches the rows phi_j it pivots on through qp_member_rows.
     """
 
@@ -199,7 +191,7 @@ class _Response:
     def _parts(self):
         """(family, W_f or None for W_0 = I, z_f, first member, end) per family."""
         cands = self.candidates
-        return zip(cands.families, cands.applied, self.z, cands.offsets, cands.offsets[1:])
+        return zip(cands.families, cands.rotations, self.z, cands.offsets, cands.offsets[1:])
 
     def qp_fit(self, theta: np.ndarray) -> np.ndarray:
         """phi^T theta[b] in the QP's coordinates for theta (B, M), one column per b."""
@@ -210,11 +202,9 @@ class _Response:
             fit = part if fit is None else fit + part
         return fit
 
-    def qp_grad(self, resid: np.ndarray, cols=None) -> np.ndarray:
+    def qp_grad(self, resid: np.ndarray, cols=slice(None)) -> np.ndarray:
         """(phi resid)^T in the QP's coordinates, (B', M), for residuals (d, B') of columns cols."""
-        # np.take keeps the block's C order: with two or more cols, rows round as the block's
-        parts = [((z if cols is None else np.take(z, cols, axis=1))
-                  * (resid if W is None else W.T @ resid)).T @ fam.alphas.T
+        parts = [(z[:, cols] * (resid if W is None else W.T @ resid)).T @ fam.alphas.T
                  for fam, W, z, *_ in self._parts()]
         return parts[0] if len(parts) == 1 else np.hstack(parts)  # no copy of a lone part
 
@@ -235,7 +225,7 @@ class _Response:
         """Row phi_j of block column b for each (b, j) in zip(cols, members), as (len, d)."""
         rows = np.empty((members.size, self.candidates.coords.shape[1]))
         for k, sel, spectral in self._member_groups(cols, members):
-            W = self.candidates.applied[k]
+            W = self.candidates.rotations[k]
             rows[sel] = spectral if W is None else spectral @ W.T
         return rows
 
@@ -280,9 +270,9 @@ def _response(family_or_union, y, *, block: bool = False) -> _Response:
         yy = _sq_norms(Y)
         target = cands.coords.T @ Y
         offset = 0.5 * np.maximum(yy - _sq_norms(target), 0.0)
-        z = tuple(target if W is None else W.T @ target for W in cands.applied)
+        z = tuple(target if W is None else W.T @ target for W in cands.rotations)
         perp = tuple(np.maximum(yy - _sq_norms(zf), 0.0) for zf in z)
-        parts = [(zf**2).T @ factor for zf, factor in zip(z, cands.resid_factors)]
+        parts = [(zf**2).T @ ((f.alphas - 1.0) ** 2).T for f, zf in zip(cands.families, z)]
         for part, pf in zip(parts, perp):
             part += pf[:, None]
         resid_sq = parts[0] if len(parts) == 1 else np.hstack(parts)

@@ -207,7 +207,7 @@ class TestCoordinates:
         Q = union.coords
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-8
         for fam, W in zip(union.families, union.rotations):
-            assert np.abs(Q @ W - fam.basis).max() < 1e-8
+            assert np.abs((Q if W is None else Q @ W) - fam.basis).max() < 1e-8
         dense = [member_matrix(f, j) for f in union.families for j in range(f.member_count)]
         y = rng.standard_normal(union.n)
         resp = _response(union, y)
@@ -231,7 +231,7 @@ class TestCoordinates:
         )
         union = FamilyUnion(families=families)
         assert union.coords is families[0].basis
-        np.testing.assert_array_equal(union.rotations[0], np.eye(5))
+        assert union.rotations[0] is None  # W_0 = I
         self.check_against_dense(rng, union)
 
     @pytest.mark.parametrize("shapes", [((9, 3), (9, 4)), ((6, 4), (6, 5))])
@@ -247,7 +247,7 @@ class TestCoordinates:
         family = build_tikhonov_family(random_problem(rng, 10, 4, 3))
         union = FamilyUnion.of(family)
         assert union.coords is family.basis
-        np.testing.assert_array_equal(union.rotations[0], np.eye(4))
+        assert union.rotations == (None,)  # W_0 = I
         Y = rng.standard_normal((10, 3))
         for y, block in ((Y[:, 0], False), (Y, True)):
             resp = _response(family, y, block=block)
@@ -1017,48 +1017,27 @@ class TestBlockArithmetic:
             w = np.exp(-(cp - cp.min(axis=1, keepdims=True)) / (4.0 * s**2))
             assert np.array_equal(_softmax(cp, s), w / w.sum(axis=1, keepdims=True))
 
-    def test_vertex_certificate_by_gathers_equals_the_dense_one(self, passes):
+    def test_stages_equal_their_dense_forms(self, passes):
+        # the vertex certificate's sums against the one-hot theta are gathers, and the
+        # segment test runs on the whole block, as textbook_stages does
         for resp in passes:
-            lin = _qp_linear(resp, self.SIGMA)
-            B, M = lin.shape
-            j0 = _cp(resp, self.SIGMA).argmin(axis=1)
-            one_hot = np.eye(M)[j0]
-            resid = resp.qp_member_rows(np.arange(B), j0).T - resp.target
-            g = resp.qp_grad(resid) + lin
-            got = _certify(resp, lin, j0, resid)
-            for a, b in zip(got, (g, *_certificate(g, one_hot, resid, lin))):
-                assert np.array_equal(a, b)
-
-    def test_stages_equal_the_segment_test_on_every_column(self, passes):
-        # the segment test runs on the moved columns alone, gathered in the block's
-        # layout; a lone moved column runs with the whole block, as one column alone
-        # would take numpy's matrix-vector path.  Either way every value equals the
-        # test's on the whole block
-        vertex, segment = SOLVE_STAGES.index("vertex"), SOLVE_STAGES.index("segment")
-        for resp in passes:
-            stage = _block_solve(resp, self.SIGMA)[3]
-            lone = np.sort(np.r_[np.flatnonzero(stage == vertex)[:5],
-                                 np.flatnonzero(stage == segment)[0]])
-            for sub in (resp, _response(resp.candidates, resp.y[:, lone], block=True)):
-                theta, fval, res, stage, *_ = _block_solve(sub, self.SIGMA)
-                th, fv, rs, st, _ = textbook_stages(sub, self.SIGMA)
-                assert np.array_equal(stage, st)
-                early = stage < SOLVE_STAGES.index("active_set")
-                assert np.array_equal(theta[early], th[early])
-                assert np.array_equal(fval[early], (fv + sub.offset)[early])
-                assert np.array_equal(res[early], rs[early])
-            assert (stage != vertex).sum() == 1
+            theta, fval, res, stage, *_ = _block_solve(resp, self.SIGMA)
+            th, fv, rs, st, _ = textbook_stages(resp, self.SIGMA)
+            assert np.array_equal(stage, st)
+            early = stage < SOLVE_STAGES.index("active_set")
+            assert np.array_equal(theta[early], th[early])
+            assert np.array_equal(fval[early], (fv + resp.offset)[early])
+            assert np.array_equal(res[early], rs[early])
 
     def test_products_skip_the_identity_rotation_exactly(self, passes, rng):
         for resp in passes:
             cands = resp.candidates
             B, M = resp.resid_sq.shape
-            assert cands.applied[0] is None
-            assert all(a is b for a, b in zip(cands.applied[1:], cands.rotations[1:]))
-            assert np.array_equal(cands.rotations[0], np.eye(cands.coords.shape[1]))
-            # the same candidates, told that Q is not U_0, multiply by W_0 = np.eye
+            assert cands.rotations[0] is None and cands.coords is cands.families[0].basis
+            # the same candidates with an explicit W_0 = np.eye multiply by it
             eye = FamilyUnion(families=cands.families)
-            object.__setattr__(eye, "applied", eye.rotations)
+            object.__setattr__(eye, "rotations", (np.eye(cands.coords.shape[1]),
+                                                  *cands.rotations[1:]))
             full = _response(eye, resp.y, block=True)
             assert all(np.array_equal(a, b) for a, b in zip(resp.z, full.z))
             assert np.array_equal(resp.resid_sq, full.resid_sq)
