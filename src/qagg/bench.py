@@ -26,12 +26,13 @@ the unit of work handed to worker processes: blocks start at multiples of
 the width and are never split, so serial and parallel runs agree bit for
 bit.
 
-The points of one M or q sweep share ``_sweep_store`` while it runs.  It keeps
-only what varies within the sweep, whose points share seed, n, p and so X:
-under "noise" one read-only array whose row i holds replicate i's standard
-normals, the first rows up to NOISE_STORE_BYTES, of which each block reads its
-slice, and under a penalty diagonal's bytes the first family built on it,
-which later grids on that diagonal regrid.  The first point draws the rows the
+The points of one M or q sweep share seed, n and p, and ``_sweep_store`` while
+it runs: under "X" the design, drawn once and frozen; under a penalty diagonal's
+bytes the first family built on it, which later grids on it regrid with no
+DesignProblem; under "reference" the instance mu is calibrated on, which the
+point on its families reuses; under "noise" one read-only array whose row i
+holds replicate i's standard normals, the first rows up to NOISE_STORE_BYTES,
+of which each block reads its slice.  The first point draws the rows the
 store can keep before its blocks run, so the workers of a pool inherit them.
 A point does the arithmetic of a run of its own on the same inputs, so its
 report is byte-identical to that run's.  The store is a context variable: a
@@ -438,17 +439,20 @@ def _noise(seed: int, n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
-    """One ``build_tikhonov_family(DesignProblem(X, diag(d), grid))`` per spec, on a shared X.
+    """One ``build_tikhonov_family(DesignProblem(X, diag(d), grid))`` per penalty, on a shared X.
 
     The relative grid's scale, the mean squared singular value of X K^{-1/2},
     is ||X K^{-1/2}||_F^2 / min(n, p) = sum_ij X_ij^2 / d_j / min(n, p): no SVD.
     A penalty or grid that is rejected raises a ConfigError naming the family's key.
     """
     n, p = config.scenario.n, config.families[0].p
-    X = _design_rng(config.seed).standard_normal((n, p))
     store = _sweep_store.get()
     if store is None:
         store = {}
+    X = store.get("X")
+    if X is None:
+        X = store["X"] = _design_rng(config.seed).standard_normal((n, p))
+        X.setflags(write=False)  # so DesignProblem keeps it without a copy
     families = []
     for idx, spec in enumerate(config.families):
         key = f"families[{idx}]"
@@ -460,15 +464,16 @@ def _build_families(config: ExperimentConfig) -> list[SpectralFamily]:
                 raise ValueError(f"the whitened design overflows (scale {scale})")
         except ValueError as exc:
             raise ConfigError(f"key '{key}.penalty.exponent': {exc}") from None
+        family = store.get(d.tobytes())  # the first family built on X and K = diag(d)
         try:
-            problem = DesignProblem(X=X, K=np.diag(d), lambdas=spec.grid.build(scale))
+            if family is None:
+                problem = DesignProblem(X=X, K=np.diag(d), lambdas=spec.grid.build(scale))
+            else:
+                family = _regrid(family, spec.grid.build(scale))
         except ValueError as exc:
             raise ConfigError(f"key '{key}.grid': {exc}") from None
-        family = store.get(d.tobytes())  # the first family built on X and K = diag(d)
         if family is None:
             family = store[d.tobytes()] = build_tikhonov_family(problem)
-        else:
-            family = _regrid(family, problem.lambdas)
         families.append(family)
     return families
 
@@ -523,7 +528,11 @@ def _calibrate_mean(candidates, mu_unit: np.ndarray, sigma: float, target: float
 
 
 def build_instance(config: ExperimentConfig, mu_override: np.ndarray | None = None) -> Instance:
-    """Materialize the candidate families and ground truth of a config."""
+    """Materialize the candidate families and ground truth of a config, or reuse a sweep's."""
+    store = _sweep_store.get()
+    reference = None if store is None else store.get("reference")  # (families, instance)
+    if reference and config.families == reference[0] and mu_override is reference[1].truth.mu:
+        return reference[1]
     families = _build_families(config)
     candidates = FamilyUnion(families=tuple(families))
     sigma = config.scenario.sigma
@@ -772,14 +781,16 @@ def _sweep(config: ExperimentConfig, reference, points: list, threads: int) -> l
 
     The points share ``_sweep_store`` until the sweep returns or raises (see the module doc).
     """
-    token = _sweep_store.set({"noise": np.empty((0, config.scenario.n))})
+    store = {"noise": np.empty((0, config.scenario.n))}
+    token = _sweep_store.set(store)
     try:
-        mu = build_instance(replace(config, families=reference)).truth.mu
+        instance = build_instance(replace(config, families=reference))
+        store["reference"] = (reference, instance)
         return [
             run_experiment(
                 replace(config, label=f"{config.label}-{suffix}", families=families,
                         sweep_m=None, sweep_q=None),
-                threads=threads, mu_override=mu,
+                threads=threads, mu_override=instance.truth.mu,
             )
             for suffix, families in points
         ]

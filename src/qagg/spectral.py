@@ -56,6 +56,21 @@ def _check_theta(theta, count: int) -> np.ndarray:
     return theta
 
 
+def _check_lambdas(lambdas) -> np.ndarray:
+    """The one tuning-grid rule: nonempty, 1-d, finite, >= 0, no duplicates; sorted, frozen."""
+    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise ValueError("lambda grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(lambdas)) or np.any(lambdas < 0):
+        raise ValueError("lambda grid entries must be finite and >= 0")
+    lambdas = np.sort(lambdas)
+    if np.any(np.diff(lambdas) == 0):
+        dup = float(lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]])
+        raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
+    lambdas.setflags(write=False)
+    return lambdas
+
+
 def _frozen_array(a) -> np.ndarray:
     """a as a read-only C-contiguous float array: a itself when no array in its base chain
     can be written (so nothing can change it), otherwise a read-only copy."""
@@ -118,20 +133,11 @@ class DesignProblem:
             raise ValueError(
                 f"penalty matrix is not positive definite (smallest eigenvalue {smallest:.6e})"
             ) from None
-        lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
-        if lambdas.ndim != 1 or lambdas.size == 0:
-            raise ValueError("lambda grid must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(lambdas)) or np.any(lambdas < 0):
-            raise ValueError("lambda grid entries must be finite and >= 0")
-        lambdas = np.sort(lambdas)
-        if np.any(np.diff(lambdas) == 0):
-            dup = float(lambdas[np.flatnonzero(np.diff(lambdas) == 0)[0]])
-            raise ValueError(f"duplicate tuning parameter in grid: {dup!r}")
-        for a in (L, lambdas):  # made here: frozen in place, not copied
-            a.setflags(write=False)
+        lambdas = _check_lambdas(self.lambdas)
+        L.setflags(write=False)  # made here: frozen in place, not copied
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "K", _frozen_array(K))
-        object.__setattr__(self, "lambdas", _frozen_array(lambdas))
+        object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "penalty_factor", _frozen_array(L))
 
     @property
@@ -279,10 +285,10 @@ def build_tikhonov_family(problem: DesignProblem) -> SpectralFamily:
     return _family(U, s, R, "gram" if gram else "svd", defect, problem.lambdas)
 
 
-def _regrid(family: SpectralFamily, lambdas: np.ndarray) -> SpectralFamily:
-    """The family of another grid on the same (X, K): family's factorization, new alphas."""
+def _regrid(family: SpectralFamily, lambdas) -> SpectralFamily:
+    """The family of another grid, checked as DesignProblem checks it, on family's (X, K)."""
     return _family(family.basis, family.sing_vals, family.right_factor, family.factorization,
-                   family.orthogonality_defect, lambdas)
+                   family.orthogonality_defect, _check_lambdas(lambdas))
 
 
 def _family(U, mu, right, kind: str, defect: float, lambdas: np.ndarray) -> SpectralFamily:

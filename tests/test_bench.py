@@ -52,6 +52,7 @@ from qagg.bench import (
     write_reports_csv,
 )
 from qagg.smoother import FamilyUnion, GroundTruth, member_risks
+from qagg.spectral import DesignProblem
 
 
 def small_config(**overrides):
@@ -268,6 +269,22 @@ class TestInstance:
                 cfg.scenario, mean=replace(mean, target_risk=float(target))))
             risk = build_instance(calibrated).oracle_risk
             assert abs(risk - target) <= 1e-12 * target
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_both_paths_of_a_penalty_apply_one_grid_rule(self, at, monkeypatch):
+        # families[0] is factorized through a DesignProblem; families[1], on the
+        # same identity penalty, regrids that factorization and makes none
+        problems = []
+        monkeypatch.setattr(qagg.bench, "DesignProblem",
+                            lambda **kw: problems.append(1) or DesignProblem(**kw))
+        families = [FamilySpec(p=10), FamilySpec(p=10)]
+        tight = GridSpec(min=1.0, max=1.000000000000001, count=50, absolute=True)
+        families[at] = FamilySpec(p=10, grid=tight)
+        with pytest.raises(ConfigError) as err:
+            build_instance(small_config(families=tuple(families)))
+        assert str(err.value) == (
+            f"key 'families[{at}].grid': duplicate tuning parameter in grid: 1.0")
+        assert len(problems) == 1
 
     def test_oracle_matches_member_risks(self):
         instance = build_instance(small_config())
@@ -682,19 +699,37 @@ class TestSweepSharing:
     @pytest.mark.parametrize("kind, builds", [("M", 1), ("q", 4)])
     def test_each_sweep_draws_and_factorizes_once(self, kind, builds, monkeypatch):
         # q in {1, 2, 4} uses the penalty exponents {0}, {0, 3} and {0, 1, 2, 3}
-        draws, factorizations = [], []
-        rng, build = qagg.bench._replicate_rng, qagg.bench.build_tikhonov_family
+        draws, designs, problems, factorizations, instances = [], [], [], [], []
+        rng, design_rng = qagg.bench._replicate_rng, qagg.bench._design_rng
+        build, instance = qagg.bench.build_tikhonov_family, qagg.bench.build_instance
+
+        def record_instance(*args, **kwargs):
+            instances.append(instance(*args, **kwargs))
+            return instances[-1]
+
         monkeypatch.setattr(qagg.bench, "_replicate_rng",
                             lambda seed, index: draws.append(index) or rng(seed, index))
+        monkeypatch.setattr(qagg.bench, "_design_rng",
+                            lambda seed: designs.append(seed) or design_rng(seed))
+        monkeypatch.setattr(qagg.bench, "DesignProblem",
+                            lambda **kw: problems.append(1) or DesignProblem(**kw))
         monkeypatch.setattr(qagg.bench, "build_tikhonov_family",
                             lambda *args: factorizations.append(1) or build(*args))
+        monkeypatch.setattr(qagg.bench, "build_instance", record_instance)
         replicates = self.REPLICATES
         for _ in range(2):  # back to back: the second sweep draws everything again
-            draws.clear()
-            factorizations.clear()
+            for counts in (draws, designs, problems, factorizations, instances):
+                counts.clear()
             self.sweep(kind)
             assert sorted(draws) == list(range(replicates))
-            assert len(factorizations) == builds
+            assert len(designs) == 1
+            assert len(problems) == len(factorizations) == builds
+            # the reference build, then one per point: the densest M and q = 1
+            # points are on the reference families and get that instance itself
+            reference, *points = instances
+            reused = points[-1] if kind == "M" else points[0]
+            assert reused is reference
+            assert [point is reference for point in points].count(True) == 1
         assert qagg.bench._sweep_store.get() is None
 
     @pytest.mark.parametrize("kind", ["M", "q"])
@@ -768,14 +803,15 @@ class TestSweepSharing:
             if seen:
                 raise ConfigError("key 'scenario': failed on purpose")
             store = qagg.bench._sweep_store.get()
-            seen.append((sorted(key for key in store if key != "noise"), len(store["noise"])))
+            seen.append(({key for key in store if key != "noise"}, len(store["noise"])))
             return run(cfg, threads=threads, mu_override=mu_override)
 
         monkeypatch.setattr(qagg.bench, "run_experiment", fail_second)
         with pytest.raises(ConfigError, match="on purpose"):
             regret_vs_M_sweep(small_config(replicates=5), [2, 4])
-        # the reference grid's family, on the identity penalty, was shared; no noise yet
-        assert seen == [([np.ones(10).tobytes()], 0)]
+        # X, the reference instance and its family on the identity penalty were
+        # shared; no noise yet
+        assert seen == [({"X", "reference", np.ones(10).tobytes()}, 0)]
         assert qagg.bench._sweep_store.get() is None
 
     def test_a_run_in_another_thread_sees_none_of_the_store(self, monkeypatch):

@@ -3,15 +3,19 @@
 One traced run per workload checks that every trace hook still resolves,
 that the workload inputs can be generated from the public API, and that
 all of the benchmark's output checks pass.  Its records go to the
-git-ignored ``perfbench/results/``.
+git-ignored ``perfbench/results/``.  Traced runs take no set-up samples, so
+the set-up probe's sweep build is run here in-process.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import qagg.bench
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +39,18 @@ def test_traced_tiny_run_is_correct(workload):
     assert result["failed"] == 0
     builds = result["metrics"]["spectral.build_tikhonov_family.calls"]["value"]
     assert builds == FAMILY_BUILDS[workload]
+
+
+@pytest.mark.parametrize("workload", ["mc-grid", "mc-union"])
+def test_setup_probe_builds_the_sweep(workload):
+    # perfbench/worker.py is a script, so it is loaded by path; its set-up
+    # probe stubs run_experiment to build every instance of the sweep
+    spec = importlib.util.spec_from_file_location("perfbench_worker", ROOT / "perfbench/worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    make = worker._grid_config if workload == "mc-grid" else worker._union_config
+    config = qagg.bench.ExperimentConfig.from_dict(make(5, worker.SIZES["tiny"]))
+    run = qagg.bench.run_experiment
+    assert worker._build_sweep(qagg.bench, config) is None
+    assert qagg.bench.run_experiment is run
+    assert qagg.bench._sweep_store.get() is None
